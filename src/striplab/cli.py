@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,17 @@ from .errors import (
 
 __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run", "emit_plot", "main"]
 
-_KINDS = ("jacobi", "spectrum", "mu", "nu-sweep", "hardy", "evolve", "mc", "report")
+# [experiment] keys each kind reads, besides ``kind``
+_CONTROLS = {
+    "jacobi": (),
+    "spectrum": ("k",),
+    "mu": (),
+    "nu-sweep": ("s_lattice", "frame_half_width", "frame_cells"),
+    "hardy": ("trials", "seed"),
+    "evolve": ("alpha", "t_end", "checkpoint_step", "fit_window", "dt", "initial"),
+    "mc": ("x0", "t_lattice", "dt", "n_paths", "seed", "box", "dump_paths"),
+    "report": ("include_slow",),
+}
 
 
 @dataclass(eq=False)
@@ -160,8 +171,13 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         )
     except KeyError as exc:
         raise ConfigInvalid(f"missing required key {exc}")
-    if cfg.kind not in _KINDS:
+    if cfg.kind not in _CONTROLS:
         raise ConfigInvalid(f"unknown experiment kind {cfg.kind!r}")
+    unknown = sorted(set(cp["experiment"]) - {"kind"} - set(_CONTROLS[cfg.kind]))
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown [experiment] keys for kind {cfg.kind!r}: {', '.join(unknown)}"
+        )
     try:
         prof = cfg.build_profile()
         geom = geo.StripGeometry(a=cfg.a, L=cfg.L, n1=cfg.n1, n2=cfg.n2)
@@ -327,13 +343,20 @@ def _exp_mc(cfg, outdir):
     names = [p.name]
     if ctr.get("dump_paths", False):
         q = outdir / "paths.csv"
-        rows = []
-        for ci, t in enumerate(ens.checkpoint_times):
-            for pid in range(ens.n_paths):
-                rows.append((pid, t, ens.positions[ci, pid, 0], ens.positions[ci, pid, 1]))
-        _write_csv(q, ["path_id[1]", "t[time]", "x1[len]", "x2[len]"], rows)
+        q.write_text(_paths_csv(ens))
         names.append(q.name)
     return names
+
+
+def _paths_csv(ens) -> str:
+    """Text of paths.csv: one row per checkpoint and path, formatted as _fmt would."""
+    pid = np.arange(ens.n_paths).astype(str).tolist()
+    lines = ["path_id[1],t[time],x1[len],x2[len]"]
+    for ci, t in enumerate(ens.checkpoint_times):
+        # a float32 array cast to str gives each element's str(), its shortest repr
+        x = ens.positions[ci].astype(str)
+        lines += map(",".join, zip(pid, repeat(_fmt(t)), x[:, 0].tolist(), x[:, 1].tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def _exp_report(cfg, outdir):

@@ -370,12 +370,14 @@ def jacobi_columns(profile, x1, x2_levels, base_step):
     return f, d2f
 
 
-def taylor_envelope(profile: CurvatureProfile, a: float, x1=None):
+def taylor_envelope(profile: CurvatureProfile, a: float, x1):
     """Two-sided per-column bounds 1 -/+ Kbar a^2 / (1 - Kbar a^2).
 
-    ``x1`` defaults to nothing useful, so callers normally pass the column
-    coordinates they care about.
+    ``x1`` holds the column coordinates; None or an empty set raises
+    GeometryInvalid.
     """
+    if x1 is None or np.size(x1) == 0:
+        raise GeometryInvalid("taylor_envelope needs at least one column coordinate x1")
     x1 = np.asarray(x1, float)
     kbar = profile.column_sup(x1, a)
     q = kbar * a**2

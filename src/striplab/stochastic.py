@@ -44,7 +44,9 @@ class SdeSpec:
 
     Outside the curvature support the drift vanishes identically and the
     diffusion is the constant sqrt(2) pair; inside, fields are tabulated on
-    the metric grid and interpolated bilinearly.
+    the metric grid and interpolated bilinearly. ``table`` stacks b1, b2 and
+    1/f along its first axis, so one set of cell indices and weights serves
+    all three.
     """
 
     a: float
@@ -52,11 +54,10 @@ class SdeSpec:
     support: float           # |x1| beyond which the fields are exactly flat
     x1: np.ndarray = None
     x2: np.ndarray = None
-    b1: np.ndarray = None
-    b2: np.ndarray = None
-    inv_f: np.ndarray = None
+    table: np.ndarray = None  # (3, n1, n2): b1, b2, 1/f
 
-    def _bilinear(self, table, p1, p2):
+    def _bilinear(self, p1, p2):
+        """(3, len(p1)) interpolated b1, b2, 1/f."""
         h1 = self.x1[1] - self.x1[0]
         h2 = self.x2[1] - self.x2[0]
         s = np.clip((p1 - self.x1[0]) / h1, 0.0, self.x1.size - 1.001)
@@ -65,11 +66,16 @@ class SdeSpec:
         j = t.astype(np.int64)
         fs = s - i
         ft = t - j
+        # one gather of all three fields per corner; take on the flattened
+        # grid axis keeps each field's samples contiguous
+        n2 = self.x2.size
+        flat = self.table.reshape(3, -1)
+        k = i * n2 + j
         return (
-            table[i, j] * (1 - fs) * (1 - ft)
-            + table[i + 1, j] * fs * (1 - ft)
-            + table[i, j + 1] * (1 - fs) * ft
-            + table[i + 1, j + 1] * fs * ft
+            flat.take(k, axis=1) * (1 - fs) * (1 - ft)
+            + flat.take(k + n2, axis=1) * fs * (1 - ft)
+            + flat.take(k + 1, axis=1) * (1 - fs) * ft
+            + flat.take(k + n2 + 1, axis=1) * fs * ft
         )
 
     def fields(self, p1, p2):
@@ -82,10 +88,10 @@ class SdeSpec:
         s1 = np.full_like(p1, _SQRT2)
         inside = np.abs(p1) <= self.support
         if inside.any():
-            q1, q2 = p1[inside], p2[inside]
-            b1[inside] = self._bilinear(self.b1, q1, q2)
-            b2[inside] = self._bilinear(self.b2, q1, q2)
-            s1[inside] = _SQRT2 * self._bilinear(self.inv_f, q1, q2)
+            v1, v2, vf = self._bilinear(p1[inside], p2[inside])
+            b1[inside] = v1
+            b2[inside] = v2
+            s1[inside] = _SQRT2 * vf
         return b1, b2, s1
 
 
@@ -112,9 +118,7 @@ def sde_from_metric(metric: MetricField) -> SdeSpec:
         support=float(support),
         x1=metric.x1,
         x2=metric.x2,
-        b1=b1,
-        b2=b2,
-        inv_f=1.0 / f,
+        table=np.stack([b1, b2, 1.0 / f]),
     )
 
 
@@ -159,6 +163,13 @@ def simulate_killed(
     exp(-2 d_old d_new / (2 dt)) for the doubled-clock diffusion. Chunked,
     with one counter-based stream per fixed-size chunk, so results are
     bit-reproducible from (seed, dt, n_paths) under any schedule.
+
+    Only live paths are advanced: each chunk keeps the indices and positions
+    of its living paths, writes a path's frozen position and kill time back
+    when it dies, and stops once none is left. Every step still draws the
+    normals and uniforms of the whole chunk and picks the live ones out, so
+    the stream, and hence every ensemble, is the same as if dead paths were
+    stepped too.
     """
     a = sde.a
     x10, x20 = float(x0[0]), float(x0[1])
@@ -188,17 +199,20 @@ def simulate_killed(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(c0 // _CHUNK,)))
         )
+        # last[k]: where path k died, or where it was at the latest checkpoint
+        last = np.tile((x10, x20), (m, 1))
+        ktime = np.full(m, np.inf)
+        live = np.arange(m)
         p1 = np.full(m, x10)
         p2 = np.full(m, x20)
-        alive = np.ones(m, dtype=bool)
-        ktime = np.full(m, np.inf)
-        snap = check_steps == 0
-        for ci in np.flatnonzero(snap):
-            positions[ci, c0:c1, 0] = p1
-            positions[ci, c0:c1, 1] = p2
-        for step in range(1, n_steps + 1):
-            z = rng.standard_normal((m, 2))
-            u = rng.random(m)
+        for ci in np.flatnonzero(check_steps == 0):
+            positions[ci, c0:c1] = last
+        step = 0
+        while step < n_steps and live.size:
+            step += 1
+            # draw for the whole chunk so the stream does not depend on deaths
+            z = rng.standard_normal((m, 2))[live]
+            u = rng.random(m)[live]
             b1, b2, s1 = sde.fields(p1, p2)
             q1 = p1 + b1 * dt + s1 * sqdt * z[:, 0]
             q2 = p2 + b2 * dt + _SQRT2 * sqdt * z[:, 1]
@@ -213,14 +227,22 @@ def simulate_killed(
                 pkill = np.where(crossed, 1.0, pu + pl - pu * pl)
             else:
                 pkill = crossed.astype(float)
-            dead_now = alive & (u < pkill)
-            ktime[dead_now] = step * dt
-            alive &= ~dead_now
-            p1 = np.where(alive, q1, p1)
-            p2 = np.where(alive, q2, p2)
+            dead = u < pkill
+            if dead.any():
+                gone = live[dead]
+                ktime[gone] = step * dt
+                last[gone, 0] = p1[dead]
+                last[gone, 1] = p2[dead]
+                keep = ~dead
+                live, q1, q2 = live[keep], q1[keep], q2[keep]
+            p1, p2 = q1, q2
             for ci in np.flatnonzero(check_steps == step):
-                positions[ci, c0:c1, 0] = p1
-                positions[ci, c0:c1, 1] = p2
+                last[live, 0] = p1
+                last[live, 1] = p2
+                positions[ci, c0:c1] = last
+        # checkpoints after the last death see every path frozen
+        for ci in np.flatnonzero(check_steps > step):
+            positions[ci, c0:c1] = last
         kill_time[c0:c1] = ktime
 
     beyond = 0.0

@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from striplab import cli
+from striplab import stochastic as st
 from striplab.errors import ConfigInvalid, SchemaMismatch
 
 
@@ -176,6 +178,51 @@ def test_mc_run(tmp_path):
     assert rows[0] == "t[time],alive[1],estimate[1],ci_low[1],ci_high[1]"
     est = [float(r.split(",")[2]) for r in rows[1:]]
     assert est[0] >= est[1] > 0
+
+
+def test_mc_paths_dump_matches_row_loop(tmp_path):
+    text = FLAT_MC.replace("n_paths = 5000", "n_paths = 700").replace(
+        "seed = 7", "seed = 7\ndump_paths = true"
+    )
+    cfg = cli.load_config(_write(tmp_path, text))
+    cli.run(cfg)
+    dumped = (tmp_path / "out" / "mc" / "paths.csv").read_bytes()
+
+    metric, _ = cfg.build_metric()
+    ens = st.simulate_killed(
+        st.sde_from_metric(metric), (0.0, 0.0), t_max=1.0, dt=0.002, n_paths=700,
+        seed=7, checkpoints=[0.5, 1.0], box_limit=cfg.L,
+    )
+    rows = []
+    for ci, t in enumerate(ens.checkpoint_times):
+        for pid in range(ens.n_paths):
+            rows.append((pid, t, ens.positions[ci, pid, 0], ens.positions[ci, pid, 1]))
+    ref = tmp_path / "reference.csv"
+    cli._write_csv(ref, ["path_id[1]", "t[time]", "x1[len]", "x2[len]"], rows)
+    assert dumped == ref.read_bytes()
+
+
+def test_config_rejects_unknown_experiment_keys(tmp_path):
+    misspelt = FLAT_MC.replace("n_paths = 5000", "n_path = 5000")
+    with pytest.raises(ConfigInvalid, match="n_path"):
+        cli.load_config(_write(tmp_path, misspelt))
+    # a key that only another kind reads is unknown here too
+    foreign = FLAT_SPECTRUM.replace("k = 3", "k = 3\nn_paths = 10")
+    with pytest.raises(ConfigInvalid, match="n_paths"):
+        cli.load_config(_write(tmp_path, foreign))
+    assert cli.main(["run", str(_write(tmp_path, misspelt))]) == 2
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((_ROOT / "configs").glob("*.ini")) + sorted((_ROOT / "perfbench" / "inputs").glob("*.ini")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_shipped_configs_load(path):
+    assert cli.load_config(path).kind in cli._CONTROLS
 
 
 def test_emit_plot_schema_mismatch(tmp_path):

@@ -60,6 +60,12 @@ def test_taylor_envelope_domain_error():
         geo.taylor_envelope(prof, 1.0, x1=[0.0])
 
 
+@pytest.mark.parametrize("x1", [None, []])
+def test_taylor_envelope_needs_columns(x1):
+    with pytest.raises(GeometryInvalid):
+        geo.taylor_envelope(geo.constant_on_box(0.1, math.inf), 1.0, x1)
+
+
 def test_geometry_gate_rejects_wide_strip():
     prof = geo.gaussian_bump(amplitude=0.9, width=1.0, support_radius=3.0)
     with pytest.raises(GeometryInvalid):

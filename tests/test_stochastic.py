@@ -61,6 +61,129 @@ def test_simulation_reproducible_bitwise(flat_sde):
     assert np.array_equal(e1.positions, e2.positions)
 
 
+def _reference_bilinear(sde, table, p1, p2):
+    h1 = sde.x1[1] - sde.x1[0]
+    h2 = sde.x2[1] - sde.x2[0]
+    s = np.clip((p1 - sde.x1[0]) / h1, 0.0, sde.x1.size - 1.001)
+    t = np.clip((p2 - sde.x2[0]) / h2, 0.0, sde.x2.size - 1.001)
+    i = s.astype(np.int64)
+    j = t.astype(np.int64)
+    fs = s - i
+    ft = t - j
+    return (
+        table[i, j] * (1 - fs) * (1 - ft)
+        + table[i + 1, j] * fs * (1 - ft)
+        + table[i, j + 1] * (1 - fs) * ft
+        + table[i + 1, j + 1] * fs * ft
+    )
+
+
+def _reference_fields(sde, p1, p2):
+    sq2 = math.sqrt(2.0)
+    b1 = np.zeros_like(p1)
+    b2 = np.zeros_like(p1)
+    s1 = np.full_like(p1, sq2)
+    if sde.flat:
+        return b1, b2, s1
+    inside = np.abs(p1) <= sde.support
+    if inside.any():
+        q1, q2 = p1[inside], p2[inside]
+        b1[inside] = _reference_bilinear(sde, sde.table[0], q1, q2)
+        b2[inside] = _reference_bilinear(sde, sde.table[1], q1, q2)
+        s1[inside] = sq2 * _reference_bilinear(sde, sde.table[2], q1, q2)
+    return b1, b2, s1
+
+
+def _reference_simulate(sde, x0, t_max, dt, n_paths, seed, checkpoints, bridge=True):
+    """The straightforward loop: every path of a chunk is stepped to t_max,
+    dead ones included, and each field is interpolated on its own."""
+    a, sq2 = sde.a, math.sqrt(2.0)
+    n_steps = int(round(t_max / dt)) if t_max > 0 else 0
+    check_steps = np.array([min(int(round(t / dt)), n_steps) for t in checkpoints])
+    positions = np.empty((len(check_steps), n_paths, 2), dtype=np.float32)
+    kill_time = np.full(n_paths, np.inf)
+    sqdt = math.sqrt(dt)
+    for c0 in range(0, n_paths, st._CHUNK):
+        c1 = min(c0 + st._CHUNK, n_paths)
+        m = c1 - c0
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(c0 // st._CHUNK,)))
+        )
+        p1 = np.full(m, float(x0[0]))
+        p2 = np.full(m, float(x0[1]))
+        alive = np.ones(m, dtype=bool)
+        ktime = np.full(m, np.inf)
+        for ci in np.flatnonzero(check_steps == 0):
+            positions[ci, c0:c1, 0] = p1
+            positions[ci, c0:c1, 1] = p2
+        for step in range(1, n_steps + 1):
+            z = rng.standard_normal((m, 2))
+            u = rng.random(m)
+            b1, b2, s1 = _reference_fields(sde, p1, p2)
+            q1 = p1 + b1 * dt + s1 * sqdt * z[:, 0]
+            q2 = p2 + b2 * dt + sq2 * sqdt * z[:, 1]
+            crossed = np.abs(q2) >= a
+            if bridge:
+                d0u, d1u = a - p2, a - q2
+                d0l, d1l = a + p2, a + q2
+                with np.errstate(over="ignore"):
+                    pu = np.exp(-2.0 * d0u * d1u / (2.0 * dt))
+                    pl = np.exp(-2.0 * d0l * d1l / (2.0 * dt))
+                pkill = np.where(crossed, 1.0, pu + pl - pu * pl)
+            else:
+                pkill = crossed.astype(float)
+            dead_now = alive & (u < pkill)
+            ktime[dead_now] = step * dt
+            alive &= ~dead_now
+            p1 = np.where(alive, q1, p1)
+            p2 = np.where(alive, q2, p2)
+            for ci in np.flatnonzero(check_steps == step):
+                positions[ci, c0:c1, 0] = p1
+                positions[ci, c0:c1, 1] = p2
+        kill_time[c0:c1] = ktime
+    return kill_time, positions
+
+
+@pytest.fixture(scope="module")
+def ruled_sde():
+    m, _ = geo.ruled_strip(
+        geo.ruled_profile(0.6, 4.0), geo.StripGeometry(a=1.0, L=12.0, n1=120, n2=24)
+    )
+    return st.sde_from_metric(m)
+
+
+_IDENTITY_CASES = {
+    "flat": ("flat", dict(x0=(0.0, 0.0), t_max=0.3, dt=1e-3, n_paths=3000, seed=99,
+                          checkpoints=[0.1, 0.3])),
+    "ruled": ("ruled", dict(x0=(1.0, 0.3), t_max=0.5, dt=0.0025, n_paths=4000, seed=5,
+                            checkpoints=[0.1, 0.5])),
+    "no-bridge": ("ruled", dict(x0=(1.0, 0.3), t_max=0.5, dt=0.0025, n_paths=4000, seed=5,
+                                checkpoints=[0.5], bridge=False)),
+    "checkpoints-at-0-and-t_max": ("ruled", dict(x0=(-2.0, -0.4), t_max=0.4, dt=0.0025,
+                                                 n_paths=2000, seed=8,
+                                                 checkpoints=[0.0, 0.2, 0.4])),
+    "partial-second-chunk": ("ruled", dict(x0=(0.0, 0.0), t_max=0.025, dt=0.0025,
+                                           n_paths=st._CHUNK + 300, seed=3,
+                                           checkpoints=[0.0, 0.025])),
+    "all-dead-before-last-checkpoint": ("flat", dict(x0=(0.0, 0.5), t_max=20.0, dt=0.02,
+                                                     n_paths=40, seed=1,
+                                                     checkpoints=[1.0, 5.0, 20.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+def test_live_set_loop_bit_identical_to_reference(case, flat_sde, ruled_sde):
+    which, kw = _IDENTITY_CASES[case]
+    sde = flat_sde[1] if which == "flat" else ruled_sde
+    ens = st.simulate_killed(sde, **kw)
+    kill_time, positions = _reference_simulate(sde, **kw)
+    assert np.array_equal(ens.kill_time, kill_time)
+    assert np.array_equal(ens.positions, positions)
+    if case == "all-dead-before-last-checkpoint":
+        # the chunk ends early, so the last checkpoints come from frozen positions
+        assert ens.kill_time.max() < kw["checkpoints"][-2]
+
+
 def test_zero_horizon_ensemble(flat_sde):
     a, sde = flat_sde
     ens = st.simulate_killed(sde, (0.3, 0.2), t_max=0.0, dt=1e-3, n_paths=64, seed=1)
@@ -141,6 +264,27 @@ def test_bridge_correction_halves_bias(flat_sde):
     b_corr = st.survival_estimate(corrected, None, 0.5).probability - exact
     assert abs(b_corr) <= 0.5 * abs(b_naive)
     assert b_naive > 0  # skipping the crossing check overestimates survival
+
+
+@pytest.mark.slow
+def test_weak_order_in_dt(flat_sde):
+    # Gobet (2000): discretely monitored killing biases survival upward at
+    # order 1/2 in dt; the bridge correction removes that leading term.
+    a, sde = flat_sde
+    t = 0.5
+    exact, _ = oracle.flat_survival((0.0, 0.0), None, t, a)
+    dts = np.array([0.02, 0.01, 0.005, 0.0025])
+    kw = dict(x0=(0.0, 0.0), t_max=t, n_paths=400000, seed=31)
+    b_naive, b_corr = [], []
+    for dt in dts:
+        for bridge, out in ((False, b_naive), (True, b_corr)):
+            ens = st.simulate_killed(sde, dt=dt, bridge=bridge, **kw)
+            out.append(st.survival_estimate(ens, None, t).probability - exact)
+    b_naive, b_corr = np.array(b_naive), np.array(b_corr)
+    assert np.all(b_naive > 0)
+    order = np.polyfit(np.log(dts), np.log(b_naive), 1)[0]
+    assert 0.35 <= order <= 0.65
+    assert np.all(np.abs(b_corr) < b_naive)
 
 
 def test_conditional_distribution_point_mass(flat_sde):
