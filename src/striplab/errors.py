@@ -63,6 +63,10 @@ class LinearSolveFailure(StripLabError):
     """Implicit time step could not be solved."""
 
 
+class BadCheckpoint(StripLabError):
+    """A checkpoint lies before the initial time or would repeat a sample."""
+
+
 class DegenerateFit(StripLabError):
     """Too few trajectory samples inside the fit window."""
 

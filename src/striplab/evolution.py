@@ -5,6 +5,11 @@ with the trapezoidal one-step scheme, which is unconditionally stable and
 second order in the step. Long runs are always shifted by the discrete
 transverse ground energy: the unshifted semigroup decays through hundreds of
 e-foldings over the fit windows used here and would underflow.
+
+The implicit matrix M + dt/2 (S - shift M) is symmetric positive definite for
+the shifts and steps used here, so it is factored once per run as a banded
+Cholesky. Its band is read off the matrix: nodes are numbered x1-major, so
+it spans one transverse column of kept nodes plus one.
 """
 from __future__ import annotations
 
@@ -12,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .errors import DegenerateFit, LinearSolveFailure, NotInWeightedSpace
+from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
 from .spectral.core import OperatorPair
 
@@ -82,19 +87,6 @@ def _norms(pair: OperatorPair, u: np.ndarray, t: float) -> HeatState:
     return HeatState(u=u, t=t, norm_f=nf, norm_wf=nwf)
 
 
-def _mode1_vector(pair: OperatorPair):
-    """First transverse mode and plain-measure transverse quadrature weights
-    on the retained nodes, reshaped per column."""
-    grid = pair.grid
-    x2 = grid.x2
-    a = float(x2[-1])
-    h2 = x2[1] - x2[0]
-    j1 = mode_function(1, a, x2)
-    w2 = np.full(x2.size, h2)
-    w2[0] = w2[-1] = h2 / 2.0
-    return j1, w2
-
-
 def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None) -> HeatState:
     """Initial datum at t = 0.
 
@@ -133,6 +125,37 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
+def _banded_cholesky(A) -> np.ndarray:
+    """Upper banded Cholesky factor of the sparse symmetric positive definite
+    matrix ``A``, in LAPACK's upper band storage.
+
+    The bandwidth is the largest col - row over the stored upper-triangle
+    entries. Only the upper triangle is factored, so ``A`` must be symmetric
+    to round-off; otherwise, or when ``A`` is not positive definite, the step
+    cannot be solved.
+    """
+    scale = abs(A).max()
+    asym = abs(A - A.T).max()
+    if not asym <= 1e-12 * scale:  # also taken when A holds NaN
+        raise LinearSolveFailure(
+            f"implicit step matrix is not symmetric: |A - A^T| = {asym:.3e}, "
+            f"|A| = {scale:.3e}"
+        )
+    coo = A.tocoo()
+    coo.sum_duplicates()
+    upper = coo.row <= coo.col
+    row, col = coo.row[upper], coo.col[upper]
+    bw = int((col - row).max())
+    ab = np.zeros((bw + 1, A.shape[0]))
+    ab[bw + row - col, col] = coo.data[upper]
+    try:
+        return cholesky_banded(ab, overwrite_ab=True)
+    except LinAlgError as exc:
+        raise LinearSolveFailure(
+            f"implicit step matrix is not positive definite: {exc}"
+        ) from exc
+
+
 def evolve(
     pair: OperatorPair,
     u0: HeatState,
@@ -144,37 +167,34 @@ def evolve(
 ) -> Trajectory:
     """Trapezoidal evolution of the pair, recording norms at the checkpoints.
 
-    Checkpoints snap to whole multiples of ``dt``; the actual times are
-    reported. With ``shift`` nonzero the gauged variable exp(shift t) u(t)
-    is evolved and recorded.
+    Checkpoints snap to whole multiples of ``dt`` after ``u0.t``; the actual
+    times are reported. A checkpoint before ``u0.t``, or two that snap to the
+    same step, raise ``BadCheckpoint``. With ``shift`` nonzero the gauged
+    variable exp(shift t) u(t) is evolved and recorded.
+
+    The implicit matrix M + dt/2 (S - shift M) is factored once as a banded
+    Cholesky whose band is read off the matrix; ``LinearSolveFailure`` is
+    raised when it is not symmetric positive definite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t_grid = np.asarray(sorted(set(float(t) for t in t_grid)))
-    B = (pair.S - shift * pair.M).tocsc()
-    A_plus = (pair.M + 0.5 * dt * B).tocsc()
+    t = float(u0.t)
+    t_grid = np.asarray(sorted(set(float(tk) for tk in t_grid)))
+    if t_grid.size and t_grid[0] < t - 1e-12:
+        raise BadCheckpoint(f"checkpoint t = {t_grid[0]} lies before the start t = {t}")
+    targets = np.rint((t_grid - t) / dt).astype(int)
+    dup = np.flatnonzero(np.diff(targets) == 0)
+    if dup.size:
+        i = dup[0]
+        raise BadCheckpoint(
+            f"checkpoints t = {t_grid[i]} and {t_grid[i + 1]} snap to the same "
+            f"step of dt = {dt}"
+        )
+    B = pair.S - shift * pair.M
+    factor = _banded_cholesky(pair.M + 0.5 * dt * B)
     A_minus = (pair.M - 0.5 * dt * B).tocsr()
-    try:
-        lu = spla.splu(A_plus)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"cannot factorize the implicit step: {exc}")
-
-    j1, w2 = _mode1_vector(pair)
-    n1, n2 = pair.grid.shape
-
-    def mode1_fraction(u):
-        full = np.zeros(n1 * n2)
-        full[pair.kept] = u
-        U = full.reshape(n1, n2)
-        phi = (U * (w2 * j1)[None, :]).sum(axis=1)
-        R = U - phi[:, None] * j1[None, :]
-        r = R.ravel()[pair.kept]
-        nrm = math.sqrt(max(u @ (pair.M @ u), 0.0))
-        rem = math.sqrt(max(r @ (pair.M @ r), 0.0))
-        return rem / nrm if nrm > 0 else 0.0
 
     u = u0.u.copy()
-    t = float(u0.t)
     times, nf, nwf, m1 = [], [], [], []
     states = []
 
@@ -183,22 +203,24 @@ def evolve(
         times.append(tcur)
         nf.append(st.norm_f)
         nwf.append(st.norm_wf)
-        m1.append(mode1_fraction(ucur) if record_mode1 else math.nan)
+        if record_mode1:
+            rem = project_mode1(st, pair).remainder_norm
+            m1.append(rem / st.norm_f if st.norm_f > 0 else 0.0)
+        else:
+            m1.append(math.nan)
         if keep_states:
             states.append(st)
         return st
 
     last = None
-    for tk in t_grid:
-        n_steps = int(round((tk - t) / dt))
-        if tk <= t + 1e-12 and not times:
-            last = record(u, t)
-            continue
-        for _ in range(max(n_steps, 0)):
-            u = lu.solve(A_minus @ u)
+    done = 0
+    for k in targets:
+        for _ in range(k - done):
+            u = cho_solve_banded((factor, False), A_minus @ u, check_finite=False)
             if not np.all(np.isfinite(u)):
                 raise LinearSolveFailure("implicit step produced non-finite values")
             t += dt
+        done = k
         last = record(u, t)
 
     return Trajectory(
@@ -276,7 +298,11 @@ class Mode1Projection:
 
 def project_mode1(state: HeatState, pair: OperatorPair) -> Mode1Projection:
     """Transverse-mode-1 profile of the state and the orthogonal remainder."""
-    j1, w2 = _mode1_vector(pair)
+    x2 = pair.grid.x2
+    h2 = x2[1] - x2[0]
+    j1 = mode_function(1, float(x2[-1]), x2)
+    w2 = np.full(x2.size, h2)
+    w2[0] = w2[-1] = h2 / 2.0
     n1, n2 = pair.grid.shape
     full = np.zeros(n1 * n2)
     full[pair.kept] = state.u

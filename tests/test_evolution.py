@@ -1,12 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from striplab import evolution as ev
 from striplab import geometry as geo
 from striplab import spectral as sp
-from striplab.errors import DegenerateFit, NotInWeightedSpace
+from striplab.errors import (
+    BadCheckpoint,
+    DegenerateFit,
+    LinearSolveFailure,
+    NotInWeightedSpace,
+)
 from striplab.oracle import mode_function
 
 
@@ -16,6 +24,121 @@ def flat_small():
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=20.0, n1=160, n2=24)
     )
     return m, sp.assemble_hk(m)
+
+
+@pytest.fixture(scope="module")
+def curved_small():
+    prof = geo.gaussian_bump(amplitude=0.45, width=2.0, support_radius=8.0)
+    m = geo.solve_jacobi(prof, geo.StripGeometry(a=1.0, L=12.0, n1=120, n2=20))
+    return m, sp.assemble_hk(m)
+
+
+def _splu_reference(pair, u0, t_grid, dt, shift=0.0):
+    """The general sparse LU stepping loop that ``evolve`` replaced: the
+    reference its banded Cholesky is checked against. Returns (t, u) pairs."""
+    t_grid = np.asarray(sorted(set(float(t) for t in t_grid)))
+    B = (pair.S - shift * pair.M).tocsc()
+    lu = spla.splu((pair.M + 0.5 * dt * B).tocsc())
+    A_minus = (pair.M - 0.5 * dt * B).tocsr()
+    u = u0.u.copy()
+    t = float(u0.t)
+    out = []
+    for tk in t_grid:
+        n_steps = int(round((tk - t) / dt))
+        if tk <= t + 1e-12 and not out:
+            out.append((t, u))
+            continue
+        for _ in range(max(n_steps, 0)):
+            u = lu.solve(A_minus @ u)
+            t += dt
+        out.append((t, u))
+    return out
+
+
+def _mode1_fraction_reference(pair, u):
+    """The inline remainder fraction ``evolve`` used to compute before it
+    called ``project_mode1``."""
+    x2 = pair.grid.x2
+    h2 = x2[1] - x2[0]
+    j1 = mode_function(1, float(x2[-1]), x2)
+    w2 = np.full(x2.size, h2)
+    w2[0] = w2[-1] = h2 / 2.0
+    n1, n2 = pair.grid.shape
+    full = np.zeros(n1 * n2)
+    full[pair.kept] = u
+    U = full.reshape(n1, n2)
+    phi = (U * (w2 * j1)[None, :]).sum(axis=1)
+    R = U - phi[:, None] * j1[None, :]
+    r = R.ravel()[pair.kept]
+    nrm = math.sqrt(max(u @ (pair.M @ u), 0.0))
+    rem = math.sqrt(max(r @ (pair.M @ r), 0.0))
+    return rem / nrm if nrm > 0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "case, t_grid, shift",
+    [
+        ("flat_small", [0.5], 0.0),
+        ("curved_small", [0.5], 0.0),
+        ("flat_small", [0.5], "e1"),
+        ("curved_small", [0.0, 0.1, 0.25, 0.6], "e1"),
+    ],
+    ids=["flat", "curved", "shifted", "checkpoints"],
+)
+def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
+    m, pair = request.getfixturevalue(case)
+    if shift == "e1":
+        shift = pair.meta["e1_discrete"]
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
+    ref = _splu_reference(pair, u0, t_grid, dt=0.01, shift=shift)
+    assert len(tr.states) == len(ref) == len(t_grid)
+    assert np.array_equal(tr.times, [t for t, _ in ref])
+    for st, (_, u_ref), nf in zip(tr.states, ref, tr.norm_f):
+        assert np.abs(st.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
+        nf_ref = math.sqrt(u_ref @ (pair.M @ u_ref))
+        assert abs(nf - nf_ref) <= 1e-11 * nf_ref
+
+
+def test_mode1_fraction_matches_inline_projection(curved_small):
+    m, pair = curved_small
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0.u = u0.u + 0.1 * np.sin(3.0 * np.arange(u0.u.size))
+    tr = ev.evolve(pair, u0, [0.0, 0.05, 0.2], dt=0.01, record_mode1=True, keep_states=True)
+    expected = [_mode1_fraction_reference(pair, st.u) for st in tr.states]
+    assert tr.mode1_fraction.tolist() == expected
+    assert expected[0] > 0.0
+
+
+def test_indefinite_step_matrix_raises(flat_small):
+    m, pair = flat_small
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    dt = 0.01
+    with pytest.raises(LinearSolveFailure, match="positive definite"):
+        ev.evolve(pair, u0, [0.1], dt=dt, shift=10.0 / dt)
+
+
+def test_asymmetric_pair_raises(flat_small):
+    m, pair = flat_small
+    n = pair.n
+    skew = sps.csr_matrix(([1e-3], ([0], [1])), shape=(n, n))
+    bad = dataclasses.replace(pair, S=pair.S + skew)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    with pytest.raises(LinearSolveFailure, match="not symmetric"):
+        ev.evolve(bad, u0, [0.1], dt=0.01)
+
+
+def test_checkpoints_that_repeat_a_sample_are_rejected(flat_small):
+    m, pair = flat_small
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    with pytest.raises(BadCheckpoint, match="same step"):
+        ev.evolve(pair, u0, [0.0, 0.004, 0.1], dt=0.01)
+    later = ev.evolve(pair, u0, [0.3], dt=0.01, keep_states=True).final
+    with pytest.raises(BadCheckpoint, match="before the start"):
+        ev.evolve(pair, later, [0.1, 0.2, 0.5], dt=0.01)
+    # a checkpoint at the start time itself records the initial state
+    again = ev.evolve(pair, later, [later.t], dt=0.01)
+    assert again.times.tolist() == [later.t]
 
 
 def test_weighted_initial_mode_normalized(flat_small):
