@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
-from .spectral.core import OperatorPair
+from .spectral.core import OperatorPair, banded_cholesky
 
 __all__ = [
     "HeatState",
@@ -125,37 +125,6 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
-def _banded_cholesky(A) -> np.ndarray:
-    """Upper banded Cholesky factor of the sparse symmetric positive definite
-    matrix ``A``, in LAPACK's upper band storage.
-
-    The bandwidth is the largest col - row over the stored upper-triangle
-    entries. Only the upper triangle is factored, so ``A`` must be symmetric
-    to round-off; otherwise, or when ``A`` is not positive definite, the step
-    cannot be solved.
-    """
-    scale = abs(A).max()
-    asym = abs(A - A.T).max()
-    if not asym <= 1e-12 * scale:  # also taken when A holds NaN
-        raise LinearSolveFailure(
-            f"implicit step matrix is not symmetric: |A - A^T| = {asym:.3e}, "
-            f"|A| = {scale:.3e}"
-        )
-    coo = A.tocoo()
-    coo.sum_duplicates()
-    upper = coo.row <= coo.col
-    row, col = coo.row[upper], coo.col[upper]
-    bw = int((col - row).max())
-    ab = np.zeros((bw + 1, A.shape[0]))
-    ab[bw + row - col, col] = coo.data[upper]
-    try:
-        return cholesky_banded(ab, overwrite_ab=True)
-    except LinAlgError as exc:
-        raise LinearSolveFailure(
-            f"implicit step matrix is not positive definite: {exc}"
-        ) from exc
-
-
 def evolve(
     pair: OperatorPair,
     u0: HeatState,
@@ -191,7 +160,12 @@ def evolve(
             f"step of dt = {dt}"
         )
     B = pair.S - shift * pair.M
-    factor = _banded_cholesky(pair.M + 0.5 * dt * B)
+    try:
+        factor = banded_cholesky(pair.M + 0.5 * dt * B)
+    except LinAlgError as exc:
+        raise LinearSolveFailure(
+            f"implicit step matrix is not positive definite: {exc}"
+        ) from exc
     A_minus = (pair.M - 0.5 * dt * B).tocsr()
 
     u = u0.u.copy()

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 
-from ..errors import SingularMass
+from ..errors import LinearSolveFailure, SingularMass
 
 __all__ = [
     "WeightedGrid",
@@ -94,22 +95,21 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms) -> sp.csr_matrix:
 
     Each term is (kind, coeff) with coeff shaped (n1_cells, n2_cells, 3, 3)
     holding the coefficient at the tensor Gauss points of every cell.
+
+    A term's element matrices are linear in its 9 Gauss-point values, so they
+    are one matrix product: the (cells, 9) coefficients times the (9, 16)
+    kernel of the two direction factors. Terms are accumulated one by one.
     """
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
     n1, n2 = x1.size - 1, x2.size - 1
     f1 = _direction_tensors(_uniform_spacing(x1))
     f2 = _direction_tensors(_uniform_spacing(x2))
-    local = np.zeros((n1 * n2, 4, 4))
+    local = np.zeros((n1 * n2, 16))
     for kind, coeff in terms:
         k1, k2 = _KIND_FACTORS[kind]
-        contrib = np.einsum(
-            "eab,aij,bkl->eikjl",
-            coeff.reshape(n1 * n2, 3, 3),
-            f1[k1],
-            f2[k2],
-        )
-        local += contrib.reshape(n1 * n2, 4, 4)
+        kernel = np.einsum("aij,bkl->abikjl", f1[k1], f2[k2]).reshape(9, 16)
+        local += coeff.reshape(n1 * n2, 9) @ kernel
 
     e1, e2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     base = (e1 * (n2 + 1) + e2).ravel()  # node (e1, e2)
@@ -195,6 +195,33 @@ def restrict(mat: sp.csr_matrix, kept: np.ndarray) -> sp.csr_matrix:
     return mat[kept][:, kept].tocsr()
 
 
+def banded_cholesky(A) -> np.ndarray:
+    """Upper banded Cholesky factor of the sparse symmetric positive definite
+    matrix ``A``, in LAPACK's upper band storage (for ``cho_solve_banded``).
+
+    The bandwidth is the largest col - row over the stored upper-triangle
+    entries; tensor-grid nodes are numbered x1-major, so it is one transverse
+    column of kept nodes plus one. Only the upper triangle is factored, so
+    ``LinearSolveFailure`` is raised unless ``A`` is symmetric to round-off.
+    When ``A`` is not positive definite, scipy's ``LinAlgError`` propagates
+    for the caller to classify.
+    """
+    scale = abs(A).max()
+    asym = abs(A - A.T).max()
+    if not asym <= 1e-12 * scale:  # also taken when A holds NaN
+        raise LinearSolveFailure(
+            f"matrix is not symmetric: |A - A^T| = {asym:.3e}, |A| = {scale:.3e}"
+        )
+    coo = A.tocoo()
+    coo.sum_duplicates()
+    upper = coo.row <= coo.col
+    row, col = coo.row[upper], coo.col[upper]
+    bw = int((col - row).max())
+    ab = np.zeros((bw + 1, A.shape[0]))
+    ab[bw + row - col, col] = coo.data[upper]
+    return cholesky_banded(ab, overwrite_ab=True)
+
+
 @dataclass(eq=False)
 class EigenResult:
     """Lowest generalized eigenpairs, mass-normalized and sign-fixed."""
@@ -203,13 +230,3 @@ class EigenResult:
     eigenvectors: np.ndarray     # (n, k), columns mass-normalized
     residuals: np.ndarray
     iterations: int
-
-
-def dump_matrix(mat: sp.spmatrix, path) -> None:
-    """Coordinate-format text dump (row, col, value) for debugging."""
-    coo = mat.tocoo()
-    lines = [
-        f"{i} {j} {v:.17g}" for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

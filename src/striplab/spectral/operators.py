@@ -17,6 +17,7 @@ import scipy.linalg
 from ..errors import GridMisaligned, TruncationWarning
 from ..geometry import MetricField
 from .core import (
+    _GP,
     OperatorPair,
     WeightedGrid,
     assemble_1d,
@@ -83,18 +84,18 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
 
 
 def assemble_potential(metric: MetricField, grid: WeightedGrid, v_nodal: np.ndarray):
-    """Mass-weighted potential matrix int( V u v f dx ) for nodal V."""
-    g1, g2, F = _coeff_grid(metric, grid.x1, grid.x2)
-    v_nodal = np.asarray(v_nodal, float).reshape(grid.shape)
-    # bilinear interpolation of the nodal potential onto the Gauss points
-    from scipy.interpolate import RegularGridInterpolator
+    """Mass-weighted potential matrix int( V u v f dx ) for nodal V.
 
-    interp = RegularGridInterpolator((grid.x1, grid.x2), v_nodal)
-    X1 = np.repeat(g1.ravel(), g2.size)
-    X2 = np.tile(g2.ravel(), g1.size)
-    V = interp(np.stack([X1, X2], axis=-1)).reshape(
-        g1.shape[0], 3, g2.shape[0], 3
-    ).transpose(0, 2, 1, 3)
+    V is interpolated bilinearly onto the Gauss points. Each Gauss point lies
+    in its own cell at the fixed reference offsets, so the interpolation is
+    V[e1, e2, a, b] = sum_ik w[a, i] w[b, k] v[e1 + i, e2 + k] with
+    w = [1 - gp, gp].
+    """
+    _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
+    v_nodal = np.asarray(v_nodal, float).reshape(grid.shape)
+    w = np.stack([1.0 - _GP, _GP], axis=1)
+    corners = np.lib.stride_tricks.sliding_window_view(v_nodal, (2, 2))
+    V = np.einsum("ai,bk,xyik->xyab", w, w, corners)
     M_full = assemble_2d(grid.x1, grid.x2, [("mass", V * F)])
     return restrict(M_full, grid.keep_indices())
 
@@ -107,7 +108,7 @@ def _transverse_matrices(x2: np.ndarray, f_col=None):
     S = assemble_1d(x2, [("dd", c)])
     M = assemble_1d(x2, [("mass", c)])
     interior = np.arange(1, x2.size - 1)
-    return S[interior][:, interior].tocsr(), M[interior][:, interior].tocsr()
+    return restrict(S, interior), restrict(M, interior)
 
 
 def flat_transverse_ground(x2: np.ndarray) -> float:
@@ -222,8 +223,8 @@ def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> Operato
         mask[at_zero[0]] = True
     kept = np.flatnonzero(~mask)
     return OperatorPair(
-        S=S[kept][:, kept].tocsr(),
-        M=M[kept][:, kept].tocsr(),
+        S=restrict(S, kept),
+        M=restrict(M, kept),
         label="oscillator",
         nodes=y,
         kept=kept,

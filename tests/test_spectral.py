@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg as spla
+from scipy.interpolate import RegularGridInterpolator
 
 from striplab import geometry as geo
 from striplab import spectral as sp
 from striplab.errors import (
     GridMisaligned,
     HypothesisFailed,
+    LinearSolveFailure,
     ShiftInsideSpectrum,
     TruncationWarning,
 )
+from striplab.spectral import core, operators
 
 
 @pytest.fixture(scope="module")
@@ -345,13 +350,171 @@ def test_essential_threshold_probe_negative_no_bound_state(ruled_certified):
     assert probe.limit == pytest.approx(math.pi**2, abs=0.02)
 
 
-def test_matrix_coordinate_dump(tmp_path, flat_pair):
-    from striplab.spectral.core import dump_matrix
+# ---------------------------------------------------------------------------
+# The implementations the spectral layer replaced, kept as references: the
+# per-element einsum assembly, the sparse-LU shift-invert, the per-column
+# dense eigh for mu and the interpolator-based potential.
 
-    m, pair = flat_pair
-    path = tmp_path / "S.txt"
-    dump_matrix(pair.S, path)
-    row0 = path.read_text().splitlines()[0].split()
-    assert len(row0) == 3
-    i, j, v = int(row0[0]), int(row0[1]), float(row0[2])
-    assert pair.S[i, j] == pytest.approx(v, rel=1e-15)
+
+def _einsum_assemble_2d(x1, x2, terms):
+    x1 = np.asarray(x1, float)
+    x2 = np.asarray(x2, float)
+    n1, n2 = x1.size - 1, x2.size - 1
+    f1 = core._direction_tensors(core._uniform_spacing(x1))
+    f2 = core._direction_tensors(core._uniform_spacing(x2))
+    local = np.zeros((n1 * n2, 4, 4))
+    for kind, coeff in terms:
+        k1, k2 = core._KIND_FACTORS[kind]
+        contrib = np.einsum(
+            "eab,aij,bkl->eikjl", coeff.reshape(n1 * n2, 3, 3), f1[k1], f2[k2]
+        )
+        local += contrib.reshape(n1 * n2, 4, 4)
+    e1, e2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    base = (e1 * (n2 + 1) + e2).ravel()
+    glob = base[:, None] + np.array([0, 1, n2 + 1, n2 + 2])[None, :]
+    rows = np.repeat(glob[:, :, None], 4, axis=2)
+    cols = np.repeat(glob[:, None, :], 4, axis=1)
+    n_nodes = x1.size * x2.size
+    return scipy.sparse.coo_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_nodes, n_nodes)
+    ).tocsr()
+
+
+def _splu_eigenvalues(pair, k, sigma=-1.0):
+    """Sorted eigenvalues and solve count of the sparse-LU shift-invert."""
+    n = pair.n
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)
+    lu = spla.splu((pair.S - sigma * pair.M).tocsc())
+    solves = 0
+
+    def op(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    vals = spla.eigsh(
+        pair.S, k=k, M=pair.M, sigma=sigma, which="LM", v0=v0, maxiter=4000,
+        OPinv=spla.LinearOperator((n, n), matvec=op, dtype=float),
+    )[0]
+    return np.sort(vals), solves
+
+
+def _eigh_mu_profile(metric, x1):
+    x1 = np.atleast_1d(np.asarray(x1, float))
+    x2 = metric.x2
+    g2 = sp.gauss_points_1d(x2)
+    e1h = sp.operators.flat_transverse_ground(x2)
+    f, _ = metric.sample(x1, g2.ravel())
+    interior = np.arange(1, x2.size - 1)
+    out = np.empty(x1.size)
+    for i in range(x1.size):
+        c = f[i].reshape(g2.shape)
+        S = sp.assemble_1d(x2, [("dd", c)])[interior][:, interior]
+        M = sp.assemble_1d(x2, [("mass", c)])[interior][:, interior]
+        out[i] = scipy.linalg.eigh(
+            S.toarray(), M.toarray(), subset_by_index=[0, 0], eigvals_only=True
+        )[0] - e1h
+    return out
+
+
+def _interpolated_potential(metric, grid, v_nodal):
+    g1, g2, F = operators._coeff_grid(metric, grid.x1, grid.x2)
+    v_nodal = np.asarray(v_nodal, float).reshape(grid.shape)
+    interp = RegularGridInterpolator((grid.x1, grid.x2), v_nodal)
+    X1 = np.repeat(g1.ravel(), g2.size)
+    X2 = np.tile(g2.ravel(), g1.size)
+    V = interp(np.stack([X1, X2], axis=-1)).reshape(
+        g1.shape[0], 3, g2.shape[0], 3
+    ).transpose(0, 2, 1, 3)
+    M_full = _einsum_assemble_2d(grid.x1, grid.x2, [("mass", V * F)])
+    return core.restrict(M_full, grid.keep_indices())
+
+
+def _negative_metric():
+    prof = geo.gaussian_bump(amplitude=-0.6, width=1.5, support_radius=4.0)
+    return geo.solve_jacobi(prof, geo.StripGeometry(a=0.5, L=8.0, n1=96, n2=24))
+
+
+def _flat_hk():
+    m = geo.solve_jacobi(
+        geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=20.0, n1=160, n2=24)
+    )
+    return lambda: sp.assemble_hk(m)
+
+
+def _curved_hk():
+    m, _ = geo.ruled_strip(
+        geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=192, n2=40)
+    )
+    return lambda: sp.assemble_hk(m)
+
+
+def _curved_frame():
+    m = _negative_metric()
+    gy = sp.make_y_grid(m, 14.0, 280)
+    return lambda: sp.assemble_Ls(m, 4.0, gy)
+
+
+PAIRS = {"flat_hk": _flat_hk, "curved_hk": _curved_hk, "curved_frame": _curved_frame}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS))
+def test_gemm_assembly_matches_einsum(case, monkeypatch):
+    build = PAIRS[case]()
+    new = build()
+    monkeypatch.setattr(operators, "assemble_2d", _einsum_assemble_2d)
+    ref = build()
+    for A, B in ((new.S, ref.S), (new.M, ref.M)):
+        assert abs(A - B).max() <= 1e-12 * abs(B).max()
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS))
+def test_banded_cholesky_eigenpairs_match_sparse_lu(case):
+    pair = PAIRS[case]()()
+    assert pair.n > 400  # the shift-invert path, not the dense one
+    res = sp.lowest_eigenpairs(pair, k=3)
+    vals, solves = _splu_eigenvalues(pair, k=3)
+    assert np.abs(res.eigenvalues / vals - 1.0).max() <= 1e-9
+    assert res.iterations == solves
+
+
+def test_asymmetric_pair_raises(flat_pair):
+    _, pair = flat_pair
+    S = pair.S.tolil()
+    S[0, 1] += 1e-3 * abs(pair.S).max()
+    bad = sp.OperatorPair(S=S.tocsr(), M=pair.M, label="asymmetric")
+    assert bad.n > 400
+    with pytest.raises(LinearSolveFailure, match="not symmetric"):
+        sp.lowest_eigenpairs(bad, k=1)
+
+
+@pytest.mark.parametrize("kind", ["ruled", "jacobi"])
+def test_batched_mu_profile_matches_per_column_eigh(kind, ruled_certified):
+    m = ruled_certified[0] if kind == "ruled" else _negative_metric()
+    cols = np.concatenate([m.x1, sp.gauss_points_1d(m.x1[::4]).ravel()])
+    mu = sp.transverse_mu_profile(m, cols)
+    ref = _eigh_mu_profile(m, cols)
+    assert np.ptp(ref) > 1e-2  # curved columns, not only flat ones
+    assert np.abs(mu - ref).max() <= 1e-10
+
+
+def test_batched_mu_profile_splits_long_column_lists(ruled_certified, monkeypatch):
+    m, _ = ruled_certified
+    whole = sp.transverse_mu_profile(m, m.x1)
+    monkeypatch.setattr(sp.hardy, "_MU_BATCH_ENTRIES", 5 * 39**2)
+    assert np.array_equal(sp.transverse_mu_profile(m, m.x1), whole)
+
+
+@pytest.mark.parametrize("kind", ["flat", "ruled"])
+def test_potential_matches_grid_interpolator(kind, ruled_certified):
+    if kind == "flat":
+        m = geo.solve_jacobi(
+            geo.zero_profile(), geo.StripGeometry(a=1.0, L=10.0, n1=80, n2=16)
+        )
+    else:
+        m = ruled_certified[0]
+    grid = sp.make_grid(m.x1, m.x2)
+    v = np.random.default_rng(11).uniform(-1.0, 1.0, grid.shape)
+    new = sp.assemble_potential(m, grid, v)
+    ref = _interpolated_potential(m, grid, v)
+    assert abs(new - ref).max() <= 1e-13 * abs(ref).max()
