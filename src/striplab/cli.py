@@ -522,11 +522,16 @@ def emit_plot(csv_path, kind: str, out_path=None) -> Path:
 
 # -------------------------------------------------------------------- main --
 
-def _run_one(args_tuple):
-    path, out, seed = args_tuple
-    cfg = load_config(path, out_override=out, seed_override=seed)
-    run(cfg)
-    return str(path)
+def _check_distinct_outputs(cfgs) -> None:
+    """Raise ConfigInvalid when two configs would write the same <out>/<kind>/."""
+    seen = {}
+    for cfg in cfgs:
+        target = (cfg.out_dir / cfg.kind).resolve()
+        if target in seen:
+            raise ConfigInvalid(
+                f"{seen[target]} and {cfg.source_path} both write to {target}"
+            )
+        seen[target] = cfg.source_path
 
 
 def _oracle_query(tokens):
@@ -583,13 +588,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             jobs = max(1, args.jobs)
-            tasks = [(p, args.out, args.seed) for p in args.configs]
-            if jobs == 1 or len(tasks) == 1:
-                for t in tasks:
-                    _run_one(t)
+            cfgs = [
+                load_config(p, out_override=args.out, seed_override=args.seed)
+                for p in args.configs
+            ]
+            _check_distinct_outputs(cfgs)
+            if jobs == 1 or len(cfgs) == 1:
+                for cfg in cfgs:
+                    run(cfg)
             else:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(_run_one, tasks))
+                    list(pool.map(run, cfgs))
         elif args.command == "report":
             from .acceptance import run_all
 

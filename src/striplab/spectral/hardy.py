@@ -127,6 +127,12 @@ def hardy_constant(
     longitudinal operator with the transverse gap as potential, taken as the
     minimum over transverse slices (the form carries no transverse coupling).
     """
+    return _hardy_constant(metric, J, None, n_cells=n_cells, mu_tol=mu_tol)
+
+
+def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
+    """hardy_constant, reusing ``mu_global`` = transverse_mu_profile(metric,
+    metric.x1) when the caller has it (None computes it)."""
     j0, j1 = float(J[0]), float(J[1])
     if not j1 > j0:
         raise ValueError("J must be a nondegenerate interval")
@@ -149,7 +155,8 @@ def hardy_constant(
     if mu_cols.max() <= mu_tol:
         raise HypothesisFailed("transverse gap is trivial on J")
     # global nonnegativity on the computed grid (the operator bound is global)
-    mu_global = transverse_mu_profile(metric, metric.x1)
+    if mu_global is None:
+        mu_global = transverse_mu_profile(metric, metric.x1)
     if mu_global.min() < -mu_tol:
         raise HypothesisFailed(
             f"transverse gap negative ({mu_global.min():.3e}) outside J"
@@ -193,7 +200,7 @@ def pick_hardy_interval(metric: MetricField, mu_tol: float = 1e-8):
             continue
         J = (float(metric.x1[s]), float(metric.x1[e]))
         try:
-            hc = hardy_constant(metric, J)
+            hc = _hardy_constant(metric, J, mu)
         except HypothesisFailed:
             continue
         if best is None or hc.lambda_J > best.lambda_J:

@@ -83,16 +83,14 @@ class SdeSpec:
         if self.flat:
             z = np.zeros_like(p1)
             return z, z, np.full_like(p1, _SQRT2)
-        b1 = np.zeros_like(p1)
-        b2 = np.zeros_like(p1)
-        s1 = np.full_like(p1, _SQRT2)
-        inside = np.abs(p1) <= self.support
-        if inside.any():
-            v1, v2, vf = self._bilinear(p1[inside], p2[inside])
-            b1[inside] = v1
-            b2[inside] = v2
-            s1[inside] = _SQRT2 * vf
-        return b1, b2, s1
+        # _bilinear clips to the grid and works point by point, so it takes
+        # every point; those outside the support are then set exactly flat
+        v = self._bilinear(p1, p2)
+        outside = np.abs(p1) > self.support
+        if outside.any():
+            v[0:2, outside] = 0.0
+            v[2, outside] = 1.0
+        return v[0], v[1], _SQRT2 * v[2]
 
 
 def sde_from_metric(metric: MetricField) -> SdeSpec:
@@ -166,10 +164,9 @@ def simulate_killed(
 
     Only live paths are advanced: each chunk keeps the indices and positions
     of its living paths, writes a path's frozen position and kill time back
-    when it dies, and stops once none is left. Every step still draws the
-    normals and uniforms of the whole chunk and picks the live ones out, so
-    the stream, and hence every ensemble, is the same as if dead paths were
-    stepped too.
+    when it dies, and stops once none is left. Each step draws normals, then
+    uniforms, for the live paths only, in ascending path order, so a chunk's
+    stream depends on its deaths but stays a function of (seed, dt, n_paths).
     """
     a = sde.a
     x10, x20 = float(x0[0]), float(x0[1])
@@ -210,9 +207,8 @@ def simulate_killed(
         step = 0
         while step < n_steps and live.size:
             step += 1
-            # draw for the whole chunk so the stream does not depend on deaths
-            z = rng.standard_normal((m, 2))[live]
-            u = rng.random(m)[live]
+            z = rng.standard_normal((live.size, 2))
+            u = rng.random(live.size)
             b1, b2, s1 = sde.fields(p1, p2)
             q1 = p1 + b1 * dt + s1 * sqdt * z[:, 0]
             q2 = p2 + b2 * dt + _SQRT2 * sqdt * z[:, 1]

@@ -244,6 +244,20 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["run", str(good)]) == 0
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_rejects_configs_sharing_an_output_dir(tmp_path, capsys, jobs):
+    first = _write(tmp_path, FLAT_SPECTRUM, "first.ini")
+    second = _write(tmp_path, FLAT_SPECTRUM.replace("k = 3", "k = 2"), "second.ini")
+    assert cli.main(["run", str(first), str(second), "--jobs", jobs]) == 2
+    assert "both write to" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # checked before anything ran
+    # a separate output directory resolves the collision
+    second.write_text(FLAT_SPECTRUM.replace("k = 3", "k = 2").format(out=tmp_path / "other"))
+    assert cli.main(["run", str(first), str(second), "--jobs", jobs]) == 0
+    assert (tmp_path / "out" / "spectrum" / "spectrum.csv").exists()
+    assert (tmp_path / "other" / "spectrum" / "spectrum.csv").exists()
+
+
 def test_oracle_subcommand(capsys):
     assert cli.main(["oracle", "p0", "t=1.0", "x=1.0", "y=1.0"]) == 0
     out = capsys.readouterr().out

@@ -246,6 +246,24 @@ def test_pick_hardy_interval(ruled_certified):
     assert hc.J[0] < 0 < hc.J[1]
 
 
+def test_pick_hardy_interval_computes_the_global_gap_once(ruled_certified, monkeypatch):
+    from striplab.spectral import hardy
+
+    m, _ = ruled_certified
+    calls = []
+
+    def counting(metric, x1):
+        calls.append(np.size(x1))
+        return sp.transverse_mu_profile(metric, x1)
+
+    monkeypatch.setattr(hardy, "transverse_mu_profile", counting)
+    hc = sp.pick_hardy_interval(m)
+    assert calls.count(m.x1.size) == 1
+    # the public entry point recomputes the profile and gives the same constants
+    assert sp.hardy_constant(m, hc.J) == hc
+    assert calls.count(m.x1.size) == 2
+
+
 def test_thin_strip_constant_values():
     assert sp.thin_strip_constant(0.1) == pytest.approx(2.6031e-3, abs=1e-7)
     assert sp.thin_strip_constant(0.0) == 0.0

@@ -52,13 +52,36 @@ def test_fields_exactly_flat_outside_support():
     assert np.all(b1 == 0.0) and np.all(b2 == 0.0) and np.all(s1 == math.sqrt(2.0))
 
 
-def test_simulation_reproducible_bitwise(flat_sde):
-    a, sde = flat_sde
-    kw = dict(x0=(0.0, 0.0), t_max=0.5, dt=1e-3, n_paths=5000, seed=99, checkpoints=[0.25, 0.5])
-    e1 = st.simulate_killed(sde, **kw)
-    e2 = st.simulate_killed(sde, **kw)
-    assert np.array_equal(e1.kill_time, e2.kill_time)
-    assert np.array_equal(e1.positions, e2.positions)
+def test_fields_flat_outside_support_whatever_the_table():
+    # a table that is nowhere flat, so only the support decides where fields are flat
+    x1 = np.linspace(-4.0, 4.0, 41)
+    x2 = np.linspace(-1.0, 1.0, 9)
+    table = np.random.default_rng(5).uniform(0.5, 2.0, (3, x1.size, x2.size))
+    sde = st.SdeSpec(a=1.0, flat=False, support=2.0, x1=x1, x2=x2, table=table)
+    p1 = np.array([-6.0, -2.5, -1.3, 0.0, 1.7, 2.5, 3.9])
+    p2 = np.linspace(-0.9, 0.9, p1.size)
+    b1, b2, s1 = sde.fields(p1, p2)
+    out = np.abs(p1) > sde.support
+    assert np.all(b1[out] == 0.0) and np.all(b2[out] == 0.0)
+    assert np.all(s1[out] == math.sqrt(2.0))
+    v1, v2, vf = sde._bilinear(p1[~out], p2[~out])
+    assert np.array_equal(b1[~out], v1) and np.array_equal(b2[~out], v2)
+    assert np.array_equal(s1[~out], math.sqrt(2.0) * vf)
+
+
+def test_simulation_reproducible_bitwise(flat_sde, ruled_sde):
+    cases = [
+        (flat_sde[1], dict(x0=(0.0, 0.0), t_max=0.5, dt=1e-3, n_paths=5000, seed=99,
+                           checkpoints=[0.25, 0.5])),
+        # curved fields over two chunks, so both streams and their deaths are covered
+        (ruled_sde, dict(x0=(1.0, 0.3), t_max=0.25, dt=0.0025, n_paths=st._CHUNK + 300,
+                         seed=99, checkpoints=[0.1, 0.25])),
+    ]
+    for sde, kw in cases:
+        e1 = st.simulate_killed(sde, **kw)
+        e2 = st.simulate_killed(sde, **kw)
+        assert np.array_equal(e1.kill_time, e2.kill_time)
+        assert np.array_equal(e1.positions, e2.positions)
 
 
 def _reference_bilinear(sde, table, p1, p2):
@@ -96,7 +119,8 @@ def _reference_fields(sde, p1, p2):
 
 def _reference_simulate(sde, x0, t_max, dt, n_paths, seed, checkpoints, bridge=True):
     """The straightforward loop: every path of a chunk is stepped to t_max,
-    dead ones included, and each field is interpolated on its own."""
+    dead ones included, and each field is interpolated on its own; random
+    numbers are drawn for the paths still alive."""
     a, sq2 = sde.a, math.sqrt(2.0)
     n_steps = int(round(t_max / dt)) if t_max > 0 else 0
     check_steps = np.array([min(int(round(t / dt)), n_steps) for t in checkpoints])
@@ -117,8 +141,11 @@ def _reference_simulate(sde, x0, t_max, dt, n_paths, seed, checkpoints, bridge=T
             positions[ci, c0:c1, 0] = p1
             positions[ci, c0:c1, 1] = p2
         for step in range(1, n_steps + 1):
-            z = rng.standard_normal((m, 2))
-            u = rng.random(m)
+            # draws for the live paths only, in ascending path order
+            z = np.zeros((m, 2))
+            z[alive] = rng.standard_normal((alive.sum(), 2))
+            u = np.ones(m)
+            u[alive] = rng.random(alive.sum())
             b1, b2, s1 = _reference_fields(sde, p1, p2)
             q1 = p1 + b1 * dt + s1 * sqdt * z[:, 0]
             q2 = p2 + b2 * dt + sq2 * sqdt * z[:, 1]
@@ -150,6 +177,25 @@ def ruled_sde():
         geo.ruled_profile(0.6, 4.0), geo.StripGeometry(a=1.0, L=12.0, n1=120, n2=24)
     )
     return st.sde_from_metric(m)
+
+
+@pytest.mark.parametrize("where", ["inside", "straddling", "outside"])
+def test_fields_bit_identical_to_reference(where, ruled_sde):
+    rng = np.random.default_rng(4)
+    lo, hi = {
+        "inside": (-ruled_sde.support, ruled_sde.support),
+        "straddling": (-1.5 * ruled_sde.support, 1.5 * ruled_sde.support),
+        "outside": (ruled_sde.support + 1e-9, 2.0 * ruled_sde.support),
+    }[where]
+    p1 = rng.uniform(lo, hi, 5000)
+    if where == "outside":
+        p1 *= rng.choice([-1.0, 1.0], p1.size)
+    p2 = rng.uniform(-ruled_sde.a, ruled_sde.a, p1.size)
+    inside = np.abs(p1) <= ruled_sde.support
+    assert {"inside": inside.all(), "straddling": 0 < inside.sum() < inside.size,
+            "outside": not inside.any()}[where]
+    for got, want in zip(ruled_sde.fields(p1, p2), _reference_fields(ruled_sde, p1, p2)):
+        assert np.array_equal(got, want)
 
 
 _IDENTITY_CASES = {
