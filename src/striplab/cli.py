@@ -294,8 +294,8 @@ def _exp_evolve(cfg, outdir):
     p = outdir / "trajectory.csv"
     _write_csv(
         p,
-        ["t[time]", "norm_f[1]", "norm_wf[1]", "mode1_fraction[1]"],
-        zip(tr.times, tr.norm_f, tr.norm_wf, tr.mode1_fraction),
+        ["t[time]", "norm_f[1]", "mode1_fraction[1]"],
+        zip(tr.times, tr.norm_f, tr.mode1_fraction),
     )
     fit = ev.fit_decay(tr, e1h, (float(window[0]), float(window[1])))
     q = outdir / "decay_fit.json"

@@ -6,10 +6,22 @@ second order in the step. Long runs are always shifted by the discrete
 transverse ground energy: the unshifted semigroup decays through hundreds of
 e-foldings over the fit windows used here and would underflow.
 
-The implicit matrix M + dt/2 (S - shift M) is symmetric positive definite for
-the shifts and steps used here, so it is factored once per run as a banded
-Cholesky. Its band is read off the matrix: nodes are numbered x1-major, so
-it spans one transverse column of kept nodes plus one.
+The scheme has two propagators, chosen from the matrices themselves:
+
+- When the pair is verified to be a Kronecker sum, S = K1 (x) M2 + M1 (x) K2
+  and M = M1 (x) M2 with the interior 1-D pairs of the two grid directions
+  (a flat strip with Dirichlet conditions on all four sides), the step is
+  diagonal in the product of the two 1-D generalized eigenbases. Two small
+  dense eigensolves set it up, and each checkpoint k is then one basis
+  change with the k-th power of the step's amplification factors: the cost
+  grows with the number of checkpoints, not of steps.
+- Otherwise the implicit matrix M + dt/2 (S - shift M), symmetric positive
+  definite for the shifts and steps used here, is factored once per run as a
+  banded Cholesky, and every step is one banded solve. Its band is read off
+  the matrix: nodes are numbered x1-major, so it spans one transverse column
+  of kept nodes plus one.
+
+Both take the same steps and agree to round-off.
 """
 from __future__ import annotations
 
@@ -17,11 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded
+import scipy.sparse as sps
+from scipy.linalg import LinAlgError, cho_solve_banded, eigh
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
 from .spectral.core import OperatorPair, banded_cholesky
+from .spectral.operators import _transverse_matrices
 
 __all__ = [
     "HeatState",
@@ -42,14 +56,15 @@ class HeatState:
     u: np.ndarray          # values on unmasked nodes
     t: float
     norm_f: float
-    norm_wf: float         # may be inf when the Gaussian-weighted norm diverges
+    # Gaussian-weighted norm, computed for initial data only; it may be inf
+    # when the weighted norm diverges, and is nan where it was not computed
+    norm_wf: float = math.nan
 
 
 @dataclass(eq=False)
 class Trajectory:
     times: np.ndarray
     norm_f: np.ndarray
-    norm_wf: np.ndarray
     mode1_fraction: np.ndarray
     shift: float           # evolved generator is (S - shift M); norms are of
                            # the gauged variable exp(shift t) u(t)
@@ -80,11 +95,14 @@ def _log_weighted_norm_sq(pair: OperatorPair, u: np.ndarray) -> float:
     return float(m + math.log(np.exp(logs - m).sum()))
 
 
-def _norms(pair: OperatorPair, u: np.ndarray, t: float) -> HeatState:
-    nf = float(math.sqrt(max(u @ (pair.M @ u), 0.0)))
+def _norm_f(pair: OperatorPair, u: np.ndarray) -> float:
+    return float(math.sqrt(max(u @ (pair.M @ u), 0.0)))
+
+
+def _initial_state(pair: OperatorPair, u: np.ndarray) -> HeatState:
     lw2 = _log_weighted_norm_sq(pair, u)
     nwf = math.inf if lw2 == math.inf else math.exp(0.5 * lw2)
-    return HeatState(u=u, t=t, norm_f=nf, norm_wf=nwf)
+    return HeatState(u=u, t=0.0, norm_f=_norm_f(pair, u), norm_wf=nwf)
 
 
 def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None) -> HeatState:
@@ -105,24 +123,116 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
                 f"alpha = {alpha} <= 1/2: datum not in the Gaussian-weighted space"
             )
         u = np.exp(-alpha * x1g**2 / 4.0) * mode_function(1, a, x2g)
-        state = _norms(pair, u, 0.0)
+        state = _initial_state(pair, u)
         u = u / state.norm_wf
-        return _norms(pair, u, 0.0)
+        return _initial_state(pair, u)
     if kind in ("indicator", "delta") and box is None:
         raise ValueError(f"{kind!r} initial data needs a box")
     if kind == "indicator":
         (bx0, bx1), (by0, by1) = box
         u = ((x1g >= bx0) & (x1g <= bx1) & (x2g >= by0) & (x2g <= by1)).astype(float)
-        return _norms(pair, u, 0.0)
+        return _initial_state(pair, u)
     if kind == "delta":
         (bx0, bx1), (by0, by1) = box
         cx, cy = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
         i = np.argmin((x1g - cx) ** 2 + (x2g - cy) ** 2)
         u = np.zeros(x1g.size)
         u[i] = 1.0
-        state = _norms(pair, u, 0.0)
-        return _norms(pair, u / state.norm_f, 0.0)
+        state = _initial_state(pair, u)
+        return _initial_state(pair, u / state.norm_f)
     raise ValueError(f"unknown initial kind {kind!r}")
+
+
+def _not_positive_definite(detail) -> LinearSolveFailure:
+    return LinearSolveFailure(f"implicit step matrix is not positive definite: {detail}")
+
+
+def _same_entries(A, B) -> bool:
+    """Whether CSR ``A`` has the pattern of the canonical CSR ``B`` and agrees
+    with it entry by entry to 1e-12 relative to the largest entry of ``B``."""
+    return (
+        np.array_equal(A.indptr, B.indptr)
+        and np.array_equal(A.indices, B.indices)
+        and bool(np.abs(A.data - B.data).max() <= 1e-12 * np.abs(B.data).max())
+    )
+
+
+def _kronecker_factors(pair: OperatorPair):
+    """The interior 1-D pairs ((K1, M1), (K2, M2)) of the two grid directions
+    when the pair is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the
+    interior tensor nodes, else None.
+
+    This is read off the matrices: the kept nodes must be the interior ones,
+    and S and M must match their Kronecker forms entry by entry.
+    """
+    grid = pair.grid
+    if grid is None or pair.kept is None:
+        return None
+    n1, n2 = grid.shape
+    interior = (np.arange(1, n1 - 1)[:, None] * n2 + np.arange(1, n2 - 1)[None, :]).ravel()
+    if not np.array_equal(pair.kept, interior):
+        return None
+    K1, M1 = _transverse_matrices(grid.x1)
+    K2, M2 = _transverse_matrices(grid.x2)
+    if not _same_entries(pair.M.tocsr(), sps.kron(M1, M2, format="csr")):
+        return None
+    S_kron = sps.kron(K1, M2, format="csr") + sps.kron(M1, K2, format="csr")
+    if not _same_entries(pair.S.tocsr(), S_kron):
+        return None
+    return (K1, M1), (K2, M2)
+
+
+def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
+    """Step-k map of the trapezoidal scheme for a Kronecker-sum pair.
+
+    With M-orthonormal 1-D eigenvectors P1, P2 (eigenvalues l1, l2), the
+    state is u = vec(P1 C P2^T) and one step multiplies C entrywise by
+    r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift.
+    """
+    (K1, M1), (K2, M2) = factors
+    _, P1 = eigh(K1.toarray(), M1.toarray(), overwrite_a=True, overwrite_b=True)
+    _, P2 = eigh(K2.toarray(), M2.toarray(), overwrite_a=True, overwrite_b=True)
+    # The dense solver's eigenvalues carry errors of about eps times the
+    # largest one, which the gauged mode exp(-(l - shift) t) amplifies by t;
+    # the Rayleigh quotients of its eigenvectors are accurate relative to l.
+    l1 = np.einsum("ij,ij->j", P1, K1 @ P1) / np.einsum("ij,ij->j", P1, M1 @ P1)
+    l2 = np.einsum("ij,ij->j", P2, K2 @ P2) / np.einsum("ij,ij->j", P2, M2 @ P2)
+    lam = l1[:, None] + l2[None, :] - shift
+    plus = 1.0 + 0.5 * dt * lam
+    if not plus.min() > 0.0:
+        raise _not_positive_definite(f"its smallest eigenvalue factor is {plus.min():.3e}")
+    r = (1.0 - 0.5 * dt * lam) / plus
+    U0 = u0.reshape(P1.shape[0], P2.shape[0])
+    C0 = P1.T @ (M1 @ ((M2 @ U0.T).T)) @ P2
+
+    def advance(k: int) -> np.ndarray:
+        if k == 0:
+            return u0.copy()
+        return (P1 @ (C0 * r**k) @ P2.T).ravel()
+
+    return advance
+
+
+def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: float):
+    """Step-k map of the trapezoidal scheme by banded Cholesky solves; the
+    steps are taken in order, so k must not decrease from call to call."""
+    B = pair.S - shift * pair.M
+    try:
+        factor = banded_cholesky(pair.M + 0.5 * dt * B)
+    except LinAlgError as exc:
+        raise _not_positive_definite(exc) from exc
+    A_minus = (pair.M - 0.5 * dt * B).tocsr()
+    u = u0.copy()
+    done = 0
+
+    def advance(k: int) -> np.ndarray:
+        nonlocal u, done
+        for _ in range(k - done):
+            u = cho_solve_banded((factor, False), A_minus @ u, check_finite=False)
+        done = k
+        return u
+
+    return advance
 
 
 def evolve(
@@ -136,22 +246,26 @@ def evolve(
 ) -> Trajectory:
     """Trapezoidal evolution of the pair, recording norms at the checkpoints.
 
-    Checkpoints snap to whole multiples of ``dt`` after ``u0.t``; the actual
-    times are reported. A checkpoint before ``u0.t``, or two that snap to the
-    same step, raise ``BadCheckpoint``. With ``shift`` nonzero the gauged
-    variable exp(shift t) u(t) is evolved and recorded.
+    Checkpoints snap to whole multiples of ``dt`` after ``u0.t``; checkpoint
+    k steps after the start is recorded at time ``u0.t + k dt``. A checkpoint
+    before ``u0.t``, or two that snap to the same step, raise
+    ``BadCheckpoint``. With ``shift`` nonzero the gauged variable
+    exp(shift t) u(t) is evolved and recorded.
 
-    The implicit matrix M + dt/2 (S - shift M) is factored once as a banded
-    Cholesky whose band is read off the matrix; ``LinearSolveFailure`` is
-    raised when it is not symmetric positive definite.
+    A pair verified to be a Kronecker sum of 1-D pairs is propagated
+    exactly in their product eigenbasis, at a cost per checkpoint; any other
+    pair is stepped with the implicit matrix M + dt/2 (S - shift M) factored
+    once as a banded Cholesky, at a cost per step (see the module docstring).
+    ``LinearSolveFailure`` is raised when that matrix is not symmetric
+    positive definite, and when a checkpoint holds non-finite values.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t = float(u0.t)
+    t0 = float(u0.t)
     t_grid = np.asarray(sorted(set(float(tk) for tk in t_grid)))
-    if t_grid.size and t_grid[0] < t - 1e-12:
-        raise BadCheckpoint(f"checkpoint t = {t_grid[0]} lies before the start t = {t}")
-    targets = np.rint((t_grid - t) / dt).astype(int)
+    if t_grid.size and t_grid[0] < t0 - 1e-12:
+        raise BadCheckpoint(f"checkpoint t = {t_grid[0]} lies before the start t = {t0}")
+    targets = np.rint((t_grid - t0) / dt).astype(int)
     dup = np.flatnonzero(np.diff(targets) == 0)
     if dup.size:
         i = dup[0]
@@ -159,48 +273,33 @@ def evolve(
             f"checkpoints t = {t_grid[i]} and {t_grid[i + 1]} snap to the same "
             f"step of dt = {dt}"
         )
-    B = pair.S - shift * pair.M
-    try:
-        factor = banded_cholesky(pair.M + 0.5 * dt * B)
-    except LinAlgError as exc:
-        raise LinearSolveFailure(
-            f"implicit step matrix is not positive definite: {exc}"
-        ) from exc
-    A_minus = (pair.M - 0.5 * dt * B).tocsr()
+    factors = _kronecker_factors(pair)
+    if factors is not None:
+        advance = _separable_propagator(factors, u0.u, dt, shift)
+    else:
+        advance = _banded_propagator(pair, u0.u, dt, shift)
 
-    u = u0.u.copy()
-    times, nf, nwf, m1 = [], [], [], []
+    times, nf, m1 = [], [], []
     states = []
-
-    def record(ucur, tcur):
-        st = _norms(pair, ucur, tcur)
-        times.append(tcur)
-        nf.append(st.norm_f)
-        nwf.append(st.norm_wf)
+    last = None
+    for k in targets.tolist():
+        u = advance(k)
+        if not np.all(np.isfinite(u)):
+            raise LinearSolveFailure("implicit step produced non-finite values")
+        last = HeatState(u=u, t=t0 + k * dt, norm_f=_norm_f(pair, u))
+        times.append(last.t)
+        nf.append(last.norm_f)
         if record_mode1:
-            rem = project_mode1(st, pair).remainder_norm
-            m1.append(rem / st.norm_f if st.norm_f > 0 else 0.0)
+            rem = project_mode1(last, pair).remainder_norm
+            m1.append(rem / last.norm_f if last.norm_f > 0 else 0.0)
         else:
             m1.append(math.nan)
         if keep_states:
-            states.append(st)
-        return st
-
-    last = None
-    done = 0
-    for k in targets:
-        for _ in range(k - done):
-            u = cho_solve_banded((factor, False), A_minus @ u, check_finite=False)
-            if not np.all(np.isfinite(u)):
-                raise LinearSolveFailure("implicit step produced non-finite values")
-            t += dt
-        done = k
-        last = record(u, t)
+            states.append(last)
 
     return Trajectory(
         times=np.asarray(times),
         norm_f=np.asarray(nf),
-        norm_wf=np.asarray(nwf),
         mode1_fraction=np.asarray(m1),
         shift=shift,
         final=last,

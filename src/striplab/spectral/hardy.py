@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import HypothesisFailed
 from ..geometry import MetricField, StripGeometry
@@ -19,7 +18,6 @@ from .core import (
     OperatorPair,
     _direction_tensors,
     _uniform_spacing,
-    assemble_1d,
     gauss_points_1d,
 )
 from .operators import assemble_hk, assemble_potential, flat_transverse_ground
@@ -67,26 +65,37 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     batch = max(1, _MU_BATCH_ENTRIES // (x2.size - 2) ** 2)
     for lo in range(0, x1.size, batch):
         c = f[lo:lo + batch]
-        S = _tridiagonal_interior(np.einsum("cea,aij->ceij", c, fac["d"]))
-        M = _tridiagonal_interior(np.einsum("cea,aij->ceij", c, fac["v"]))
-        Linv = np.linalg.inv(np.linalg.cholesky(M))
-        C = Linv @ S @ Linv.transpose(0, 2, 1)
-        out[lo:lo + batch] = np.linalg.eigvalsh(C)[:, 0] - e1h
+        S = _tridiagonal(np.einsum("cea,aij->ceij", c, fac["d"]))
+        M = _tridiagonal(np.einsum("cea,aij->ceij", c, fac["v"]))
+        out[lo:lo + batch] = _lowest_eigenvalues(S, M) - e1h
     return out
 
 
-def _tridiagonal_interior(local: np.ndarray) -> np.ndarray:
-    """Dense (columns, n - 2, n - 2) interior matrices from per-cell 2x2
-    element matrices shaped (columns, n - 1, 2, 2) on n nodes."""
+def _tridiagonal(local: np.ndarray, free_ends: bool = False) -> np.ndarray:
+    """Dense tridiagonal matrices from per-cell 2x2 element matrices shaped
+    (columns, n - 1, 2, 2) on n nodes: (columns, n, n) with free ends, else
+    the (columns, n - 2, n - 2) interior block (Dirichlet ends)."""
     cols, n_cells = local.shape[:2]
-    diag = local[:, :-1, 1, 1] + local[:, 1:, 0, 0]
-    off = local[:, 1:-1, 0, 1]
-    out = np.zeros((cols, n_cells - 1, n_cells - 1))
-    i = np.arange(n_cells - 1)
+    diag = np.zeros((cols, n_cells + 1))
+    diag[:, :-1] += local[:, :, 0, 0]
+    diag[:, 1:] += local[:, :, 1, 1]
+    off = local[:, :, 0, 1]
+    if not free_ends:
+        diag, off = diag[:, 1:-1], off[:, 1:-1]
+    n = diag.shape[1]
+    out = np.zeros((cols, n, n))
+    i = np.arange(n)
     out[:, i, i] = diag
     out[:, i[:-1], i[1:]] = off
     out[:, i[1:], i[:-1]] = off
     return out
+
+
+def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each stacked dense pencil (S, M): with the
+    Cholesky factor M = L L^T it is that of the symmetric L^-1 S L^-T."""
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    return np.linalg.eigvalsh(Linv @ S @ Linv.transpose(0, 2, 1))[:, 0]
 
 
 def transverse_mu(metric: MetricField, x1: float) -> float:
@@ -103,15 +112,6 @@ class HardyConstants:
     lambda_J: float
     c_K: float
     J: tuple
-
-
-def _slice_ground(nodes, f_g, mu_g):
-    """Lowest eigenvalue of the free-ends longitudinal slice operator."""
-    S = assemble_1d(nodes, [("dd", 1.0 / f_g), ("mass", mu_g * f_g)])
-    M = assemble_1d(nodes, [("mass", f_g)])
-    return scipy.linalg.eigh(
-        S.toarray(), M.toarray(), subset_by_index=[0, 0], eigvals_only=True
-    )[0]
 
 
 def hardy_constant(
@@ -165,13 +165,20 @@ def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
     c = (1.0 - q) / 16.0
     C = (1.0 / 8.0 + 4.0 / (j1 - j0) ** 2) / (1.0 - (q / (1.0 - q)) ** 2)
 
+    # lowest eigenvalue of the free-ends slice operator of every transverse
+    # level, all levels at once: f is sampled once and each slice's S and M
+    # come from one contraction with the element factors
     mu_g = mu_cols.reshape(gcols.shape)
-    lam = np.inf
-    for x2v in metric.x2:
-        f, _ = metric.sample(gcols.ravel(), np.array([x2v]))
-        f_g = f[:, 0].reshape(gcols.shape)
-        lam = min(lam, _slice_ground(nodes, f_g, mu_g))
-    lam = float(lam)
+    f, _ = metric.sample(gcols.ravel(), metric.x2)
+    f = f.T.reshape(metric.x2.size, *gcols.shape)
+    fac = _direction_tensors(_uniform_spacing(nodes))
+    S = _tridiagonal(
+        np.einsum("lea,aij->leij", 1.0 / f, fac["d"])
+        + np.einsum("lea,aij->leij", mu_g * f, fac["v"]),
+        free_ends=True,
+    )
+    M = _tridiagonal(np.einsum("lea,aij->leij", f, fac["v"]), free_ends=True)
+    lam = float(_lowest_eigenvalues(S, M).min())
     c_K = c * lam / (lam + C)
     return HardyConstants(c=float(c), C=float(C), lambda_J=lam, c_K=float(c_K), J=(j0, j1))
 

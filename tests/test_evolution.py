@@ -34,24 +34,23 @@ def curved_small():
 
 
 def _splu_reference(pair, u0, t_grid, dt, shift=0.0):
-    """The general sparse LU stepping loop that ``evolve`` replaced: the
-    reference its banded Cholesky is checked against. Returns (t, u) pairs."""
+    """The general sparse LU stepping loop: the reference both propagators of
+    ``evolve`` are checked against. Returns (t, u) pairs, the checkpoint k
+    steps after the start at time u0.t + k dt."""
     t_grid = np.asarray(sorted(set(float(t) for t in t_grid)))
     B = (pair.S - shift * pair.M).tocsc()
     lu = spla.splu((pair.M + 0.5 * dt * B).tocsc())
     A_minus = (pair.M - 0.5 * dt * B).tocsr()
     u = u0.u.copy()
-    t = float(u0.t)
+    t0 = float(u0.t)
+    done = 0
     out = []
     for tk in t_grid:
-        n_steps = int(round((tk - t) / dt))
-        if tk <= t + 1e-12 and not out:
-            out.append((t, u))
-            continue
-        for _ in range(max(n_steps, 0)):
+        k = int(round((tk - t0) / dt))
+        for _ in range(k - done):
             u = lu.solve(A_minus @ u)
-            t += dt
-        out.append((t, u))
+        done = k
+        out.append((t0 + k * dt, u))
     return out
 
 
@@ -75,6 +74,14 @@ def _mode1_fraction_reference(pair, u):
     return rem / nrm if nrm > 0 else 0.0
 
 
+@pytest.fixture(scope="module")
+def flat_open_ends(flat_small):
+    """The flat_small strip with its x1 ends left free: still a flat strip,
+    but its kept nodes are not the interior tensor set."""
+    m, _ = flat_small
+    return m, sp.assemble_hk(m, sp.make_grid(m.x1, m.x2, dirichlet_x1_ends=False))
+
+
 @pytest.mark.parametrize(
     "case, t_grid, shift",
     [
@@ -82,10 +89,14 @@ def _mode1_fraction_reference(pair, u):
         ("curved_small", [0.5], 0.0),
         ("flat_small", [0.5], "e1"),
         ("curved_small", [0.0, 0.1, 0.25, 0.6], "e1"),
+        ("flat_small", [0.0, 0.1, 0.25, 0.6], "e1"),
+        ("flat_open_ends", [0.0, 0.1, 0.25, 0.6], "e1"),
     ],
-    ids=["flat", "curved", "shifted", "checkpoints"],
+    ids=["flat", "curved", "shifted", "checkpoints", "flat-checkpoints", "flat-open-ends"],
 )
 def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
+    """Both propagators against sparse LU: flat_small takes the separable
+    one, the curved and open-ended pairs the banded Cholesky."""
     m, pair = request.getfixturevalue(case)
     if shift == "e1":
         shift = pair.meta["e1_discrete"]
@@ -98,6 +109,43 @@ def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
         assert np.abs(st.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
         nf_ref = math.sqrt(u_ref @ (pair.M @ u_ref))
         assert abs(nf - nf_ref) <= 1e-11 * nf_ref
+
+
+@pytest.mark.parametrize(
+    "case, banded",
+    [("flat_small", False), ("curved_small", True), ("flat_open_ends", True)],
+)
+def test_propagator_follows_the_kronecker_structure(request, monkeypatch, case, banded):
+    m, pair = request.getfixturevalue(case)
+    calls = []
+
+    def spy(A):
+        calls.append(A.shape)
+        return sp.core.banded_cholesky(A)
+
+    monkeypatch.setattr(ev, "banded_cholesky", spy)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=pair.meta["e1_discrete"])
+    assert calls == ([(pair.n, pair.n)] if banded else [])
+
+
+@pytest.mark.parametrize("case", ["flat_small", "curved_small"])
+def test_checkpoints_at_the_fit_window_ends_are_kept(request, case):
+    """Checkpoint k is recorded at exactly u0.t + k dt, so the samples at both
+    ends of criterion 5's fit window [5, 100] take part in the fit: widening
+    the window by half a step changes nothing. Times accumulated step by step
+    drift to 4.999999999999938 and 100.00000000001425 and fall outside."""
+    m, pair = request.getfixturevalue(case)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    dt = 0.01
+    t_grid = np.arange(0.0, 100.0 + 1e-9, 5.0)
+    tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=pair.meta["e1_discrete"])
+    assert tr.times.tolist() == [k * dt for k in range(0, 10001, 500)]
+    assert tr.times[1] == 5.0 and tr.times[-1] == 100.0
+    e1 = pair.meta["e1_exact"]
+    fit = ev.fit_decay(tr, e1, (5.0, 100.0))
+    wide = ev.fit_decay(tr, e1, (5.0 - dt / 2, 100.0 + dt / 2))
+    assert (fit.gamma_hat, fit.lambda_hat) == (wide.gamma_hat, wide.lambda_hat)
 
 
 def test_mode1_fraction_matches_inline_projection(curved_small):
@@ -285,7 +333,6 @@ def test_fit_decay_recovers_synthetic_law():
     tr = ev.Trajectory(
         times=t,
         norm_f=norm,
-        norm_wf=np.full_like(t, math.inf),
         mode1_fraction=np.full_like(t, math.nan),
         shift=0.0,
         final=None,

@@ -523,6 +523,31 @@ def test_batched_mu_profile_splits_long_column_lists(ruled_certified, monkeypatc
     assert np.array_equal(sp.transverse_mu_profile(m, m.x1), whole)
 
 
+def _per_slice_lambda_J(metric, J, n_cells=96):
+    """lambda_J as one sparse assembly and dense eigh per transverse level:
+    the loop the batched slice computation replaced."""
+    nodes = np.linspace(J[0], J[1], n_cells + 1)
+    gcols = sp.gauss_points_1d(nodes)
+    mu_g = sp.transverse_mu_profile(metric, gcols.ravel()).reshape(gcols.shape)
+    lam = np.inf
+    for x2v in metric.x2:
+        f, _ = metric.sample(gcols.ravel(), np.array([x2v]))
+        f_g = f[:, 0].reshape(gcols.shape)
+        S = sp.assemble_1d(nodes, [("dd", 1.0 / f_g), ("mass", mu_g * f_g)])
+        M = sp.assemble_1d(nodes, [("mass", f_g)])
+        lam = min(lam, scipy.linalg.eigh(
+            S.toarray(), M.toarray(), subset_by_index=[0, 0], eigvals_only=True
+        )[0])
+    return lam
+
+
+@pytest.mark.parametrize("kind", ["ruled", "jacobi"])
+def test_batched_hardy_slices_match_per_slice_eigh(kind, ruled_certified):
+    m = ruled_certified[0] if kind == "ruled" else _negative_metric()
+    hc = sp.pick_hardy_interval(m)
+    assert hc.lambda_J == pytest.approx(_per_slice_lambda_J(m, hc.J), rel=1e-10)
+
+
 @pytest.mark.parametrize("kind", ["flat", "ruled"])
 def test_potential_matches_grid_interpolator(kind, ruled_certified):
     if kind == "flat":
