@@ -29,6 +29,10 @@ class CriterionResult:
     detail: str
     seconds: float
 
+    def __str__(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"criterion {self.number:2d} [{status}] {self.name}: {self.detail} ({self.seconds:.1f}s)"
+
 
 def _c1_oscillator():
     y = np.linspace(-20.0, 20.0, 2000)

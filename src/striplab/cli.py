@@ -362,16 +362,10 @@ def _paths_csv(ens) -> str:
 def _exp_report(cfg, outdir):
     from .acceptance import run_all
 
-    include_slow = bool(cfg.controls.get("include_slow", True))
-    results = run_all(include_slow=include_slow)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"criterion {r.number:2d} [{status}] {r.name}: {r.detail} ({r.seconds:.1f}s)"
-        lines.append(line)
-        print(line)
+    results = run_all(include_slow=bool(cfg.controls.get("include_slow", True)))
+    print(*results, sep="\n")
     p = outdir / "report.txt"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("".join(f"{r}\n" for r in results))
     if not all(r.passed for r in results):
         raise AcceptanceFailure("one or more acceptance criteria failed")
     return [p.name]
@@ -429,9 +423,7 @@ def _read_csv(path: Path):
     if len(lines) < 2:
         raise SchemaMismatch(f"{path} has no data rows")
     header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        rows.append([float(tok) if tok not in ("inf", "-inf", "nan") else float(tok) for tok in ln.split(",")])
+    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
     return header, np.array(rows)
 
 
@@ -609,12 +601,7 @@ def main(argv=None) -> int:
                 run(cfg)
             else:
                 results = run_all(include_slow=not args.skip_slow)
-                for r in results:
-                    status = "PASS" if r.passed else "FAIL"
-                    print(
-                        f"criterion {r.number:2d} [{status}] {r.name}: "
-                        f"{r.detail} ({r.seconds:.1f}s)"
-                    )
+                print(*results, sep="\n")
                 if not all(r.passed for r in results):
                     raise AcceptanceFailure("one or more acceptance criteria failed")
         elif args.command == "oracle":

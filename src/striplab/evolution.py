@@ -34,7 +34,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, eigh
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
-from .spectral.core import OperatorPair, banded_cholesky
+from .spectral.core import OperatorPair, banded_cholesky, make_grid
 from .spectral.operators import _transverse_matrices
 
 __all__ = [
@@ -168,9 +168,7 @@ def _kronecker_factors(pair: OperatorPair):
     grid = pair.grid
     if grid is None or pair.kept is None:
         return None
-    n1, n2 = grid.shape
-    interior = (np.arange(1, n1 - 1)[:, None] * n2 + np.arange(1, n2 - 1)[None, :]).ravel()
-    if not np.array_equal(pair.kept, interior):
+    if not np.array_equal(pair.kept, make_grid(grid.x1, grid.x2).keep_indices()):
         return None
     K1, M1 = _transverse_matrices(grid.x1)
     K2, M2 = _transverse_matrices(grid.x2)
@@ -182,6 +180,15 @@ def _kronecker_factors(pair: OperatorPair):
     return (K1, M1), (K2, M2)
 
 
+def _eigenbasis(K, M):
+    """Generalized eigenvalues l and M-orthonormal eigenvectors P of (K, M)."""
+    _, P = eigh(K.toarray(), M.toarray(), overwrite_a=True, overwrite_b=True)
+    # The dense solver's eigenvalues carry errors of about eps times the
+    # largest one, which the gauged mode exp(-(l - shift) t) amplifies by t;
+    # the Rayleigh quotients of its eigenvectors are accurate relative to l.
+    return np.einsum("ij,ij->j", P, K @ P) / np.einsum("ij,ij->j", P, M @ P), P
+
+
 def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
     """Step-k map of the trapezoidal scheme for a Kronecker-sum pair.
 
@@ -190,13 +197,7 @@ def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
     r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift.
     """
     (K1, M1), (K2, M2) = factors
-    _, P1 = eigh(K1.toarray(), M1.toarray(), overwrite_a=True, overwrite_b=True)
-    _, P2 = eigh(K2.toarray(), M2.toarray(), overwrite_a=True, overwrite_b=True)
-    # The dense solver's eigenvalues carry errors of about eps times the
-    # largest one, which the gauged mode exp(-(l - shift) t) amplifies by t;
-    # the Rayleigh quotients of its eigenvectors are accurate relative to l.
-    l1 = np.einsum("ij,ij->j", P1, K1 @ P1) / np.einsum("ij,ij->j", P1, M1 @ P1)
-    l2 = np.einsum("ij,ij->j", P2, K2 @ P2) / np.einsum("ij,ij->j", P2, M2 @ P2)
+    (l1, P1), (l2, P2) = _eigenbasis(K1, M1), _eigenbasis(K2, M2)
     lam = l1[:, None] + l2[None, :] - shift
     plus = 1.0 + 0.5 * dt * lam
     if not plus.min() > 0.0:

@@ -90,15 +90,21 @@ class CurvatureProfile:
         return self._col_sup(np.asarray(x1, float), float(a))
 
 
-def zero_profile() -> CurvatureProfile:
+def _x1_profile(kind, shape, support_radius, sup_norm, params) -> CurvatureProfile:
+    """Profile constant across the width, K(x1, x2) = shape(x1)."""
     return CurvatureProfile(
-        kind="zero",
-        support_radius=0.0,
-        sup_norm=0.0,
-        _k_eval=lambda x1, x2: np.zeros_like(x1),
-        _axis_inf=lambda x1: np.zeros_like(x1),
-        _col_sup=lambda x1, a: np.zeros_like(x1),
+        kind=kind,
+        support_radius=support_radius,
+        sup_norm=sup_norm,
+        params=params,
+        _k_eval=lambda x1, x2: shape(x1) * np.ones_like(x2),
+        _axis_inf=shape,
+        _col_sup=lambda x1, a: np.abs(shape(x1)),
     )
+
+
+def zero_profile() -> CurvatureProfile:
+    return _x1_profile("zero", np.zeros_like, 0.0, 0.0, {})
 
 
 def gaussian_bump(
@@ -121,19 +127,14 @@ def gaussian_bump(
         g = amplitude * np.exp(-((x1 - center) ** 2) / (2.0 * width**2))
         return g * smooth_cutoff(x1 - center, r_full, support_radius)
 
-    return CurvatureProfile(
-        kind="gaussian-bump",
-        support_radius=abs(center) + support_radius,
-        sup_norm=abs(amplitude),
-        params={
-            "amplitude": amplitude,
-            "width": width,
-            "support_radius": support_radius,
-            "center": center,
-        },
-        _k_eval=lambda x1, x2: shape(x1) * np.ones_like(x2),
-        _axis_inf=lambda x1: shape(x1),
-        _col_sup=lambda x1, a: np.abs(shape(x1)),
+    params = {
+        "amplitude": amplitude,
+        "width": width,
+        "support_radius": support_radius,
+        "center": center,
+    }
+    return _x1_profile(
+        "gaussian-bump", shape, abs(center) + support_radius, abs(amplitude), params
     )
 
 
@@ -149,15 +150,8 @@ def constant_on_box(value: float, half_length: float) -> CurvatureProfile:
             return np.full_like(x1, value)
         return np.where(np.abs(x1) <= half_length, value, 0.0)
 
-    return CurvatureProfile(
-        kind="constant-on-box",
-        support_radius=half_length,
-        sup_norm=abs(value),
-        params={"value": value, "half_length": half_length},
-        _k_eval=lambda x1, x2: shape(x1) * np.ones_like(x2),
-        _axis_inf=lambda x1: shape(x1),
-        _col_sup=lambda x1, a: np.abs(shape(x1)),
-    )
+    params = {"value": value, "half_length": half_length}
+    return _x1_profile("constant-on-box", shape, half_length, abs(value), params)
 
 
 def ruled_profile(
@@ -330,10 +324,11 @@ def _rk4_sweep(profile, x1, levels, base_step, sign):
                 x2c = sign * pos
                 k1f = fp
                 k1p = -profile.evaluate(x1, np.full(m, x2c)) * f
+                k_mid = profile.evaluate(x1, np.full(m, x2c + 0.5 * h))
                 k2f = fp + 0.5 * h * k1p
-                k2p = -profile.evaluate(x1, np.full(m, x2c + 0.5 * h)) * (f + 0.5 * h * k1f)
+                k2p = -k_mid * (f + 0.5 * h * k1f)
                 k3f = fp + 0.5 * h * k2p
-                k3p = -profile.evaluate(x1, np.full(m, x2c + 0.5 * h)) * (f + 0.5 * h * k2f)
+                k3p = -k_mid * (f + 0.5 * h * k2f)
                 k4f = fp + h * k3p
                 k4p = -profile.evaluate(x1, np.full(m, x2c + h)) * (f + h * k3f)
                 f = f + (h / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f)
@@ -352,21 +347,14 @@ def jacobi_columns(profile, x1, x2_levels, base_step):
     f = np.empty((x1.size, x2_levels.size))
     d2f = np.empty_like(f)
     neg = x2_levels < 0
-    pos = ~neg
-    if pos.any():
-        lv = x2_levels[pos]
-        order = np.argsort(lv)
-        ff, fp = _rk4_sweep(profile, x1, lv[order], base_step, +1.0)
-        inv = np.argsort(order)
-        f[:, pos] = ff[:, inv]
-        d2f[:, pos] = fp[:, inv]
-    if neg.any():
-        lv = -x2_levels[neg]
-        order = np.argsort(lv)
-        ff, fp = _rk4_sweep(profile, x1, lv[order], base_step, -1.0)
-        inv = np.argsort(order)
-        f[:, neg] = ff[:, inv]
-        d2f[:, neg] = fp[:, inv]
+    for side, sign in ((~neg, 1.0), (neg, -1.0)):
+        if side.any():
+            lv = sign * x2_levels[side]
+            order = np.argsort(lv)
+            ff, fp = _rk4_sweep(profile, x1, lv[order], base_step, sign)
+            inv = np.argsort(order)
+            f[:, side] = ff[:, inv]
+            d2f[:, side] = fp[:, inv]
     return f, d2f
 
 
@@ -433,29 +421,15 @@ def solve_jacobi(
 def ruled_strip(theta_dot, geom: StripGeometry, residual_tol: float = 1e-6):
     """Closed-form metric of a ruled strip, f = sqrt(1 + theta_dot^2 x2^2).
 
-    ``theta_dot`` is either a ready-made ruled CurvatureProfile or a callable
-    rotation rate; no ODE integration is involved. The sampled field is
-    checked against the metric ODE by finite differences.
-    Returns the metric together with the induced curvature profile.
+    ``theta_dot`` is a ruled CurvatureProfile, as ``ruled_profile`` builds;
+    any other input raises ValueError. No ODE integration is involved. The
+    sampled field is checked against the metric ODE by finite differences.
+    Returns the metric together with its curvature profile.
     """
-    if isinstance(theta_dot, CurvatureProfile):
-        if theta_dot.kind != "ruled":
-            raise ValueError("profile passed to ruled_strip must be of ruled kind")
-        profile = theta_dot
-        td = profile.theta_dot
-    else:
-        td = theta_dot
-        td_max = float(np.max(np.abs(td(np.linspace(-geom.L, geom.L, 4097)))))
-        profile = CurvatureProfile(
-            kind="ruled",
-            support_radius=geom.L,
-            sup_norm=td_max**2,
-            params={"theta_dot_max": td_max},
-            _k_eval=lambda x1, x2: -td(x1) ** 2 / (1.0 + td(x1) ** 2 * x2**2) ** 2,
-            _axis_inf=lambda x1: -td(x1) ** 2,
-            _col_sup=lambda x1, a: td(x1) ** 2,
-            theta_dot=td,
-        )
+    if not isinstance(theta_dot, CurvatureProfile) or theta_dot.kind != "ruled":
+        raise ValueError("profile passed to ruled_strip must be of ruled kind")
+    profile = theta_dot
+    td = profile.theta_dot
     check_compatible(profile, geom, closed_form=True)
 
     def closed_form(cols, levels):

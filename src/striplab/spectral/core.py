@@ -60,7 +60,7 @@ _KIND_FACTORS = {
     "d1sym": ("s", "v"),
 }
 
-_KIND_FACTORS_1D = {"mass": "v", "dd": "d", "dsym": "s"}
+_KIND_FACTORS_1D = {"mass": "v", "dd": "d"}
 
 
 def _uniform_spacing(nodes: np.ndarray) -> float:
@@ -70,17 +70,21 @@ def _uniform_spacing(nodes: np.ndarray) -> float:
     return float(h[0])
 
 
+def element_matrices_1d(nodes: np.ndarray, terms) -> np.ndarray:
+    """Per-cell 2x2 element matrices (..., n_cells, 2, 2) of a sum of 1D
+    terms; each term is (kind, coeff) with coeff shaped (..., n_cells, 3)
+    holding the coefficient at the Gauss points, leading axes a batch."""
+    fac = _direction_tensors(_uniform_spacing(np.asarray(nodes, float)))
+    local = (np.einsum("...ea,aij->...eij", c, fac[_KIND_FACTORS_1D[k]]) for k, c in terms)
+    return sum(local, np.zeros((len(nodes) - 1, 2, 2)))
+
+
 def assemble_1d(nodes: np.ndarray, terms) -> sp.csr_matrix:
     """Assemble sum of 1D terms; each term is (kind, coeff) with coeff of
     shape (n_cells, 3) holding the coefficient at the Gauss points."""
     nodes = np.asarray(nodes, float)
-    n_cells = nodes.size - 1
-    h = _uniform_spacing(nodes)
-    fac = _direction_tensors(h)
-    local = np.zeros((n_cells, 2, 2))
-    for kind, coeff in terms:
-        local += np.einsum("ea,aij->eij", coeff, fac[_KIND_FACTORS_1D[kind]])
-    e = np.arange(n_cells)
+    local = element_matrices_1d(nodes, terms)
+    e = np.arange(nodes.size - 1)
     rows = (e[:, None, None] + np.array([0, 1])[None, :, None]) * np.ones((1, 1, 2), int)
     cols = (e[:, None, None] + np.array([0, 1])[None, None, :]) * np.ones((1, 2, 1), int)
     mat = sp.coo_matrix(
@@ -168,7 +172,6 @@ class OperatorPair:
     M: sp.csr_matrix
     label: str
     grid: WeightedGrid = None
-    nodes: np.ndarray = None       # 1D node coordinates when the pair is 1D
     kept: np.ndarray = None        # indices of retained nodes in the full grid
     meta: dict = field(default_factory=dict)
 

@@ -8,18 +8,13 @@ of the operator inequality, and stability probes of the spectral threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import HypothesisFailed
 from ..geometry import MetricField, StripGeometry
-from .core import (
-    OperatorPair,
-    _direction_tensors,
-    _uniform_spacing,
-    gauss_points_1d,
-)
+from .core import OperatorPair, element_matrices_1d, gauss_points_1d
 from .operators import assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
 
@@ -31,6 +26,7 @@ __all__ = [
     "pick_hardy_interval",
     "ThinStripBound",
     "thin_strip_bound",
+    "thin_strip_constant",
     "hardy_verify",
     "perturbed_threshold",
     "ThresholdProbe",
@@ -47,26 +43,25 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     cross-section grid, so flat columns give exactly zero.
 
     All columns are done together: the metric is sampled once, the
-    tridiagonal interior S and M of every column come from one contraction
-    with the element factors, and with the batched Cholesky factor M = L L^T
+    tridiagonal interior S and M of every column come from one batch of
+    element matrices, and with the batched Cholesky factor M = L L^T
     the lowest eigenvalue is that of the symmetric L^-1 S L^-T.
     """
     x1 = np.atleast_1d(np.asarray(x1, float))
     x2 = metric.x2
-    g2 = gauss_points_1d(x2)
-    e1h = flat_transverse_ground(x2)
     if metric.flat:
         return np.zeros(x1.size)
+    g2 = gauss_points_1d(x2)
+    e1h = flat_transverse_ground(x2)
     f, _ = metric.sample(x1, g2.ravel())
-    fac = _direction_tensors(_uniform_spacing(x2))
     f = f.reshape(x1.size, *g2.shape)
     out = np.empty(x1.size)
     # batches of at most ~2M matrix entries keep long column lists small
     batch = max(1, _MU_BATCH_ENTRIES // (x2.size - 2) ** 2)
     for lo in range(0, x1.size, batch):
         c = f[lo:lo + batch]
-        S = _tridiagonal(np.einsum("cea,aij->ceij", c, fac["d"]))
-        M = _tridiagonal(np.einsum("cea,aij->ceij", c, fac["v"]))
+        S = _tridiagonal(element_matrices_1d(x2, [("dd", c)]))
+        M = _tridiagonal(element_matrices_1d(x2, [("mass", c)]))
         out[lo:lo + batch] = _lowest_eigenvalues(S, M) - e1h
     return out
 
@@ -136,7 +131,6 @@ def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
     j0, j1 = float(J[0]), float(J[1])
     if not j1 > j0:
         raise ValueError("J must be a nondegenerate interval")
-    a = float(metric.x2[-1])
     q = metric_sup_q(metric)
     if q >= 0.5:
         raise HypothesisFailed(
@@ -167,17 +161,14 @@ def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
 
     # lowest eigenvalue of the free-ends slice operator of every transverse
     # level, all levels at once: f is sampled once and each slice's S and M
-    # come from one contraction with the element factors
+    # come from one batch of element matrices
     mu_g = mu_cols.reshape(gcols.shape)
     f, _ = metric.sample(gcols.ravel(), metric.x2)
     f = f.T.reshape(metric.x2.size, *gcols.shape)
-    fac = _direction_tensors(_uniform_spacing(nodes))
     S = _tridiagonal(
-        np.einsum("lea,aij->leij", 1.0 / f, fac["d"])
-        + np.einsum("lea,aij->leij", mu_g * f, fac["v"]),
-        free_ends=True,
+        element_matrices_1d(nodes, [("dd", 1.0 / f), ("mass", mu_g * f)]), free_ends=True
     )
-    M = _tridiagonal(np.einsum("lea,aij->leij", f, fac["v"]), free_ends=True)
+    M = _tridiagonal(element_matrices_1d(nodes, [("mass", f)]), free_ends=True)
     lam = float(_lowest_eigenvalues(S, M).min())
     c_K = c * lam / (lam + C)
     return HardyConstants(c=float(c), C=float(C), lambda_J=lam, c_K=float(c_K), J=(j0, j1))
@@ -374,11 +365,9 @@ def essential_threshold_probe(
         lower = np.interp(geom.x1, metric.x1, metric.envelope_lower, left=1.0, right=1.0)
         upper = np.interp(geom.x1, metric.x1, metric.envelope_upper, left=1.0, right=1.0)
         f, d2f = metric.sample(geom.x1, x2)
-        m = MetricField(
-            geom=geom, x1=geom.x1, x2=x2, f=f, d2f=d2f,
+        m = replace(
+            metric, geom=geom, x1=geom.x1, f=f, d2f=d2f,
             envelope_lower=lower, envelope_upper=upper,
-            column_sampler=metric.column_sampler, flat=metric.flat,
-            k_sup=metric.k_sup,
         )
         pair = assemble_hk(m)
         table[i] = lowest_eigenpairs(pair, k=k).eigenvalues

@@ -38,10 +38,11 @@ __all__ = [
 ]
 
 
-def _coeff_grid(metric: MetricField, x1: np.ndarray, x2: np.ndarray):
-    """Metric factor at the tensor Gauss points of the given grid.
+def _coeff_grid(metric: MetricField, x1: np.ndarray, x2: np.ndarray, scale=1.0):
+    """Metric factor at the tensor Gauss points of the given grid, the
+    longitudinal ones multiplied by ``scale``.
 
-    Returns (xg1, xg2, F) with F shaped (n1_cells, n2_cells, 3, 3).
+    Returns the unscaled points xg1, xg2 and F shaped (n1_cells, n2_cells, 3, 3).
     """
     g1 = gauss_points_1d(x1)
     g2 = gauss_points_1d(x2)
@@ -49,7 +50,7 @@ def _coeff_grid(metric: MetricField, x1: np.ndarray, x2: np.ndarray):
     if metric.flat:
         F = np.ones((n1, n2, 3, 3))
     else:
-        f, _ = metric.sample(g1.ravel(), g2.ravel())
+        f, _ = metric.sample(scale * g1.ravel(), g2.ravel())
         F = f.reshape(n1, 3, n2, 3).transpose(0, 2, 1, 3)
     return g1, g2, F
 
@@ -127,7 +128,7 @@ def transverse_pair(metric: MetricField, x1: float) -> OperatorPair:
     f, _ = metric.sample(np.array([x1], float), g2.ravel())
     S, M = _transverse_matrices(x2, f.reshape(g2.shape))
     return OperatorPair(
-        S=S, M=M, label="transverse", nodes=x2,
+        S=S, M=M, label="transverse",
         kept=np.arange(1, x2.size - 1),
         meta={"x1": float(x1), "e1_discrete": flat_transverse_ground(x2)},
     )
@@ -168,15 +169,8 @@ def assemble_Ls(
             "eigenvalue range; enlarge the frame box",
             TruncationWarning,
         )
-    g1 = gauss_points_1d(y1)
-    g2 = gauss_points_1d(x2)
-    n1, n2 = g1.shape[0], g2.shape[0]
-    if metric.flat:
-        FS = np.ones((n1, n2, 3, 3))
-    else:
-        f, _ = metric.sample(np.exp(0.5 * s) * g1.ravel(), g2.ravel())
-        FS = f.reshape(n1, 3, n2, 3).transpose(0, 2, 1, 3)
-    Y = g1.reshape(n1, 1, 3, 1)
+    g1, _, FS = _coeff_grid(metric, y1, x2, scale=np.exp(0.5 * s))
+    Y = g1.reshape(-1, 1, 3, 1)
     es = math.exp(s)
     e1h = flat_transverse_ground(x2)
 
@@ -226,7 +220,6 @@ def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> Operato
         S=restrict(S, kept),
         M=restrict(M, kept),
         label="oscillator",
-        nodes=y,
         kept=kept,
         meta={"dirichlet_at_zero": bool(dirichlet_at_zero)},
     )

@@ -8,11 +8,7 @@ _SLOW = [num for num, _, _, slow in CRITERIA if slow]
 
 
 def _report(result):
-    status = "PASS" if result.passed else "FAIL"
-    print(
-        f"\nACCEPTANCE criterion {result.number:2d} [{status}] "
-        f"{result.name}: {result.detail} ({result.seconds:.1f}s)"
-    )
+    print("\nACCEPTANCE " + str(result))
 
 
 @pytest.mark.parametrize("number", _FAST)

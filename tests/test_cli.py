@@ -296,3 +296,34 @@ def test_report_mode_exit_codes(tmp_path, monkeypatch):
     # --skip-slow flips the stub to failure -> exit code 4
     assert cli.main(["report", "--skip-slow"]) == 4
     assert cli.main(["report"]) == 0
+
+
+def test_emit_plot_reads_non_finite_values(tmp_path):
+    csv = tmp_path / "traj.csv"
+    csv.write_text("t[time],norm_f[1]\n0,1\n1,0.5\n2,inf\n3,-inf\n4,nan\n5,0.25\n")
+    header, data = cli._read_csv(csv)
+    assert header == ["t[time]", "norm_f[1]"]
+    assert data[2, 1] == math.inf and data[3, 1] == -math.inf and math.isnan(data[4, 1])
+    svg = cli.emit_plot(csv, "decay-loglog")
+    assert svg.read_text().count("<circle") == 2  # t > 0 with a finite positive norm
+
+
+def test_report_prints_the_same_lines_with_and_without_a_config(tmp_path, monkeypatch, capsys):
+    import striplab.acceptance as acc
+    from striplab.acceptance import CriterionResult
+
+    results = [
+        CriterionResult(1, "stub-pass", True, "ok", 0.3),
+        CriterionResult(10, "stub-also", True, "detail: 1e-3", 12.0),
+    ]
+    monkeypatch.setattr(acc, "run_all", lambda include_slow=True: results)
+    assert cli.main(["report"]) == 0
+    plain = capsys.readouterr().out
+    assert plain.splitlines() == [
+        "criterion  1 [PASS] stub-pass: ok (0.3s)",
+        "criterion 10 [PASS] stub-also: detail: 1e-3 (12.0s)",
+    ]
+    good = _write(tmp_path, FLAT_SPECTRUM)
+    assert cli.main(["report", str(good)]) == 0
+    assert capsys.readouterr().out == plain
+    assert (tmp_path / "out" / "report" / "report.txt").read_text() == plain

@@ -95,6 +95,19 @@ def test_ruled_strip_closed_forms():
     assert V[i, j0] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "theta_dot",
+    [
+        geo.gaussian_bump(amplitude=-0.5, width=1.0, support_radius=3.0),
+        lambda x1: 0.5 * geo.smooth_cutoff(x1, 1.0, 3.0),
+    ],
+    ids=["gaussian-bump", "callable"],
+)
+def test_ruled_strip_takes_only_ruled_profiles(theta_dot):
+    with pytest.raises(ValueError, match="ruled kind"):
+        geo.ruled_strip(theta_dot, geo.StripGeometry(a=0.5, L=4.0, n1=16, n2=8))
+
+
 def test_ruled_flat_limit():
     prof = geo.ruled_profile(1e-30, 2.0)
     m, pr = geo.ruled_strip(prof, geo.StripGeometry(a=0.5, L=4.0, n1=16, n2=8))

@@ -561,3 +561,30 @@ def test_potential_matches_grid_interpolator(kind, ruled_certified):
     new = sp.assemble_potential(m, grid, v)
     ref = _interpolated_potential(m, grid, v)
     assert abs(new - ref).max() <= 1e-13 * abs(ref).max()
+
+
+
+@pytest.mark.parametrize("free_ends", [False, True], ids=["dirichlet", "free-ends"])
+def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
+    """Dense tridiagonal matrices built from a batch of element matrices are
+    the sparse 1-D assembly, entry for entry: curved transverse columns with
+    Dirichlet ends, and longitudinal slices with free ends."""
+    m = ruled_certified[0]
+    if free_ends:  # slices at three transverse levels
+        nodes = np.linspace(-6.0, 2.0, 41)
+        g = sp.gauss_points_1d(nodes)
+        f, _ = m.sample(g.ravel(), m.x2[:3])
+        c = f.T.reshape(3, *g.shape)
+    else:  # three transverse columns
+        nodes = m.x2
+        g = sp.gauss_points_1d(nodes)
+        f, _ = m.sample([0.0, 1.5, 4.0], g.ravel())
+        c = f.reshape(3, *g.shape)
+    assert np.ptp(c) > 1e-3  # curved coefficients
+    w = 1.0 + g**2
+    local = core.element_matrices_1d(nodes, [("dd", 1.0 / c), ("mass", w * c)])
+    dense = sp.hardy._tridiagonal(local, free_ends=free_ends)
+    keep = slice(None) if free_ends else slice(1, -1)
+    for i in range(3):
+        ref = sp.assemble_1d(nodes, [("dd", 1.0 / c[i]), ("mass", w * c[i])])
+        assert np.array_equal(dense[i], ref[keep][:, keep].toarray())
