@@ -9,12 +9,11 @@ e-foldings over the fit windows used here and would underflow.
 The scheme has two propagators, chosen from the matrices themselves:
 
 - When the pair is verified to be a Kronecker sum, S = K1 (x) M2 + M1 (x) K2
-  and M = M1 (x) M2 with the interior 1-D pairs of the two grid directions
-  (a flat strip with Dirichlet conditions on all four sides), the step is
-  diagonal in the product of the two 1-D generalized eigenbases. Two small
-  dense eigensolves set it up, and each checkpoint k is then one basis
-  change with the k-th power of the step's amplification factors: the cost
-  grows with the number of checkpoints, not of steps.
+  and M = M1 (x) M2, of tridiagonal Toeplitz interior 1-D pairs (a flat strip
+  with Dirichlet conditions on all four sides), the step is diagonal in the
+  product of the two closed-form sine bases. Each checkpoint is two fast sine
+  transforms of the coefficients times a power of the step's amplification
+  factors: the cost grows with the number of checkpoints, not of steps.
 - Otherwise the implicit matrix M + dt/2 (S - shift M), symmetric positive
   definite for the shifts and steps used here, is factored once per run as a
   banded Cholesky, and every step is one banded solve. Its band is read off
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg import LinAlgError, cho_solve_banded, eigh
+from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
@@ -158,10 +157,9 @@ def _same_entries(A, B) -> bool:
 
 
 def _kronecker_factors(pair: OperatorPair):
-    """The interior 1-D pairs ((K1, M1), (K2, M2)) of the two grid directions
-    when the pair is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the
-    interior tensor nodes, else None.
-
+    """The sine-basis eigendata (``_sine_eigenpairs``) of the interior 1-D pairs
+    (K1, M1), (K2, M2) of the two grid directions if the pair is exactly
+    S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes, else None.
     This is read off the matrices: the kept nodes must be the interior ones,
     and S and M must match their Kronecker forms entry by entry.
     """
@@ -172,51 +170,70 @@ def _kronecker_factors(pair: OperatorPair):
         return None
     K1, M1 = _transverse_matrices(grid.x1)
     K2, M2 = _transverse_matrices(grid.x2)
-    if not _same_entries(pair.M.tocsr(), sps.kron(M1, M2, format="csr")):
+    eig = _sine_eigenpairs(K1, M1), _sine_eigenpairs(K2, M2)
+    if None in eig or not _same_entries(pair.M.tocsr(), sps.kron(M1, M2, format="csr")):
         return None
     S_kron = sps.kron(K1, M2, format="csr") + sps.kron(M1, K2, format="csr")
-    if not _same_entries(pair.S.tocsr(), S_kron):
+    return eig if _same_entries(pair.S.tocsr(), S_kron) else None
+
+
+def _sine_eigenpairs(K, M):
+    """Eigenvalues l, mass eigenvalues m and M-normalising weights d of the sine
+    vectors S[i, j] = sin(i j pi / (n + 1)) for the 1-D pair (K, M), or None
+    unless both are exactly tridiagonal Toeplitz: a0 on the diagonal, a1 above
+    it and, equal to a1 up to the assembly's round-off, a_1 below it."""
+    n = K.shape[0]
+    stencils = [[A.diagonal(j)[:1].sum() for j in (-1, 0, 1)] for A in (K, M)]  # 0 if n = 1
+    if any((A - sps.diags(st, [-1, 0, 1], shape=(n, n))).count_nonzero()
+           for A, st in zip((K, M), stencils)):
         return None
-    return (K1, M1), (K2, M2)
+    # a0 + 2 a1 cos(2x) as a0 + 2 a1 - 4 a1 sin(x)^2: no cancellation at small x
+    s2 = np.sin(np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))) ** 2
+    k, m = (a0 + 2.0 * a1 - 4.0 * a1 * s2 for _, a0, a1 in stencils)
+    return k / m, m, (0.5 * (n + 1) * m) ** -0.5
 
 
-def _eigenbasis(K, M):
-    """Generalized eigenvalues l and M-orthonormal eigenvectors P of (K, M)."""
-    _, P = eigh(K.toarray(), M.toarray(), overwrite_a=True, overwrite_b=True)
-    # The dense solver's eigenvalues carry errors of about eps times the
-    # largest one, which the gauged mode exp(-(l - shift) t) amplifies by t;
-    # the Rayleigh quotients of its eigenvectors are accurate relative to l.
-    return np.einsum("ij,ij->j", P, K @ P) / np.einsum("ij,ij->j", P, M @ P), P
+def _sine_transform(X):
+    """S1 X S2 for the sine matrices S: per axis, -1/2 Im FFT of the odd extension."""
+    for _ in range(2):
+        zero = np.zeros((X.shape[0], 1))
+        X = -0.5 * np.fft.rfft(np.hstack([zero, X, zero, -X[:, ::-1]])).imag[:, 1:-1].T
+    return X
 
 
 def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
-    """Step-k map of the trapezoidal scheme for a Kronecker-sum pair.
+    """Map taking the trapezoidal scheme ``gap`` steps further, for a
+    Kronecker-sum pair; only the first call may have gap 0.
 
-    With M-orthonormal 1-D eigenvectors P1, P2 (eigenvalues l1, l2), the
+    With the M-orthonormal eigenvectors P = S diag(d) of the 1-D pairs, the
     state is u = vec(P1 C P2^T) and one step multiplies C entrywise by
-    r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift.
+    r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift. As M P = P
+    diag(m), C starts at P1^T M1 U0 M2 P2 = diag(d1 m1) S1 U0 S2 diag(d2 m2).
     """
-    (K1, M1), (K2, M2) = factors
-    (l1, P1), (l2, P2) = _eigenbasis(K1, M1), _eigenbasis(K2, M2)
+    (l1, m1, d1), (l2, m2, d2) = factors
     lam = l1[:, None] + l2[None, :] - shift
     plus = 1.0 + 0.5 * dt * lam
     if not plus.min() > 0.0:
         raise _not_positive_definite(f"its smallest eigenvalue factor is {plus.min():.3e}")
     r = (1.0 - 0.5 * dt * lam) / plus
-    U0 = u0.reshape(P1.shape[0], P2.shape[0])
-    C0 = P1.T @ (M1 @ ((M2 @ U0.T).T)) @ P2
+    C = (d1 * m1)[:, None] * _sine_transform(u0.reshape(l1.size, l2.size)) * (d2 * m2)
+    last_gap, r_gap = 0, None
 
-    def advance(k: int) -> np.ndarray:
-        if k == 0:
+    def advance(gap: int) -> np.ndarray:
+        nonlocal C, last_gap, r_gap
+        if gap == 0:
             return u0.copy()
-        return (P1 @ (C0 * r**k) @ P2.T).ravel()
+        if gap != last_gap:
+            last_gap, r_gap = gap, r**gap
+        C = C * r_gap
+        return _sine_transform(d1[:, None] * C * d2).ravel()
 
     return advance
 
 
 def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: float):
-    """Step-k map of the trapezoidal scheme by banded Cholesky solves; the
-    steps are taken in order, so k must not decrease from call to call."""
+    """Map taking the trapezoidal scheme ``gap`` steps further by banded
+    Cholesky solves."""
     B = pair.S - shift * pair.M
     try:
         factor = banded_cholesky(pair.M + 0.5 * dt * B)
@@ -224,13 +241,11 @@ def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: flo
         raise _not_positive_definite(exc) from exc
     A_minus = (pair.M - 0.5 * dt * B).tocsr()
     u = u0.copy()
-    done = 0
 
-    def advance(k: int) -> np.ndarray:
-        nonlocal u, done
-        for _ in range(k - done):
+    def advance(gap: int) -> np.ndarray:
+        nonlocal u
+        for _ in range(gap):
             u = cho_solve_banded((factor, False), A_minus @ u, check_finite=False)
-        done = k
         return u
 
     return advance
@@ -250,23 +265,27 @@ def evolve(
     Checkpoints snap to whole multiples of ``dt`` after ``u0.t``; checkpoint
     k steps after the start is recorded at time ``u0.t + k dt``. A checkpoint
     before ``u0.t``, or two that snap to the same step, raise
-    ``BadCheckpoint``. With ``shift`` nonzero the gauged variable
-    exp(shift t) u(t) is evolved and recorded.
+    ``BadCheckpoint``, as does one not finite or over 2**53 steps away; a
+    ``dt`` not positive and finite raises ``ValueError``. With ``shift``
+    nonzero the gauged variable exp(shift t) u(t) is evolved and recorded.
 
-    A pair verified to be a Kronecker sum of 1-D pairs is propagated
-    exactly in their product eigenbasis, at a cost per checkpoint; any other
+    A pair verified to be a Kronecker sum of Toeplitz 1-D pairs is propagated
+    exactly in their product sine basis, at a cost per checkpoint; any other
     pair is stepped with the implicit matrix M + dt/2 (S - shift M) factored
     once as a banded Cholesky, at a cost per step (see the module docstring).
     ``LinearSolveFailure`` is raised when that matrix is not symmetric
     positive definite, and when a checkpoint holds non-finite values.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt}")
     t0 = float(u0.t)
     t_grid = np.asarray(sorted(set(float(tk) for tk in t_grid)))
+    steps = (t_grid - t0) / dt
+    if not (np.abs(steps) <= 2.0**53).all():  # NaN, inf, or past exact integer steps
+        raise BadCheckpoint(f"checkpoints {t_grid} are not all within 2**53 steps of t = {t0}")
     if t_grid.size and t_grid[0] < t0 - 1e-12:
         raise BadCheckpoint(f"checkpoint t = {t_grid[0]} lies before the start t = {t0}")
-    targets = np.rint((t_grid - t0) / dt).astype(int)
+    targets = np.rint(steps).astype(int)
     dup = np.flatnonzero(np.diff(targets) == 0)
     if dup.size:
         i = dup[0]
@@ -283,8 +302,8 @@ def evolve(
     times, nf, m1 = [], [], []
     states = []
     last = None
-    for k in targets.tolist():
-        u = advance(k)
+    for k, gap in zip(targets.tolist(), np.diff(targets, prepend=0).tolist()):
+        u = advance(gap)
         if not np.all(np.isfinite(u)):
             raise LinearSolveFailure("implicit step produced non-finite values")
         last = HeatState(u=u, t=t0 + k * dt, norm_f=_norm_f(pair, u))

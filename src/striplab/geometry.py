@@ -344,11 +344,12 @@ def jacobi_columns(profile, x1, x2_levels, base_step):
     on the requested levels. Fourth-order fixed-step scheme."""
     x1 = np.asarray(x1, float)
     x2_levels = np.asarray(x2_levels, float)
-    f = np.empty((x1.size, x2_levels.size))
-    d2f = np.empty_like(f)
+    # K = 0 (sup_norm 0) leaves f = 1 and f' = 0, as the sweep itself would
+    f = np.ones((x1.size, x2_levels.size))
+    d2f = np.zeros_like(f)
     neg = x2_levels < 0
     for side, sign in ((~neg, 1.0), (neg, -1.0)):
-        if side.any():
+        if side.any() and profile.sup_norm != 0.0:
             lv = sign * x2_levels[side]
             order = np.argsort(lv)
             ff, fp = _rk4_sweep(profile, x1, lv[order], base_step, sign)

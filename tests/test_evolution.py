@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import eigh
 
 from striplab import evolution as ev
 from striplab import geometry as geo
@@ -16,6 +19,7 @@ from striplab.errors import (
     NotInWeightedSpace,
 )
 from striplab.oracle import mode_function
+from striplab.spectral.operators import _transverse_matrices
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +191,100 @@ def test_checkpoints_that_repeat_a_sample_are_rejected(flat_small):
     # a checkpoint at the start time itself records the initial state
     again = ev.evolve(pair, later, [later.t], dt=0.01)
     assert again.times.tolist() == [later.t]
+
+
+@pytest.mark.parametrize("case", ["flat_small", "flat_open_ends"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+def test_non_finite_checkpoints_are_rejected(request, case, bad):
+    """Both propagators: NaN used to snap to step INT_MIN, and on the banded
+    path returned a checkpoint at t = -9.2e16 holding the t = 0.5 state; a
+    step count past int64 wraps the same way."""
+    m, pair = request.getfixturevalue(case)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    with pytest.raises(BadCheckpoint, match="within 2\\*\\*53 steps"):
+        ev.evolve(pair, u0, [0.5, bad], dt=0.01)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.01])
+def test_non_positive_or_non_finite_dt_is_rejected(flat_small, dt):
+    m, pair = flat_small
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ev.evolve(pair, u0, [0.5], dt=dt)
+
+
+def _eigh_eigenbasis(K, M):
+    """The dense generalized eigensolve the separable propagator used before
+    its closed-form sine basis: eigenvalues as the Rayleigh quotients of the
+    M-orthonormal eigenvectors P, which are accurate relative to l."""
+    _, P = eigh(K.toarray(), M.toarray())
+    return np.einsum("ij,ij->j", P, K @ P) / np.einsum("ij,ij->j", P, M @ P), P
+
+
+def _sine_basis(n, d):
+    j = np.arange(1, n + 1)
+    return np.sin(np.outer(j, j) * math.pi / (n + 1)) * d
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.integers(2, 200), h=hst.floats(1e-3, 10.0))
+def test_interior_pair_is_toeplitz_and_sine_basis_diagonalises_it(n, h):
+    """Each of the three diagonals is exactly constant; the element mass
+    matrix is symmetric only to round-off, so the two off-diagonals may differ
+    in the last bit."""
+    K, M = _transverse_matrices(h * np.arange(n + 2))
+    for A in (K, M):
+        D = A.toarray()
+        toeplitz = D[0, 0] * np.eye(n) + D[0, 1] * np.eye(n, k=1) + D[1, 0] * np.eye(n, k=-1)
+        assert np.array_equal(D, toeplitz)
+        assert abs(D[1, 0] - D[0, 1]) <= 1e-15 * abs(D[0, 1])
+    l, m, d = ev._sine_eigenpairs(K, M)
+    P = _sine_basis(n, d)
+    assert np.abs(P.T @ (M @ P) - np.eye(n)).max() <= 1e-12
+    KP, MP = K @ P, M @ P
+    assert np.abs(KP - MP * l).max() <= 1e-12 * np.abs(KP).max()
+    assert np.abs(MP - P * m).max() <= 1e-12 * np.abs(MP).max()
+
+
+@pytest.mark.parametrize("x", [np.linspace(-20.0, 20.0, 161), np.linspace(-60.0, 60.0, 601),
+                               np.linspace(-math.pi / 2, math.pi / 2, 49)])
+def test_closed_form_eigenvalues_match_dense_rayleigh_quotients(x):
+    K, M = _transverse_matrices(x)
+    l, m, d = ev._sine_eigenpairs(K, M)
+    l_ref, P_ref = _eigh_eigenbasis(K, M)
+    assert np.abs(l / l_ref - 1.0).max() <= 1e-12
+    # same eigenvectors up to sign
+    overlap = np.abs(_sine_basis(l.size, d).T @ (M @ P_ref))
+    assert np.abs(overlap - np.eye(l.size)).max() <= 1e-9
+
+
+def _per_k_reference(pair, u0, t_grid, dt, shift):
+    """The dense separable propagator with a fresh power r**k at every
+    checkpoint, on the eigh eigenbases."""
+    (K1, M1), (K2, M2) = (_transverse_matrices(x) for x in (pair.grid.x1, pair.grid.x2))
+    (l1, P1), (l2, P2) = _eigh_eigenbasis(K1, M1), _eigh_eigenbasis(K2, M2)
+    lam = l1[:, None] + l2[None, :] - shift
+    r = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
+    U0 = u0.u.reshape(l1.size, l2.size)
+    C0 = P1.T @ (M1 @ ((M2 @ U0.T).T)) @ P2
+    ks = np.rint((np.asarray(t_grid) - u0.t) / dt).astype(int)
+    return [u0.u if k == 0 else (P1 @ (C0 * r**k) @ P2.T).ravel() for k in ks]
+
+
+@pytest.mark.parametrize(
+    "t_grid", [np.linspace(0.0, 100.0, 201), [0.0, 0.01, 0.37, 0.5, 3.0]],
+    ids=["201-to-t100", "uneven"],
+)
+def test_running_product_matches_per_k_powers(flat_small, t_grid):
+    m, pair = flat_small
+    shift = pair.meta["e1_discrete"]
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0.u = u0.u + 1e-3 * np.sin(3.0 * np.arange(u0.u.size))  # every mode present
+    tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
+    ref = _per_k_reference(pair, u0, t_grid, 0.01, shift)
+    assert len(tr.states) == len(ref)
+    for st, u_ref in zip(tr.states, ref):
+        assert np.abs(st.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
 
 
 def test_weighted_initial_mode_normalized(flat_small):

@@ -35,6 +35,38 @@ def test_zero_profile_gives_unit_metric_exactly():
     assert m.flat
 
 
+def _swept_columns(profile, x1, levels, base_step):
+    """The RK4 sweep of both sides, as ``jacobi_columns`` runs it on a
+    curved profile."""
+    f = np.empty((x1.size, levels.size))
+    d2f = np.empty_like(f)
+    for side, sign in ((levels >= 0, 1.0), (levels < 0, -1.0)):
+        lv = sign * levels[side]
+        order = np.argsort(lv)
+        ff, fp = geo._rk4_sweep(profile, x1, lv[order], base_step, sign)
+        f[:, side] = ff[:, np.argsort(order)]
+        d2f[:, side] = fp[:, np.argsort(order)]
+    return f, d2f
+
+
+def test_zero_curvature_skips_the_sweep_bit_for_bit(monkeypatch):
+    """K = 0 gives f = 1 and f' = +0.0 without evaluating the profile, bit for
+    bit what the RK4 sweep returns, including the sign of the zeros."""
+    prof = geo.zero_profile()
+    x1 = np.linspace(-4.0, 4.0, 9)
+    levels = np.array([0.45, -0.8, 0.0, -0.1, 0.8, 0.2, -0.45])
+    f_ref, d2f_ref = _swept_columns(prof, x1, levels, 0.01)
+
+    def no_evaluate(*_):
+        raise AssertionError("profile evaluated")
+
+    monkeypatch.setattr(prof, "_k_eval", no_evaluate)
+    f, d2f = geo.jacobi_columns(prof, x1, levels, 0.01)
+    assert np.array_equal(f, f_ref) and np.array_equal(d2f, d2f_ref)
+    assert np.array_equal(np.signbit(d2f), np.signbit(d2f_ref))
+    assert not np.signbit(d2f).any()
+
+
 def test_axis_initial_conditions_exact():
     prof = geo.gaussian_bump(amplitude=0.3, width=1.5, support_radius=4.0)
     m = geo.solve_jacobi(prof, geo.StripGeometry(a=1.0, L=6.0, n1=24, n2=16))
