@@ -33,7 +33,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
-from .spectral.core import OperatorPair, banded_cholesky, make_grid
+from .spectral.core import OperatorPair, _csr_structure, banded_cholesky, make_grid
 from .spectral.operators import _transverse_matrices
 
 __all__ = [
@@ -146,13 +146,16 @@ def _not_positive_definite(detail) -> LinearSolveFailure:
     return LinearSolveFailure(f"implicit step matrix is not positive definite: {detail}")
 
 
-def _same_entries(A, B) -> bool:
-    """Whether CSR ``A`` has the pattern of the canonical CSR ``B`` and agrees
-    with it entry by entry to 1e-12 relative to the largest entry of ``B``."""
+def _matches_stencil(A, structure, stencil) -> bool:
+    """Whether CSR ``A`` has the CSR ``structure`` (``_csr_structure``) and
+    agrees entry by entry, to 1e-12 relative to the largest, with the matrix
+    holding the (3, 3) ``stencil`` value at each entry's offset (di, dj)."""
+    indptr, indices, coupled = structure
+    data = np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
     return (
-        np.array_equal(A.indptr, B.indptr)
-        and np.array_equal(A.indices, B.indices)
-        and bool(np.abs(A.data - B.data).max() <= 1e-12 * np.abs(B.data).max())
+        np.array_equal(A.indptr, indptr)
+        and np.array_equal(A.indices, indices)
+        and bool(np.abs(A.data - data).max() <= 1e-12 * np.abs(data).max())
     )
 
 
@@ -161,20 +164,33 @@ def _kronecker_factors(pair: OperatorPair):
     (K1, M1), (K2, M2) of the two grid directions if the pair is exactly
     S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes, else None.
     This is read off the matrices: the kept nodes must be the interior ones,
-    and S and M must match their Kronecker forms entry by entry.
+    and S and M must match their Kronecker forms entry by entry. As the 1-D
+    matrices are tridiagonal Toeplitz, those forms have the 9-point CSR
+    structure of the assembly, with the products of the 1-D stencils at the
+    offset of each entry.
     """
     grid = pair.grid
     if grid is None or pair.kept is None:
         return None
-    if not np.array_equal(pair.kept, make_grid(grid.x1, grid.x2).keep_indices()):
+    interior = make_grid(grid.x1, grid.x2).keep
+    if not np.array_equal(pair.kept, np.flatnonzero(interior)):
         return None
-    K1, M1 = _transverse_matrices(grid.x1)
-    K2, M2 = _transverse_matrices(grid.x2)
-    eig = _sine_eigenpairs(K1, M1), _sine_eigenpairs(K2, M2)
-    if None in eig or not _same_entries(pair.M.tocsr(), sps.kron(M1, M2, format="csr")):
+    pairs_1d = _transverse_matrices(grid.x1), _transverse_matrices(grid.x2)
+    eig = tuple(_sine_eigenpairs(K, M) for K, M in pairs_1d)
+    if None in eig:
         return None
-    S_kron = sps.kron(K1, M2, format="csr") + sps.kron(M1, K2, format="csr")
-    return eig if _same_entries(pair.S.tocsr(), S_kron) else None
+    (k1, m1), (k2, m2) = ([_tridiagonal_stencil(A) for A in KM] for KM in pairs_1d)
+    structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
+    if not _matches_stencil(pair.M.tocsr(), structure, np.outer(m1, m2)):
+        return None
+    S_kron = np.outer(k1, m2) + np.outer(m1, k2)
+    return eig if _matches_stencil(pair.S.tocsr(), structure, S_kron) else None
+
+
+def _tridiagonal_stencil(A) -> np.ndarray:
+    """(a_1, a0, a1): the first entries of the sub-, main and super-diagonal
+    of A, 0 where a diagonal is empty."""
+    return np.array([A.diagonal(j)[:1].sum() for j in (-1, 0, 1)])
 
 
 def _sine_eigenpairs(K, M):
@@ -183,7 +199,7 @@ def _sine_eigenpairs(K, M):
     unless both are exactly tridiagonal Toeplitz: a0 on the diagonal, a1 above
     it and, equal to a1 up to the assembly's round-off, a_1 below it."""
     n = K.shape[0]
-    stencils = [[A.diagonal(j)[:1].sum() for j in (-1, 0, 1)] for A in (K, M)]  # 0 if n = 1
+    stencils = [_tridiagonal_stencil(A) for A in (K, M)]
     if any((A - sps.diags(st, [-1, 0, 1], shape=(n, n))).count_nonzero()
            for A, st in zip((K, M), stencils)):
         return None

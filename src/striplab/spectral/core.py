@@ -3,6 +3,10 @@
 Everything is built from piecewise-(bi)linear elements with 3-point Gauss
 quadrature per direction, so stiffness and mass matrices are exactly
 symmetric and flat-metric assemblies factorize exactly into tensor products.
+
+A 2-D matrix is folded from its element matrices into a 9-point stencil and
+written straight onto the kept nodes, through a CSR structure computed once
+per grid and mask; ``restrict`` is for 1-D pairs.
 """
 from __future__ import annotations
 
@@ -94,8 +98,10 @@ def assemble_1d(nodes: np.ndarray, terms) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms) -> sp.csr_matrix:
-    """Assemble sum of bilinear-element terms on the tensor grid x1 (x) x2.
+def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None) -> sp.csr_matrix:
+    """Assemble sum of bilinear-element terms on the tensor grid x1 (x) x2,
+    on the nodes where the boolean mask ``keep`` (over all nodes, x1-major)
+    is set, or on every node when it is None.
 
     Each term is (kind, coeff) with coeff shaped (n1_cells, n2_cells, 3, 3)
     holding the coefficient at the tensor Gauss points of every cell.
@@ -103,6 +109,8 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms) -> sp.csr_matrix:
     A term's element matrices are linear in its 9 Gauss-point values, so they
     are one matrix product: the (cells, 9) coefficients times the (9, 16)
     kernel of the two direction factors. Terms are accumulated one by one.
+    The element matrices are then summed into the 9-point stencil of every
+    node, whose entries on kept nodes are the CSR data.
     """
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
@@ -115,17 +123,57 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms) -> sp.csr_matrix:
         kernel = np.einsum("aij,bkl->abikjl", f1[k1], f2[k2]).reshape(9, 16)
         local += coeff.reshape(n1 * n2, 9) @ kernel
 
-    e1, e2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    base = (e1 * (n2 + 1) + e2).ravel()  # node (e1, e2)
-    offsets = np.array([0, 1, n2 + 1, n2 + 2])  # (di, dj) = (0,0),(0,1),(1,0),(1,1)
-    glob = base[:, None] + offsets[None, :]
-    rows = np.repeat(glob[:, :, None], 4, axis=2)
-    cols = np.repeat(glob[:, None, :], 4, axis=1)
-    n_nodes = x1.size * x2.size
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_nodes, n_nodes)
-    )
-    return mat.tocsr()
+    # Local node 2 r1 + r2 of a cell sits at offset (r1, r2), so
+    # block[r1, r2, c1, c2] couples it to local node 2 c1 + c2, and
+    # stencil[1 + di, 1 + dj, p1, p2] couples node (p1, p2) to its neighbour
+    # (p1 + di, p2 + dj). A node is local node 3, 2, 1, 0 of its cells in
+    # increasing cell order, so adding in that order sums every entry over
+    # its cells in increasing cell order. The sums start from -0.0 so that
+    # each equals the sum of its terms alone, signed zeros included.
+    block = local.reshape(n1, n2, 2, 2, 2, 2).transpose(2, 3, 4, 5, 0, 1)
+    stencil = np.full((3, 3, n1 + 1, n2 + 1), -0.0)
+    for r1, r2 in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        stencil[1 - r1:3 - r1, 1 - r2:3 - r2, r1:r1 + n1, r2:r2 + n2] += block[r1, r2]
+    indptr, indices, coupled = _csr_structure(n1 + 1, n2 + 1, keep)
+    n = indptr.size - 1
+    data = stencil.reshape(9, -1).T[coupled]  # row by row, in column order
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+# (n1, n2, mask bytes) -> _stencil_structure, read-only; the oldest goes first
+_STRUCTURES = {}
+
+
+def _csr_structure(n1: int, n2: int, keep):
+    """``_stencil_structure`` of the n1 x n2 node grid and its mask (None:
+    every node), computed once for the last four grids and masks asked for."""
+    keep = np.ones(n1 * n2, bool) if keep is None else np.asarray(keep, bool).ravel()
+    key = (n1, n2, keep.tobytes())
+    if key not in _STRUCTURES:
+        if len(_STRUCTURES) == 4:
+            del _STRUCTURES[next(iter(_STRUCTURES))]
+        _STRUCTURES[key] = _stencil_structure(keep.reshape(n1, n2))
+    return _STRUCTURES[key]
+
+
+def _stencil_structure(keep: np.ndarray):
+    """The 9-point couplings among the kept nodes of the (n1, n2) mask
+    ``keep``: read-only CSR ``indptr`` and ``indices`` (int32), and the
+    (nodes, 9) mask ``coupled`` of the node and neighbour offset of each
+    entry. Offset d = 3 (di + 1) + (dj + 1) is neighbour (p1 + di, p2 + dj)
+    of node (p1, p2), so along a row d and the column increase together."""
+    n1, n2 = keep.shape
+    position = np.full((n1 + 2, n2 + 2), -1, dtype=np.int32)  # -1: not kept
+    position[1:-1, 1:-1][keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
+    column = np.stack([position[d // 3:d // 3 + n1, d % 3:d % 3 + n2] for d in range(9)], -1)
+    coupled = (column >= 0) & keep[:, :, None]
+    ends = np.cumsum(coupled, dtype=np.int32).reshape(-1, 9)[keep.ravel(), 8]
+    indptr = np.concatenate([np.zeros(1, np.int32), ends])
+    indices = column[coupled]
+    coupled = coupled.reshape(-1, 9)
+    for a in (indptr, indices, coupled):
+        a.flags.writeable = False
+    return indptr, indices, coupled
 
 
 @dataclass(eq=False)
@@ -194,7 +242,9 @@ class OperatorPair:
 
 
 def restrict(mat: sp.csr_matrix, kept: np.ndarray) -> sp.csr_matrix:
-    """Eliminate Dirichlet rows/columns, keeping the listed node indices."""
+    """Eliminate Dirichlet rows/columns of a 1-D pair's matrix, keeping the
+    listed node indices (``assemble_2d`` writes 2-D matrices onto the kept
+    nodes directly)."""
     return mat[kept][:, kept].tocsr()
 
 

@@ -59,20 +59,18 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
     """Stiffness/mass pair of the weighted Dirichlet form on the strip.
 
     S[u] = int( f^-1 |d1 u|^2 + f |d2 u|^2 ),  M[u] = int( f |u|^2 ),
-    assembled element-wise; Dirichlet rows and columns are eliminated.
+    assembled element-wise onto the nodes off the Dirichlet mask.
     """
     if grid is None:
         grid = make_grid(metric.x1, metric.x2)
     g1, g2, F = _coeff_grid(metric, grid.x1, grid.x2)
-    S_full = assemble_2d(grid.x1, grid.x2, [("d1d1", 1.0 / F), ("d2d2", F)])
-    M_full = assemble_2d(grid.x1, grid.x2, [("mass", F)])
-    kept = grid.keep_indices()
+    keep = grid.keep
     pair = OperatorPair(
-        S=restrict(S_full, kept),
-        M=restrict(M_full, kept),
+        S=assemble_2d(grid.x1, grid.x2, [("d1d1", 1.0 / F), ("d2d2", F)], keep),
+        M=assemble_2d(grid.x1, grid.x2, [("mass", F)], keep),
         label="h_K",
         grid=grid,
-        kept=kept,
+        kept=grid.keep_indices(),
         meta={
             "metric": metric,
             "e1_discrete": flat_transverse_ground(grid.x2),
@@ -97,8 +95,7 @@ def assemble_potential(metric: MetricField, grid: WeightedGrid, v_nodal: np.ndar
     w = np.stack([1.0 - _GP, _GP], axis=1)
     corners = np.lib.stride_tricks.sliding_window_view(v_nodal, (2, 2))
     V = np.einsum("ai,bk,xyik->xyab", w, w, corners)
-    M_full = assemble_2d(grid.x1, grid.x2, [("mass", V * F)])
-    return restrict(M_full, grid.keep_indices())
+    return assemble_2d(grid.x1, grid.x2, [("mass", V * F)], grid.keep)
 
 
 def _transverse_matrices(x2: np.ndarray, f_col=None):
@@ -181,15 +178,13 @@ def assemble_Ls(
         ("d1sym", -0.5 * Y * FS),
         ("mass", (1.0 / 16.0) * Y**2 * (2.0 - FS**-2) * FS),
     ]
-    S_full = assemble_2d(y1, x2, terms_S)
-    M_full = assemble_2d(y1, x2, [("mass", FS)])
-    kept = grid_y.keep_indices()
+    keep = grid_y.keep
     pair = OperatorPair(
-        S=restrict(S_full, kept),
-        M=restrict(M_full, kept),
+        S=assemble_2d(y1, x2, terms_S, keep),
+        M=assemble_2d(y1, x2, [("mass", FS)], keep),
         label="L_s",
         grid=grid_y,
-        kept=kept,
+        kept=grid_y.keep_indices(),
         meta={"s": float(s), "e1_discrete": e1h, "metric": metric},
     )
     grid_y.lumped_weights = np.asarray(pair.M.sum(axis=1)).ravel()

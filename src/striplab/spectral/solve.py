@@ -48,7 +48,8 @@ def lowest_eigenpairs(
     solves. A pair that is not symmetric raises ``LinearSolveFailure``; a
     shifted matrix that is not positive definite, or a computed eigenvalue
     below the shift, raises ``ShiftInsideSpectrum``. Small problems fall back
-    to a dense solve with the same contract.
+    to a dense solve with the same contract. ARPACK runs to the relative
+    accuracy ``tol``, which also scales the residual gate.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -85,6 +86,7 @@ def lowest_eigenpairs(
                 which="LM",
                 v0=v0,
                 maxiter=maxiter,
+                tol=tol,
                 OPinv=op_inv,
             )
         except spla.ArpackNoConvergence as exc:

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.interpolate import RegularGridInterpolator
 
 from striplab import geometry as geo
@@ -370,8 +372,9 @@ def test_essential_threshold_probe_negative_no_bound_state(ruled_certified):
 
 # ---------------------------------------------------------------------------
 # The implementations the spectral layer replaced, kept as references: the
-# per-element einsum assembly, the sparse-LU shift-invert, the per-column
-# dense eigh for mu and the interpolator-based potential.
+# per-element einsum assembly, the gemm assembly through COO, the sparse-LU
+# shift-invert, the per-column dense eigh for mu and the interpolator-based
+# potential.
 
 
 def _einsum_assemble_2d(x1, x2, terms):
@@ -398,8 +401,38 @@ def _einsum_assemble_2d(x1, x2, terms):
     ).tocsr()
 
 
-def _splu_eigenvalues(pair, k, sigma=-1.0):
-    """Sorted eigenvalues and solve count of the sparse-LU shift-invert."""
+def _einsum_restricted(x1, x2, terms, keep):
+    """``_einsum_assemble_2d`` on the nodes of the mask, by ``core.restrict``."""
+    return core.restrict(_einsum_assemble_2d(x1, x2, terms), np.flatnonzero(keep))
+
+
+def _coo_assemble_2d(x1, x2, terms):
+    """Element matrices by one gemm per term, scattered as COO on every node
+    and summed into CSR by scipy."""
+    x1 = np.asarray(x1, float)
+    x2 = np.asarray(x2, float)
+    n1, n2 = x1.size - 1, x2.size - 1
+    f1 = core._direction_tensors(core._uniform_spacing(x1))
+    f2 = core._direction_tensors(core._uniform_spacing(x2))
+    local = np.zeros((n1 * n2, 16))
+    for kind, coeff in terms:
+        k1, k2 = core._KIND_FACTORS[kind]
+        kernel = np.einsum("aij,bkl->abikjl", f1[k1], f2[k2]).reshape(9, 16)
+        local += coeff.reshape(n1 * n2, 9) @ kernel
+    e1, e2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    base = (e1 * (n2 + 1) + e2).ravel()
+    glob = base[:, None] + np.array([0, 1, n2 + 1, n2 + 2])[None, :]
+    rows = np.repeat(glob[:, :, None], 4, axis=2)
+    cols = np.repeat(glob[:, None, :], 4, axis=1)
+    n_nodes = x1.size * x2.size
+    return scipy.sparse.coo_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_nodes, n_nodes)
+    ).tocsr()
+
+
+def _splu_eigenvalues(pair, k, sigma=-1.0, tol=1e-8):
+    """Sorted eigenvalues and solve count of the sparse-LU shift-invert, with
+    ARPACK at ``tol`` as in ``lowest_eigenpairs``."""
     n = pair.n
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     lu = spla.splu((pair.S - sigma * pair.M).tocsc())
@@ -411,7 +444,7 @@ def _splu_eigenvalues(pair, k, sigma=-1.0):
         return lu.solve(x)
 
     vals = spla.eigsh(
-        pair.S, k=k, M=pair.M, sigma=sigma, which="LM", v0=v0, maxiter=4000,
+        pair.S, k=k, M=pair.M, sigma=sigma, which="LM", v0=v0, maxiter=4000, tol=tol,
         OPinv=spla.LinearOperator((n, n), matvec=op, dtype=float),
     )[0]
     return np.sort(vals), solves
@@ -478,12 +511,53 @@ PAIRS = {"flat_hk": _flat_hk, "curved_hk": _curved_hk, "curved_frame": _curved_f
 
 @pytest.mark.parametrize("case", sorted(PAIRS))
 def test_gemm_assembly_matches_einsum(case, monkeypatch):
+    """The operators' own terms, assembled by einsum on every node and then
+    restricted, against the stencil assembly onto the kept nodes."""
     build = PAIRS[case]()
     new = build()
-    monkeypatch.setattr(operators, "assemble_2d", _einsum_assemble_2d)
+    calls = []
+    monkeypatch.setattr(
+        operators, "assemble_2d", lambda *args: calls.append(args) or _einsum_restricted(*args)
+    )
     ref = build()
+    assert len(calls) == 2  # S and M, both from the einsum reference
     for A, B in ((new.S, ref.S), (new.M, ref.M)):
         assert abs(A - B).max() <= 1e-12 * abs(B).max()
+
+
+_KINDS = sorted(core._KIND_FACTORS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n1=hst.integers(1, 9),
+    n2=hst.integers(1, 9),
+    h=hst.tuples(hst.floats(1e-2, 10.0), hst.floats(1e-2, 10.0)),
+    kinds=hst.lists(hst.sampled_from(_KINDS), min_size=1, max_size=5),
+    mask=hst.sampled_from(["none", "walls", "free-ends"]),
+    extra=hst.integers(0, 3),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_stencil_assembly_is_bit_identical_to_coo(n1, n2, h, kinds, mask, extra, seed):
+    """Same CSR structure and the same bits as the COO assembly restricted to
+    the kept nodes: walls Dirichlet, with or without the x1 ends, plus up to
+    three more masked nodes, or no mask at all."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(-5.0, 5.0) + h[0] * np.arange(n1 + 1)
+    x2 = h[1] * np.arange(n2 + 1)
+    terms = [(kind, rng.standard_normal((n1, n2, 3, 3))) for kind in kinds]
+    ref = _coo_assemble_2d(x1, x2, terms)
+    if mask == "none":
+        keep = None
+    else:
+        keep = sp.make_grid(x1, x2, dirichlet_x1_ends=mask == "walls").keep
+        keep[rng.choice(keep.size, size=min(extra, keep.size), replace=False)] = False
+        ref = core.restrict(ref, np.flatnonzero(keep))
+    new = sp.assemble_2d(x1, x2, terms, keep)
+    assert new.shape == ref.shape
+    for a, b in ((new.indptr, ref.indptr), (new.indices, ref.indices), (new.data, ref.data)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(new.data), np.signbit(ref.data))
 
 
 @pytest.mark.parametrize("case", sorted(PAIRS))
