@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -589,6 +588,8 @@ def main(argv=None) -> int:
                 for cfg in cfgs:
                     run(cfg)
             else:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     list(pool.map(run, cfgs))
         elif args.command == "report":

@@ -28,13 +28,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
-from .spectral.core import OperatorPair, _csr_structure, banded_cholesky, make_grid
-from .spectral.operators import _transverse_matrices
+from .spectral.core import (
+    OperatorPair,
+    _csr_structure,
+    _diagonals,
+    banded_cholesky,
+    element_matrices_1d,
+    make_grid,
+)
 
 __all__ = [
     "HeatState",
@@ -78,7 +83,7 @@ def _log_weighted_norm_sq(pair: OperatorPair, u: np.ndarray) -> float:
     weight values at the far ends never meet the tiny state values directly.
     """
     grid = pair.grid
-    lw = grid.lumped_weights
+    lw = np.asarray(pair.M.sum(axis=1)).ravel()
     x1 = np.repeat(grid.x1, grid.x2.size)[pair.kept]
     nz = u != 0.0
     if not nz.any():
@@ -161,51 +166,46 @@ def _matches_stencil(A, structure, stencil) -> bool:
 
 def _kronecker_factors(pair: OperatorPair):
     """The sine-basis eigendata (``_sine_eigenpairs``) of the interior 1-D pairs
-    (K1, M1), (K2, M2) of the two grid directions if the pair is exactly
-    S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes, else None.
-    This is read off the matrices: the kept nodes must be the interior ones,
-    and S and M must match their Kronecker forms entry by entry. As the 1-D
-    matrices are tridiagonal Toeplitz, those forms have the 9-point CSR
-    structure of the assembly, with the products of the 1-D stencils at the
-    offset of each entry.
-    """
+    (K1, M1), (K2, M2) of unit weight of the two grid directions if the pair
+    is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes,
+    else None. This is read off the matrices: the kept nodes must be the
+    interior ones, and S and M must match their Kronecker forms entry by
+    entry. As the 1-D matrices are tridiagonal Toeplitz, those forms have the
+    9-point CSR structure of the assembly, with the products of the 1-D
+    stencils (``_interior_stencils``) at the offset of each entry."""
     grid = pair.grid
     if grid is None or pair.kept is None:
         return None
     interior = make_grid(grid.x1, grid.x2).keep
     if not np.array_equal(pair.kept, np.flatnonzero(interior)):
         return None
-    pairs_1d = _transverse_matrices(grid.x1), _transverse_matrices(grid.x2)
-    eig = tuple(_sine_eigenpairs(K, M) for K, M in pairs_1d)
-    if None in eig:
-        return None
-    (k1, m1), (k2, m2) = ([_tridiagonal_stencil(A) for A in KM] for KM in pairs_1d)
+    (k1, m1), (k2, m2) = stencils = [_interior_stencils(x) for x in (grid.x1, grid.x2)]
     structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
     if not _matches_stencil(pair.M.tocsr(), structure, np.outer(m1, m2)):
         return None
-    S_kron = np.outer(k1, m2) + np.outer(m1, k2)
-    return eig if _matches_stencil(pair.S.tocsr(), structure, S_kron) else None
-
-
-def _tridiagonal_stencil(A) -> np.ndarray:
-    """(a_1, a0, a1): the first entries of the sub-, main and super-diagonal
-    of A, 0 where a diagonal is empty."""
-    return np.array([A.diagonal(j)[:1].sum() for j in (-1, 0, 1)])
-
-
-def _sine_eigenpairs(K, M):
-    """Eigenvalues l, mass eigenvalues m and M-normalising weights d of the sine
-    vectors S[i, j] = sin(i j pi / (n + 1)) for the 1-D pair (K, M), or None
-    unless both are exactly tridiagonal Toeplitz: a0 on the diagonal, a1 above
-    it and, equal to a1 up to the assembly's round-off, a_1 below it."""
-    n = K.shape[0]
-    stencils = [_tridiagonal_stencil(A) for A in (K, M)]
-    if any((A - sps.diags(st, [-1, 0, 1], shape=(n, n))).count_nonzero()
-           for A, st in zip((K, M), stencils)):
+    if not _matches_stencil(pair.S.tocsr(), structure, np.outer(k1, m2) + np.outer(m1, k2)):
         return None
+    return tuple(_sine_eigenpairs(*st, x.size - 2) for st, x in zip(stencils, (grid.x1, grid.x2)))
+
+
+def _interior_stencils(x: np.ndarray):
+    """Stencils (a_1, a0, a1) of the interior stiffness and mass matrices of
+    unit weight on the nodes x: the first entries of their sub-, main and
+    super-diagonals, 0 where a diagonal is empty. Every cell has the same
+    element matrix, so each matrix is tridiagonal Toeplitz."""
+    ones = np.ones((x.size - 1, 3))
+    return [np.array([d[1:-1][:1].sum() for d in _diagonals(element_matrices_1d(x, [(k, ones)]))])
+            for k in ("dd", "mass")]
+
+
+def _sine_eigenpairs(k: np.ndarray, m: np.ndarray, n: int):
+    """Eigenvalues l, mass eigenvalues m and M-normalising weights d of the sine
+    vectors S[i, j] = sin(i j pi / (n + 1)) for the n x n tridiagonal Toeplitz
+    pair (K, M) of stencils (a_1, a0, a1) ``k`` and ``m``: a0 on the diagonal,
+    a1 above it and, equal to a1 up to the assembly's round-off, a_1 below it."""
     # a0 + 2 a1 cos(2x) as a0 + 2 a1 - 4 a1 sin(x)^2: no cancellation at small x
     s2 = np.sin(np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))) ** 2
-    k, m = (a0 + 2.0 * a1 - 4.0 * a1 * s2 for _, a0, a1 in stencils)
+    k, m = (a0 + 2.0 * a1 - 4.0 * a1 * s2 for _, a0, a1 in (k, m))
     return k / m, m, (0.5 * (n + 1) * m) ** -0.5
 
 

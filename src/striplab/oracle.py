@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import TailTooLarge
 
@@ -145,7 +144,7 @@ def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
     else:
         (bx0, bx1), (by0, by1) = B
         s = math.sqrt(4.0 * t)
-        ix = 0.5 * (erf((bx1 - x1) / s) - erf((bx0 - x1) / s))
+        ix = 0.5 * (math.erf((bx1 - x1) / s) - math.erf((bx0 - x1) / s))
     factor = abs(ix) * (1.0 / math.sqrt(a)) * min(2.0 * math.sqrt(a), (by1 - by0) / math.sqrt(a))
     factor = max(factor, 1e-300)
     n_terms = _resolve_terms(t, a, n_terms, tol, factor)

@@ -4,12 +4,14 @@ Everything is built from piecewise-(bi)linear elements with 3-point Gauss
 quadrature per direction, so stiffness and mass matrices are exactly
 symmetric and flat-metric assemblies factorize exactly into tensor products.
 
-A 2-D matrix is folded from its element matrices into a 9-point stencil and
-written straight onto the kept nodes, through a CSR structure computed once
-per grid and mask; ``restrict`` is for 1-D pairs.
+The element matrices are summed into the three diagonals of a 1-D matrix or
+the 9-point stencil of a 2-D one, which is written straight onto the kept
+nodes through the CSR structure of the tensor grid and its mask (a 1-D grid
+is an n x 1 one), computed once per grid and mask.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,19 +85,29 @@ def element_matrices_1d(nodes: np.ndarray, terms) -> np.ndarray:
     return sum(local, np.zeros((len(nodes) - 1, 2, 2)))
 
 
-def assemble_1d(nodes: np.ndarray, terms) -> sp.csr_matrix:
-    """Assemble sum of 1D terms; each term is (kind, coeff) with coeff of
-    shape (n_cells, 3) holding the coefficient at the Gauss points."""
+def _diagonals(local: np.ndarray):
+    """Lower, main and upper diagonals (..., n - 1), (..., n), (..., n - 1) of
+    the 1-D matrices on n nodes with element matrices shaped (..., n - 1, 2, 2).
+    The main diagonal sums from -0.0, so that an end node's entry is its one
+    cell's, signed zeros included."""
+    diag = np.full(local.shape[:-3] + (local.shape[-3] + 1,), -0.0)
+    diag[..., :-1] += local[..., 0, 0]
+    diag[..., 1:] += local[..., 1, 1]
+    return local[..., 1, 0], diag, local[..., 0, 1]
+
+
+def assemble_1d(nodes: np.ndarray, terms, keep=None) -> sp.csr_matrix:
+    """Assemble sum of 1D terms on the nodes where the boolean mask ``keep``
+    is set, or on every node when it is None; each term is (kind, coeff) with
+    coeff of shape (n_cells, 3) holding the coefficient at the Gauss points.
+    Offsets 1, 4 and 7 of the n x 1 grid's structure are the three diagonals.
+    """
     nodes = np.asarray(nodes, float)
-    local = element_matrices_1d(nodes, terms)
-    e = np.arange(nodes.size - 1)
-    rows = (e[:, None, None] + np.array([0, 1])[None, :, None]) * np.ones((1, 1, 2), int)
-    cols = (e[:, None, None] + np.array([0, 1])[None, None, :]) * np.ones((1, 2, 1), int)
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(nodes.size, nodes.size),
-    )
-    return mat.tocsr()
+    lower, diag, upper = _diagonals(element_matrices_1d(nodes, terms))
+    stencil = np.stack([np.r_[0.0, lower], diag, np.r_[upper, 0.0]], -1)
+    indptr, indices, coupled = _csr_structure(nodes.size, 1, keep)
+    n = indptr.size - 1
+    return sp.csr_matrix((stencil[coupled[:, 1::3]], indices, indptr), shape=(n, n))
 
 
 def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None) -> sp.csr_matrix:
@@ -140,29 +152,22 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None) -> sp.csr_matr
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-# (n1, n2, mask bytes) -> _stencil_structure, read-only; the oldest goes first
-_STRUCTURES = {}
-
-
 def _csr_structure(n1: int, n2: int, keep):
     """``_stencil_structure`` of the n1 x n2 node grid and its mask (None:
-    every node), computed once for the last four grids and masks asked for."""
+    every node)."""
     keep = np.ones(n1 * n2, bool) if keep is None else np.asarray(keep, bool).ravel()
-    key = (n1, n2, keep.tobytes())
-    if key not in _STRUCTURES:
-        if len(_STRUCTURES) == 4:
-            del _STRUCTURES[next(iter(_STRUCTURES))]
-        _STRUCTURES[key] = _stencil_structure(keep.reshape(n1, n2))
-    return _STRUCTURES[key]
+    return _stencil_structure(n1, n2, keep.tobytes())
 
 
-def _stencil_structure(keep: np.ndarray):
-    """The 9-point couplings among the kept nodes of the (n1, n2) mask
-    ``keep``: read-only CSR ``indptr`` and ``indices`` (int32), and the
+@functools.lru_cache(maxsize=4)
+def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
+    """The 9-point couplings among the kept nodes of the n1 x n2 mask given
+    by its bytes: read-only CSR ``indptr`` and ``indices`` (int32), and the
     (nodes, 9) mask ``coupled`` of the node and neighbour offset of each
     entry. Offset d = 3 (di + 1) + (dj + 1) is neighbour (p1 + di, p2 + dj)
-    of node (p1, p2), so along a row d and the column increase together."""
-    n1, n2 = keep.shape
+    of node (p1, p2), so along a row d and the column increase together.
+    Computed once for the last four grids and masks asked for."""
+    keep = np.frombuffer(keep_bytes, bool).reshape(n1, n2)
     position = np.full((n1 + 2, n2 + 2), -1, dtype=np.int32)  # -1: not kept
     position[1:-1, 1:-1][keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
     column = np.stack([position[d // 3:d // 3 + n1, d % 3:d % 3 + n2] for d in range(9)], -1)
@@ -178,13 +183,11 @@ def _stencil_structure(keep: np.ndarray):
 
 @dataclass(eq=False)
 class WeightedGrid:
-    """Tensor grid with its Dirichlet mask and the lumped quadrature weights
-    of the weighted measure (filled in once a mass matrix is assembled)."""
+    """Tensor grid with its Dirichlet mask."""
 
     x1: np.ndarray
     x2: np.ndarray
     dirichlet: np.ndarray  # bool over all nodes (flattened)
-    lumped_weights: np.ndarray = None  # on kept nodes, f dx measure
 
     @property
     def keep(self) -> np.ndarray:
@@ -239,13 +242,6 @@ class OperatorPair:
         scale = max(abs(self.S).max(), 1.0)
         if asym_s > 1e-12 * scale or asym_m > 1e-12:
             raise ValueError("assembled pair lost symmetry")
-
-
-def restrict(mat: sp.csr_matrix, kept: np.ndarray) -> sp.csr_matrix:
-    """Eliminate Dirichlet rows/columns of a 1-D pair's matrix, keeping the
-    listed node indices (``assemble_2d`` writes 2-D matrices onto the kept
-    nodes directly)."""
-    return mat[kept][:, kept].tocsr()
 
 
 def banded_cholesky(A) -> np.ndarray:

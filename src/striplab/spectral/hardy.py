@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import HypothesisFailed
 from ..geometry import MetricField, StripGeometry
-from .core import OperatorPair, element_matrices_1d, gauss_points_1d
+from .core import OperatorPair, _diagonals, element_matrices_1d, gauss_points_1d
 from .operators import assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
 
@@ -69,16 +69,13 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
 def _tridiagonal(local: np.ndarray, free_ends: bool = False) -> np.ndarray:
     """Dense tridiagonal matrices from per-cell 2x2 element matrices shaped
     (columns, n - 1, 2, 2) on n nodes: (columns, n, n) with free ends, else
-    the (columns, n - 2, n - 2) interior block (Dirichlet ends)."""
-    cols, n_cells = local.shape[:2]
-    diag = np.zeros((cols, n_cells + 1))
-    diag[:, :-1] += local[:, :, 0, 0]
-    diag[:, 1:] += local[:, :, 1, 1]
-    off = local[:, :, 0, 1]
+    the (columns, n - 2, n - 2) interior block (Dirichlet ends). The upper
+    diagonal is mirrored below, so each matrix is exactly symmetric."""
+    _, diag, off = _diagonals(local)
     if not free_ends:
         diag, off = diag[:, 1:-1], off[:, 1:-1]
     n = diag.shape[1]
-    out = np.zeros((cols, n, n))
+    out = np.zeros((diag.shape[0], n, n))
     i = np.arange(n)
     out[:, i, i] = diag
     out[:, i[:-1], i[1:]] = off

@@ -24,7 +24,6 @@ from .core import (
     assemble_2d,
     gauss_points_1d,
     make_grid,
-    restrict,
 )
 
 __all__ = [
@@ -63,21 +62,19 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
     """
     if grid is None:
         grid = make_grid(metric.x1, metric.x2)
-    g1, g2, F = _coeff_grid(metric, grid.x1, grid.x2)
+    _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
+    e1_exact = (math.pi / (2.0 * (grid.x2[-1]))) ** 2
+    meta = {"metric": metric, "e1_discrete": flat_transverse_ground(grid.x2), "e1_exact": e1_exact}
+    return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F, "h_K", meta)
+
+
+def _checked_pair(grid: WeightedGrid, terms_S, F, label: str, meta: dict) -> OperatorPair:
+    """The checked pair of stiffness ``terms_S`` and mass weight ``F`` on the
+    grid's kept nodes."""
     keep = grid.keep
-    pair = OperatorPair(
-        S=assemble_2d(grid.x1, grid.x2, [("d1d1", 1.0 / F), ("d2d2", F)], keep),
-        M=assemble_2d(grid.x1, grid.x2, [("mass", F)], keep),
-        label="h_K",
-        grid=grid,
-        kept=grid.keep_indices(),
-        meta={
-            "metric": metric,
-            "e1_discrete": flat_transverse_ground(grid.x2),
-            "e1_exact": (math.pi / (2.0 * (grid.x2[-1]))) ** 2,
-        },
-    )
-    grid.lumped_weights = np.asarray(pair.M.sum(axis=1)).ravel()
+    S = assemble_2d(grid.x1, grid.x2, terms_S, keep)
+    M = assemble_2d(grid.x1, grid.x2, [("mass", F)], keep)
+    pair = OperatorPair(S, M, label, grid=grid, kept=grid.keep_indices(), meta=meta)
     pair.check()
     return pair
 
@@ -101,12 +98,10 @@ def assemble_potential(metric: MetricField, grid: WeightedGrid, v_nodal: np.ndar
 def _transverse_matrices(x2: np.ndarray, f_col=None):
     """1D transverse pair on the cross-section with optional weight profile
     evaluated at the Gauss points (shape (n_cells, 3))."""
-    g2 = gauss_points_1d(x2)
-    c = np.ones_like(g2) if f_col is None else f_col
-    S = assemble_1d(x2, [("dd", c)])
-    M = assemble_1d(x2, [("mass", c)])
-    interior = np.arange(1, x2.size - 1)
-    return restrict(S, interior), restrict(M, interior)
+    c = np.ones((x2.size - 1, 3)) if f_col is None else f_col
+    interior = np.ones(x2.size, bool)
+    interior[[0, -1]] = False
+    return assemble_1d(x2, [("dd", c)], interior), assemble_1d(x2, [("mass", c)], interior)
 
 
 def flat_transverse_ground(x2: np.ndarray) -> float:
@@ -178,18 +173,8 @@ def assemble_Ls(
         ("d1sym", -0.5 * Y * FS),
         ("mass", (1.0 / 16.0) * Y**2 * (2.0 - FS**-2) * FS),
     ]
-    keep = grid_y.keep
-    pair = OperatorPair(
-        S=assemble_2d(y1, x2, terms_S, keep),
-        M=assemble_2d(y1, x2, [("mass", FS)], keep),
-        label="L_s",
-        grid=grid_y,
-        kept=grid_y.keep_indices(),
-        meta={"s": float(s), "e1_discrete": e1h, "metric": metric},
-    )
-    grid_y.lumped_weights = np.asarray(pair.M.sum(axis=1)).ravel()
-    pair.check()
-    return pair
+    meta = {"s": float(s), "e1_discrete": e1h, "metric": metric}
+    return _checked_pair(grid_y, terms_S, FS, "L_s", meta)
 
 
 def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> OperatorPair:
@@ -200,21 +185,18 @@ def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> Operato
     """
     y = np.asarray(grid_y1, float)
     g = gauss_points_1d(y)
-    S = assemble_1d(y, [("dd", np.ones_like(g)), ("mass", g**2 / 16.0)])
-    M = assemble_1d(y, [("mass", np.ones_like(g))])
-    mask = np.zeros(y.size, dtype=bool)
-    mask[0] = mask[-1] = True
+    keep = np.ones(y.size, dtype=bool)
+    keep[[0, -1]] = False
     if dirichlet_at_zero:
         h = y[1] - y[0]
         at_zero = np.flatnonzero(np.abs(y) < 1e-9 * h)
         if at_zero.size == 0:
             raise GridMisaligned("no grid node at the origin for the pinned problem")
-        mask[at_zero[0]] = True
-    kept = np.flatnonzero(~mask)
+        keep[at_zero[0]] = False
     return OperatorPair(
-        S=restrict(S, kept),
-        M=restrict(M, kept),
+        S=assemble_1d(y, [("dd", np.ones_like(g)), ("mass", g**2 / 16.0)], keep),
+        M=assemble_1d(y, [("mass", np.ones_like(g))], keep),
         label="oscillator",
-        kept=kept,
+        kept=np.flatnonzero(keep),
         meta={"dirichlet_at_zero": bool(dirichlet_at_zero)},
     )

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +259,19 @@ def test_run_rejects_configs_sharing_an_output_dir(tmp_path, capsys, jobs):
     assert cli.main(["run", str(first), str(second), "--jobs", jobs]) == 0
     assert (tmp_path / "out" / "spectrum" / "spectrum.csv").exists()
     assert (tmp_path / "other" / "spectrum" / "spectrum.csv").exists()
+
+
+def test_import_loads_neither_special_functions_nor_process_pools():
+    """``scipy.special`` and the process pool load only where they run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, striplab.cli; "
+        "print(sorted({'scipy.special', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_oracle_subcommand(capsys):

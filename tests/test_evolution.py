@@ -232,13 +232,14 @@ def test_interior_pair_is_toeplitz_and_sine_basis_diagonalises_it(n, h):
     """Each of the three diagonals is exactly constant; the element mass
     matrix is symmetric only to round-off, so the two off-diagonals may differ
     in the last bit."""
-    K, M = _transverse_matrices(h * np.arange(n + 2))
+    x = h * np.arange(n + 2)
+    K, M = _transverse_matrices(x)
     for A in (K, M):
         D = A.toarray()
         toeplitz = D[0, 0] * np.eye(n) + D[0, 1] * np.eye(n, k=1) + D[1, 0] * np.eye(n, k=-1)
         assert np.array_equal(D, toeplitz)
         assert abs(D[1, 0] - D[0, 1]) <= 1e-15 * abs(D[0, 1])
-    l, m, d = ev._sine_eigenpairs(K, M)
+    l, m, d = ev._sine_eigenpairs(*ev._interior_stencils(x), n)
     P = _sine_basis(n, d)
     assert np.abs(P.T @ (M @ P) - np.eye(n)).max() <= 1e-12
     KP, MP = K @ P, M @ P
@@ -250,7 +251,7 @@ def test_interior_pair_is_toeplitz_and_sine_basis_diagonalises_it(n, h):
                                np.linspace(-math.pi / 2, math.pi / 2, 49)])
 def test_closed_form_eigenvalues_match_dense_rayleigh_quotients(x):
     K, M = _transverse_matrices(x)
-    l, m, d = ev._sine_eigenpairs(K, M)
+    l, m, d = ev._sine_eigenpairs(*ev._interior_stencils(x), x.size - 2)
     l_ref, P_ref = _eigh_eigenbasis(K, M)
     assert np.abs(l / l_ref - 1.0).max() <= 1e-12
     # same eigenvectors up to sign
@@ -292,6 +293,19 @@ def test_weighted_initial_mode_normalized(flat_small):
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     assert u0.norm_wf == pytest.approx(1.0, rel=1e-10)
     assert u0.t == 0.0
+
+
+def test_weighted_initial_ignores_later_assemblies_on_its_grid():
+    """A frame pair's Gaussian-weighted norm comes from its own mass matrix,
+    not from whichever pair was assembled last on the shared grid."""
+    m, _ = geo.ruled_strip(
+        geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=96, n2=16)
+    )
+    gy = sp.make_y_grid(m, 14.0, 112)
+    p0 = sp.assemble_Ls(m, 0.0, gy)
+    before = ev.weighted_initial(p0, "mode").u
+    sp.assemble_Ls(m, 8.0, gy)
+    assert np.array_equal(ev.weighted_initial(p0, "mode").u, before)
 
 
 def test_weighted_initial_rejects_shallow_decay(flat_small):

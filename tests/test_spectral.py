@@ -401,9 +401,27 @@ def _einsum_assemble_2d(x1, x2, terms):
     ).tocsr()
 
 
+def _restrict(mat, kept):
+    """The rows and columns of the listed node indices."""
+    return mat[kept][:, kept].tocsr()
+
+
 def _einsum_restricted(x1, x2, terms, keep):
-    """``_einsum_assemble_2d`` on the nodes of the mask, by ``core.restrict``."""
-    return core.restrict(_einsum_assemble_2d(x1, x2, terms), np.flatnonzero(keep))
+    """``_einsum_assemble_2d`` on the nodes of the mask, by ``_restrict``."""
+    return _restrict(_einsum_assemble_2d(x1, x2, terms), np.flatnonzero(keep))
+
+
+def _coo_assemble_1d(nodes, terms):
+    """Element matrices scattered as COO on every node and summed into CSR by
+    scipy."""
+    nodes = np.asarray(nodes, float)
+    local = core.element_matrices_1d(nodes, terms)
+    e = np.arange(nodes.size - 1)
+    rows = (e[:, None, None] + np.array([0, 1])[None, :, None]) * np.ones((1, 1, 2), int)
+    cols = (e[:, None, None] + np.array([0, 1])[None, None, :]) * np.ones((1, 2, 1), int)
+    return scipy.sparse.coo_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(nodes.size, nodes.size)
+    ).tocsr()
 
 
 def _coo_assemble_2d(x1, x2, terms):
@@ -478,7 +496,7 @@ def _interpolated_potential(metric, grid, v_nodal):
         g1.shape[0], 3, g2.shape[0], 3
     ).transpose(0, 2, 1, 3)
     M_full = _einsum_assemble_2d(grid.x1, grid.x2, [("mass", V * F)])
-    return core.restrict(M_full, grid.keep_indices())
+    return _restrict(M_full, grid.keep_indices())
 
 
 def _negative_metric():
@@ -552,8 +570,42 @@ def test_stencil_assembly_is_bit_identical_to_coo(n1, n2, h, kinds, mask, extra,
     else:
         keep = sp.make_grid(x1, x2, dirichlet_x1_ends=mask == "walls").keep
         keep[rng.choice(keep.size, size=min(extra, keep.size), replace=False)] = False
-        ref = core.restrict(ref, np.flatnonzero(keep))
+        ref = _restrict(ref, np.flatnonzero(keep))
     new = sp.assemble_2d(x1, x2, terms, keep)
+    assert new.shape == ref.shape
+    for a, b in ((new.indptr, ref.indptr), (new.indices, ref.indices), (new.data, ref.data)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(new.data), np.signbit(ref.data))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=hst.integers(1, 40),
+    h=hst.floats(1e-2, 10.0),
+    kinds=hst.lists(hst.sampled_from(["dd", "mass"]), min_size=1, max_size=3),
+    mask=hst.sampled_from(["none", "ends", "holes"]),
+    first=hst.integers(1, 39),
+    gaps=hst.lists(hst.integers(1, 3), max_size=2),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_1d_assembly_is_bit_identical_to_coo(n, h, kinds, mask, first, gaps, seed):
+    """Same CSR structure and the same bits as the COO assembly restricted to
+    the kept nodes: no mask, both ends masked, or the ends and up to three
+    interior holes, spaced 1 to 3 nodes apart so adjacent holes occur."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.uniform(-5.0, 5.0) + h * np.arange(n + 1)
+    terms = [(kind, rng.standard_normal((n, 3))) for kind in kinds]
+    ref = _coo_assemble_1d(nodes, terms)
+    if mask == "none":
+        keep = None
+    else:
+        keep = np.ones(n + 1, bool)
+        keep[[0, -1]] = False
+        if mask == "holes":
+            holes = first + np.cumsum([0, *gaps])
+            keep[holes[holes < n]] = False
+        ref = _restrict(ref, np.flatnonzero(keep))
+    new = sp.assemble_1d(nodes, terms, keep)
     assert new.shape == ref.shape
     for a, b in ((new.indptr, ref.indptr), (new.indices, ref.indices), (new.data, ref.data)):
         assert np.array_equal(a, b)
@@ -641,7 +693,7 @@ def test_potential_matches_grid_interpolator(kind, ruled_certified):
 @pytest.mark.parametrize("free_ends", [False, True], ids=["dirichlet", "free-ends"])
 def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
     """Dense tridiagonal matrices built from a batch of element matrices are
-    the sparse 1-D assembly, entry for entry: curved transverse columns with
+    the COO 1-D assembly, entry for entry: curved transverse columns with
     Dirichlet ends, and longitudinal slices with free ends."""
     m = ruled_certified[0]
     if free_ends:  # slices at three transverse levels
@@ -660,5 +712,5 @@ def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
     dense = sp.hardy._tridiagonal(local, free_ends=free_ends)
     keep = slice(None) if free_ends else slice(1, -1)
     for i in range(3):
-        ref = sp.assemble_1d(nodes, [("dd", 1.0 / c[i]), ("mass", w * c[i])])
+        ref = _coo_assemble_1d(nodes, [("dd", 1.0 / c[i]), ("mass", w * c[i])])
         assert np.array_equal(dense[i], ref[keep][:, keep].toarray())
