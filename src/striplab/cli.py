@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -49,6 +50,13 @@ _CONTROLS = {
     "mc": ("x0", "t_lattice", "dt", "n_paths", "seed", "box", "dump_paths"),
     "report": ("include_slow",),
 }
+# [curvature] kind -> profile constructor; the block's other keys are its keywords
+_PROFILES = {
+    "zero": geo.zero_profile,
+    "gaussian-bump": geo.gaussian_bump,
+    "constant-on-box": geo.constant_on_box,
+    "ruled": geo.ruled_profile,
+}
 
 
 @dataclass(eq=False)
@@ -66,27 +74,7 @@ class ExperimentConfig:
     source_bytes: bytes = b""
 
     def build_profile(self) -> geo.CurvatureProfile:
-        p = self.profile_params
-        k = self.profile_kind
-        if k == "zero":
-            return geo.zero_profile()
-        if k == "gaussian-bump":
-            return geo.gaussian_bump(
-                amplitude=p["amplitude"],
-                width=p["width"],
-                support_radius=p["support_radius"],
-                center=p.get("center", 0.0),
-                plateau_fraction=p.get("plateau_fraction", 0.6),
-            )
-        if k == "constant-on-box":
-            return geo.constant_on_box(p["value"], p["half_length"])
-        if k == "ruled":
-            return geo.ruled_profile(
-                p["theta_dot_max"],
-                p["support_radius"],
-                plateau_fraction=p.get("plateau_fraction", 0.5),
-            )
-        raise ConfigInvalid(f"unknown profile kind {k!r}")
+        return _PROFILES[self.profile_kind](**self.profile_params)
 
     def build_metric(self):
         prof = self.build_profile()
@@ -172,18 +160,36 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         raise ConfigInvalid(f"missing required key {exc}")
     if cfg.kind not in _CONTROLS:
         raise ConfigInvalid(f"unknown experiment kind {cfg.kind!r}")
-    unknown = sorted(set(cp["experiment"]) - {"kind"} - set(_CONTROLS[cfg.kind]))
-    if unknown:
-        raise ConfigInvalid(
-            f"unknown [experiment] keys for kind {cfg.kind!r}: {', '.join(unknown)}"
-        )
+    known = {"geometry": ("a", "l", "n1", "n2"), "output": ("dir",),
+             "experiment": ("kind", *_CONTROLS[cfg.kind])}
+    for section, keys in known.items():
+        unknown = sorted(set(cp[section]) - set(keys)) if section in cp else []
+        if unknown:
+            raise ConfigInvalid(f"unknown keys in [{section}]: {', '.join(unknown)}")
+    if cfg.profile_kind not in _PROFILES:
+        raise ConfigInvalid(f"unknown profile kind {cfg.profile_kind!r}")
+    try:
+        inspect.signature(_PROFILES[cfg.profile_kind]).bind(**cfg.profile_params)
+    except TypeError as exc:
+        raise ConfigInvalid(f"[curvature] for kind {cfg.profile_kind!r}: {exc}")
     try:
         prof = cfg.build_profile()
         geom = geo.StripGeometry(a=cfg.a, L=cfg.L, n1=cfg.n1, n2=cfg.n2)
         geo.check_compatible(prof, geom, closed_form=(cfg.profile_kind == "ruled"))
-    except StripLabError as exc:
+    except (StripLabError, ValueError) as exc:
         raise ConfigInvalid(str(exc))
     return cfg
+
+
+def _box(value):
+    """A box 'x1_lo, x1_hi, x2_lo, x2_hi' as two ranges; None or 'all' is no box."""
+    if value in (None, "all"):
+        return None
+    try:
+        lo1, hi1, lo2, hi2 = map(float, value)
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"box must be 'all' or four numbers, got {value!r}")
+    return (lo1, hi1), (lo2, hi2)
 
 
 def _fmt(x) -> str:
@@ -328,8 +334,7 @@ def _exp_mc(cfg, outdir):
         sde, (float(x0[0]), float(x0[1])), t_max=max(lattice), dt=dt,
         n_paths=n_paths, seed=seed, checkpoints=lattice, box_limit=cfg.L,
     )
-    box = ctr.get("box", None)
-    B = None if box in (None, "all") else ((float(box[0]), float(box[1])), (float(box[2]), float(box[3])))
+    B = _box(ctr.get("box"))
     rows = []
     for t in lattice:
         e = st.survival_estimate(ens, B, t)
@@ -358,15 +363,23 @@ def _paths_csv(ens) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _exp_report(cfg, outdir):
+def _report(include_slow: bool, path) -> None:
+    """Run the acceptance suite and print one line per criterion, also to
+    ``path`` unless it is None; raise AcceptanceFailure if any criterion failed."""
     from .acceptance import run_all
 
-    results = run_all(include_slow=bool(cfg.controls.get("include_slow", True)))
-    print(*results, sep="\n")
-    p = outdir / "report.txt"
-    p.write_text("".join(f"{r}\n" for r in results))
+    results = run_all(include_slow=include_slow)
+    text = "".join(f"{r}\n" for r in results)
+    print(text, end="")
+    if path is not None:
+        path.write_text(text)
     if not all(r.passed for r in results):
         raise AcceptanceFailure("one or more acceptance criteria failed")
+
+
+def _exp_report(cfg, outdir):
+    p = outdir / "report.txt"
+    _report(bool(cfg.controls.get("include_slow", True)), p)
     return [p.name]
 
 
@@ -535,26 +548,28 @@ def _oracle_query(tokens):
             raise ConfigInvalid(f"malformed oracle argument {tok!r}")
         key, val = tok.split("=", 1)
         kv[key] = _parse_value(val)
-    if what == "survival":
-        B = None if kv.get("box", "all") in ("all", None) else (
-            (kv["box"][0], kv["box"][1]), (kv["box"][2], kv["box"][3])
-        )
-        v, tail = oracle.flat_survival(
-            (kv.get("x1", 0.0), kv.get("x2", 0.0)), B, kv["t"], kv["a"]
-        )
-        print(f"survival = {v:.10g} (tail bound {tail:.3g})")
-    elif what == "kernel":
-        v, tail = oracle.flat_kernel(
-            (kv["x1"], kv["x2"]), (kv["y1"], kv["y2"]), kv["t"], kv["a"]
-        )
-        print(f"kernel = {v:.10g} (tail bound {tail:.3g})")
-    elif what == "p0":
-        print(f"p0 = {oracle.killed_halfline_kernel(kv['t'], kv['x'], kv['y']):.10g}")
-    elif what == "modes":
-        for m in oracle.transverse_modes(kv["a"], int(kv.get("n", 3))):
-            print(f"n = {m.index}  energy = {m.energy:.10g}")
-    else:
-        raise ConfigInvalid(f"unknown oracle query {what!r}")
+    try:
+        if what == "survival":
+            v, tail = oracle.flat_survival(
+                (kv.get("x1", 0.0), kv.get("x2", 0.0)), _box(kv.get("box")), kv["t"], kv["a"]
+            )
+            print(f"survival = {v:.10g} (tail bound {tail:.3g})")
+        elif what == "kernel":
+            v, tail = oracle.flat_kernel(
+                (kv["x1"], kv["x2"]), (kv["y1"], kv["y2"]), kv["t"], kv["a"]
+            )
+            print(f"kernel = {v:.10g} (tail bound {tail:.3g})")
+        elif what == "p0":
+            print(f"p0 = {oracle.killed_halfline_kernel(kv['t'], kv['x'], kv['y']):.10g}")
+        elif what == "modes":
+            for m in oracle.transverse_modes(kv["a"], int(kv.get("n", 3))):
+                print(f"n = {m.index}  energy = {m.energy:.10g}")
+        else:
+            raise ConfigInvalid(f"unknown oracle query {what!r}")
+    except KeyError as exc:
+        raise ConfigInvalid(f"oracle {what} needs the argument {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"oracle {what}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -593,18 +608,13 @@ def main(argv=None) -> int:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     list(pool.map(run, cfgs))
         elif args.command == "report":
-            from .acceptance import run_all
-
             if args.config:
                 cfg = load_config(args.config, out_override=args.out)
                 cfg.controls["include_slow"] = not args.skip_slow
                 cfg.kind = "report"
                 run(cfg)
             else:
-                results = run_all(include_slow=not args.skip_slow)
-                print(*results, sep="\n")
-                if not all(r.passed for r in results):
-                    raise AcceptanceFailure("one or more acceptance criteria failed")
+                _report(not args.skip_slow, None)
         elif args.command == "oracle":
             _oracle_query(args.query)
     except ConfigInvalid as exc:

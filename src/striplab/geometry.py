@@ -9,7 +9,7 @@ Every certified field comes with per-column two-sided Taylor envelopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,7 +72,6 @@ class CurvatureProfile:
     kind: str
     support_radius: float
     sup_norm: float
-    params: dict = field(default_factory=dict)
     _k_eval: Callable = None
     _axis_inf: Callable = None
     _col_sup: Callable = None
@@ -90,13 +89,12 @@ class CurvatureProfile:
         return self._col_sup(np.asarray(x1, float), float(a))
 
 
-def _x1_profile(kind, shape, support_radius, sup_norm, params) -> CurvatureProfile:
+def _x1_profile(kind, shape, support_radius, sup_norm) -> CurvatureProfile:
     """Profile constant across the width, K(x1, x2) = shape(x1)."""
     return CurvatureProfile(
         kind=kind,
         support_radius=support_radius,
         sup_norm=sup_norm,
-        params=params,
         _k_eval=lambda x1, x2: shape(x1) * np.ones_like(x2),
         _axis_inf=shape,
         _col_sup=lambda x1, a: np.abs(shape(x1)),
@@ -104,7 +102,7 @@ def _x1_profile(kind, shape, support_radius, sup_norm, params) -> CurvatureProfi
 
 
 def zero_profile() -> CurvatureProfile:
-    return _x1_profile("zero", np.zeros_like, 0.0, 0.0, {})
+    return _x1_profile("zero", np.zeros_like, 0.0, 0.0)
 
 
 def gaussian_bump(
@@ -127,15 +125,7 @@ def gaussian_bump(
         g = amplitude * np.exp(-((x1 - center) ** 2) / (2.0 * width**2))
         return g * smooth_cutoff(x1 - center, r_full, support_radius)
 
-    params = {
-        "amplitude": amplitude,
-        "width": width,
-        "support_radius": support_radius,
-        "center": center,
-    }
-    return _x1_profile(
-        "gaussian-bump", shape, abs(center) + support_radius, abs(amplitude), params
-    )
+    return _x1_profile("gaussian-bump", shape, abs(center) + support_radius, abs(amplitude))
 
 
 def constant_on_box(value: float, half_length: float) -> CurvatureProfile:
@@ -150,8 +140,7 @@ def constant_on_box(value: float, half_length: float) -> CurvatureProfile:
             return np.full_like(x1, value)
         return np.where(np.abs(x1) <= half_length, value, 0.0)
 
-    params = {"value": value, "half_length": half_length}
-    return _x1_profile("constant-on-box", shape, half_length, abs(value), params)
+    return _x1_profile("constant-on-box", shape, half_length, abs(value))
 
 
 def ruled_profile(
@@ -177,11 +166,6 @@ def ruled_profile(
         kind="ruled",
         support_radius=support_radius,
         sup_norm=theta_dot_max**2,
-        params={
-            "theta_dot_max": theta_dot_max,
-            "support_radius": support_radius,
-            "plateau_fraction": plateau_fraction,
-        },
         _k_eval=k_eval,
         # |K| is maximal on the axis; K(x1, 0) = -theta_dot^2
         _axis_inf=lambda x1: -theta_dot(x1) ** 2,
@@ -226,7 +210,6 @@ def tabulated_profile(x1: np.ndarray, x2: np.ndarray, K: np.ndarray) -> Curvatur
         kind="custom-tabulated",
         support_radius=float(np.abs(x1).max()),
         sup_norm=float(np.abs(K).max()),
-        params={"n1": x1.size, "n2": x2.size},
         _k_eval=k_eval,
         _axis_inf=axis_inf,
         _col_sup=col_sup,
@@ -294,8 +277,11 @@ class MetricField:
     envelope_lower: np.ndarray  # per column
     envelope_upper: np.ndarray
     column_sampler: Callable  # (x1_array, x2_levels) -> (f, d2f)
-    flat: bool = False
-    k_sup: float = 0.0  # sup-norm bound of the generating curvature
+    k_sup: float  # sup-norm bound of the generating curvature
+
+    @property
+    def flat(self) -> bool:
+        return self.k_sup == 0.0
 
     def sample(self, x1, x2_levels):
         """Evaluate (f, d2f) on the tensor of the given columns and levels."""
@@ -378,21 +364,17 @@ def taylor_envelope(profile: CurvatureProfile, a: float, x1):
     return 1.0 - half, 1.0 + half
 
 
-def solve_jacobi(
-    profile: CurvatureProfile,
-    geom: StripGeometry,
-    oversample: int = 4,
-) -> MetricField:
+def solve_jacobi(profile: CurvatureProfile, geom: StripGeometry) -> MetricField:
     """Integrate the metric ODE on every grid column and certify the result.
 
     Integration runs from the axis outward in both directions with a fixed
-    RK4 step at ``oversample`` times the transverse grid resolution; the
-    derivative is taken from the integrator state rather than re-differenced.
+    RK4 step at four times the transverse grid resolution; the derivative is
+    taken from the integrator state rather than re-differenced.
     """
     check_compatible(profile, geom)
     x1 = geom.x1
     x2 = geom.x2
-    base_step = geom.a / (geom.n2 * max(4, oversample))
+    base_step = geom.a / (4 * geom.n2)
     f, d2f = jacobi_columns(profile, x1, x2, base_step)
 
     lower, upper = taylor_envelope(profile, geom.a, x1)
@@ -414,12 +396,11 @@ def solve_jacobi(
         envelope_lower=lower,
         envelope_upper=upper,
         column_sampler=sampler,
-        flat=(profile.sup_norm == 0.0),
         k_sup=profile.sup_norm,
     )
 
 
-def ruled_strip(theta_dot, geom: StripGeometry, residual_tol: float = 1e-6):
+def ruled_strip(theta_dot, geom: StripGeometry):
     """Closed-form metric of a ruled strip, f = sqrt(1 + theta_dot^2 x2^2).
 
     ``theta_dot`` is a ruled CurvatureProfile, as ``ruled_profile`` builds;
@@ -449,7 +430,7 @@ def ruled_strip(theta_dot, geom: StripGeometry, residual_tol: float = 1e-6):
     resid = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / h**2 + K[:, 1:-1] * f[:, 1:-1]
     # second-order differencing: tolerance scales with h^2 of the 4th derivative
     scale = max(1.0, profile.sup_norm**2) * h**2
-    if np.max(np.abs(resid)) > max(residual_tol, 10.0 * scale):
+    if np.max(np.abs(resid)) > max(1e-6, 10.0 * scale):
         raise EnvelopeViolation("ruled closed form violates the metric ODE residual")
 
     # exact closed-form column envelope (sharper than the generic bound and
@@ -466,7 +447,6 @@ def ruled_strip(theta_dot, geom: StripGeometry, residual_tol: float = 1e-6):
         envelope_lower=lower,
         envelope_upper=upper,
         column_sampler=closed_form,
-        flat=(profile.sup_norm == 0.0),
         k_sup=profile.sup_norm,
     )
     return metric, profile

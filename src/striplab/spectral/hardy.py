@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _MU_BATCH_ENTRIES = 1 << 21
+# a transverse gap within this distance of zero counts as zero
+_MU_TOL = 1e-8
+# cells of the longitudinal grid on which the Hardy constants are computed
+_HARDY_CELLS = 96
 
 
 def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
@@ -106,12 +110,7 @@ class HardyConstants:
     J: tuple
 
 
-def hardy_constant(
-    metric: MetricField,
-    J: tuple,
-    n_cells: int = 96,
-    mu_tol: float = 1e-8,
-):
+def hardy_constant(metric: MetricField, J: tuple):
     """Explicit Hardy constants (c, C, lambda_J, c_K) for the interval J.
 
     c and C come from the classical strip inequality rewritten with the
@@ -119,16 +118,16 @@ def hardy_constant(
     longitudinal operator with the transverse gap as potential, taken as the
     minimum over transverse slices (the form carries no transverse coupling).
     """
-    return _hardy_constant(metric, J, None, n_cells=n_cells, mu_tol=mu_tol)
+    return _hardy_constant(metric, J, None)
 
 
-def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
+def _hardy_constant(metric, J, mu_global):
     """hardy_constant, reusing ``mu_global`` = transverse_mu_profile(metric,
     metric.x1) when the caller has it (None computes it)."""
     j0, j1 = float(J[0]), float(J[1])
     if not j1 > j0:
         raise ValueError("J must be a nondegenerate interval")
-    q = metric_sup_q(metric)
+    q = float(metric.k_sup * float(metric.x2[-1]) ** 2)  # sup|K| a^2
     if q >= 0.5:
         raise HypothesisFailed(
             f"explicit constants require sup|K| a^2 < 1/2 (got {q:.3g}); "
@@ -136,19 +135,19 @@ def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
             "randomized margin instead"
         )
 
-    nodes = np.linspace(j0, j1, n_cells + 1)
+    nodes = np.linspace(j0, j1, _HARDY_CELLS + 1)
     gcols = gauss_points_1d(nodes)
     mu_cols = transverse_mu_profile(metric, gcols.ravel())
-    if mu_cols.min() < -mu_tol:
+    if mu_cols.min() < -_MU_TOL:
         raise HypothesisFailed(
             f"transverse gap dips to {mu_cols.min():.3e} on J; hypothesis fails"
         )
-    if mu_cols.max() <= mu_tol:
+    if mu_cols.max() <= _MU_TOL:
         raise HypothesisFailed("transverse gap is trivial on J")
     # global nonnegativity on the computed grid (the operator bound is global)
     if mu_global is None:
         mu_global = transverse_mu_profile(metric, metric.x1)
-    if mu_global.min() < -mu_tol:
+    if mu_global.min() < -_MU_TOL:
         raise HypothesisFailed(
             f"transverse gap negative ({mu_global.min():.3e}) outside J"
         )
@@ -171,16 +170,10 @@ def _hardy_constant(metric, J, mu_global, n_cells=96, mu_tol=1e-8):
     return HardyConstants(c=float(c), C=float(C), lambda_J=lam, c_K=float(c_K), J=(j0, j1))
 
 
-def metric_sup_q(metric: MetricField) -> float:
-    """sup|K| a^2 of the metric's curvature profile."""
-    a = float(metric.x2[-1])
-    return float(metric.k_sup * a**2)
-
-
-def pick_hardy_interval(metric: MetricField, mu_tol: float = 1e-8):
+def pick_hardy_interval(metric: MetricField):
     """Choose the positivity island of the transverse gap maximizing lambda_J."""
     mu = transverse_mu_profile(metric, metric.x1)
-    pos = mu > mu_tol
+    pos = mu > _MU_TOL
     if not pos.any():
         raise HypothesisFailed("transverse gap has no positivity island")
     edges = np.flatnonzero(np.diff(pos.astype(int)))
@@ -335,16 +328,11 @@ class ThresholdProbe:
     discrete_limits: np.ndarray
 
 
-def essential_threshold_probe(
-    metric: MetricField,
-    L_values,
-    k: int = 5,
-    slope_cut: float = 0.5,
-) -> ThresholdProbe:
+def essential_threshold_probe(metric: MetricField, L_values, k: int = 5) -> ThresholdProbe:
     """Track the lowest eigenvalues over growing truncation boxes and
     extrapolate the continuum edge in 1/L^2.
 
-    Branches whose 1/L^2 slope stays below ``slope_cut`` are classified as
+    Branches whose 1/L^2 slope stays below 1/2 in magnitude are classified as
     discrete states; the reported limit is the smallest extrapolated value
     among the remaining (box-dominated) branches.
     """
@@ -375,7 +363,7 @@ def essential_threshold_probe(
     for j in range(k):
         coef, *_ = np.linalg.lstsq(design, table[:, j], rcond=None)
         limits[j], slopes[j] = coef
-    continuum = np.abs(slopes) >= slope_cut
+    continuum = np.abs(slopes) >= 0.5
     if not continuum.any():
         raise ValueError("no box-dominated branch found; increase k")
     jstar = int(np.flatnonzero(continuum)[0])

@@ -133,12 +133,7 @@ def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> Weighte
     return make_grid(y1, metric.x2)
 
 
-def assemble_Ls(
-    metric: MetricField,
-    s: float,
-    grid_y: WeightedGrid,
-    requested_range: float = 1.0,
-) -> OperatorPair:
+def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> OperatorPair:
     """Self-similar frame operator pair at frame time ``s``.
 
     Quadratic form, with fs(y) = f(e^{s/2} y1, y2) and the discrete
@@ -155,9 +150,9 @@ def assemble_Ls(
         raise ValueError("frame time s must be nonnegative")
     y1, x2 = grid_y.x1, grid_y.x2
     half_width = float(y1[-1])
-    if half_width**2 / 16.0 < 10.0 * requested_range:
+    if half_width**2 / 16.0 < 10.0:
         warnings.warn(
-            "confining term at the box edge is below 10x the requested "
+            "confining term at the box edge is below 10x the unit "
             "eigenvalue range; enlarge the frame box",
             TruncationWarning,
         )

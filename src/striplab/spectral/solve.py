@@ -19,6 +19,8 @@ from .core import EigenResult, OperatorPair, banded_cholesky
 __all__ = ["lowest_eigenpairs"]
 
 _DENSE_CUTOFF = 400
+_TOL = 1e-8
+_MAXITER = 4000
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -32,13 +34,7 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def lowest_eigenpairs(
-    pair: OperatorPair,
-    k: int,
-    tol: float = 1e-8,
-    sigma: float = -1.0,
-    maxiter: int = 4000,
-) -> EigenResult:
+def lowest_eigenpairs(pair: OperatorPair, k: int, sigma: float = -1.0) -> EigenResult:
     """k smallest eigenpairs of S v = lambda M v.
 
     Shift-invert Lanczos with the shift strictly below the spectrum,
@@ -49,7 +45,7 @@ def lowest_eigenpairs(
     shifted matrix that is not positive definite, or a computed eigenvalue
     below the shift, raises ``ShiftInsideSpectrum``. Small problems fall back
     to a dense solve with the same contract. ARPACK runs to the relative
-    accuracy ``tol``, which also scales the residual gate.
+    accuracy 1e-8, which also scales the residual gate.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -85,8 +81,8 @@ def lowest_eigenpairs(
                 sigma=sigma,
                 which="LM",
                 v0=v0,
-                maxiter=maxiter,
-                tol=tol,
+                maxiter=_MAXITER,
+                tol=_TOL,
                 OPinv=op_inv,
             )
         except spla.ArpackNoConvergence as exc:
@@ -98,7 +94,7 @@ def lowest_eigenpairs(
                     np.linalg.norm(S @ v - lam * (M @ v)) / np.linalg.norm(M @ v)
                 )
             raise NoConvergence(
-                f"eigensolver did not converge within {maxiter} iterations",
+                f"eigensolver did not converge within {_MAXITER} iterations",
                 best_residual=best,
             )
 
@@ -123,7 +119,7 @@ def lowest_eigenpairs(
             np.linalg.norm(S @ v - vals[j] * (M @ v)) / np.linalg.norm(M @ v)
         )
     scale = max(abs(vals).max(), 1.0)
-    if np.any(residuals > max(tol, 1e-10) * max(scale, 1.0) * 100):
+    if np.any(residuals > _TOL * scale * 100):
         raise NoConvergence(
             "converged pair exceeds the residual tolerance",
             best_residual=float(residuals.max()),

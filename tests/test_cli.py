@@ -98,6 +98,27 @@ dir = {out}
 """
 
 
+BUMP_JACOBI = """
+[geometry]
+a = 1.0
+L = 12.0
+n1 = 24
+n2 = 8
+
+[curvature]
+kind = gaussian-bump
+amplitude = 0.45
+width = 2.0
+support_radius = 8.0
+
+[experiment]
+kind = jacobi
+
+[output]
+dir = {out}
+"""
+
+
 def _write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text.format(out=tmp_path / "out"))
@@ -216,6 +237,27 @@ def test_config_rejects_unknown_experiment_keys(tmp_path):
     assert cli.main(["run", str(_write(tmp_path, misspelt))]) == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("amplitude = 0.45\n", "", "amplitude"),
+        ("width = 2.0", "width = 2.0\ncentre = 3.0", "centre"),
+        ("width = 2.0", "width = -2.0", "width"),
+        ("kind = gaussian-bump", "kind = gauss-bump", "gauss-bump"),
+        ("n2 = 8", "n2 = 8\nnn1 = 7", "nn1"),
+        ("dir = {out}", "dir = {out}\ndri = elsewhere", "dri"),
+    ],
+    ids=["curvature-missing", "curvature-misspelt", "curvature-bad-value",
+         "curvature-unknown-kind", "geometry-unknown", "output-unknown"],
+)
+def test_config_block_errors_name_the_key(tmp_path, capsys, old, new, named):
+    assert cli.main(["run", str(_write(tmp_path, BUMP_JACOBI))]) == 0
+    bad = _write(tmp_path, BUMP_JACOBI.replace(old, new), "bad.ini")
+    assert cli.main(["run", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -280,6 +322,21 @@ def test_oracle_subcommand(capsys):
     assert "p0 = 0.1783179174" in out
     assert cli.main(["oracle", "survival", "t=1.0", "a=1.5707963267948966"]) == 0
     assert cli.main(["oracle", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["survival", "a=1"],
+        ["p0", "t=-1", "x=1", "y=1"],
+        ["modes", "a=1", "n=0"],
+        ["survival", "t=1", "a=1", "box=1,2"],
+    ],
+    ids=["missing-key", "negative-time", "no-modes", "short-box"],
+)
+def test_oracle_input_errors_exit_2(capsys, query):
+    assert cli.main(["oracle", *query]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_histogram_plot(tmp_path):
