@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -24,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import evolution as ev
 from . import geometry as geo
 from . import oracle
-from . import spectral as sp
 from . import stochastic as st
 from .errors import (
     AcceptanceFailure,
@@ -49,6 +48,18 @@ _CONTROLS = {
     "evolve": ("alpha", "t_end", "checkpoint_step", "fit_window", "dt", "initial"),
     "mc": ("x0", "t_lattice", "dt", "n_paths", "seed", "box", "dump_paths"),
     "report": ("include_slow",),
+}
+# striplab modules each kind runs on besides geometry and stochastic; its
+# runner imports them, and load_config loads them so that run imports nothing
+_LAYERS = {
+    "jacobi": (),
+    "spectrum": ("spectral",),
+    "mu": ("spectral",),
+    "nu-sweep": ("spectral",),
+    "hardy": ("spectral",),
+    "evolve": ("spectral", "evolution"),
+    "mc": (),
+    "report": ("acceptance",),
 }
 # [curvature] kind -> profile constructor; the block's other keys are its keywords
 _PROFILES = {
@@ -120,6 +131,14 @@ def _parse_value(raw: str):
         return raw
 
 
+def _geometry_number(block: dict, key: str, cast):
+    """``cast(block[key])`` for a [geometry] value; ConfigInvalid names the key."""
+    try:
+        return cast(block[key])
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"[geometry] {key} must be a number, got {block[key]!r}")
+
+
 def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -144,10 +163,10 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         e["seed"] = int(seed_override)
     try:
         cfg = ExperimentConfig(
-            a=float(g["a"]),
-            L=float(g["l"]),
-            n1=int(g["n1"]),
-            n2=int(g["n2"]),
+            a=_geometry_number(g, "a", float),
+            L=_geometry_number(g, "l", float),
+            n1=_geometry_number(g, "n1", int),
+            n2=_geometry_number(g, "n2", int),
             profile_kind=str(c.pop("kind")),
             profile_params=c,
             kind=str(e.pop("kind")),
@@ -160,6 +179,8 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         raise ConfigInvalid(f"missing required key {exc}")
     if cfg.kind not in _CONTROLS:
         raise ConfigInvalid(f"unknown experiment kind {cfg.kind!r}")
+    for name in _LAYERS[cfg.kind]:
+        importlib.import_module(f".{name}", __package__)
     known = {"geometry": ("a", "l", "n1", "n2"), "output": ("dir",),
              "experiment": ("kind", *_CONTROLS[cfg.kind])}
     for section, keys in known.items():
@@ -176,7 +197,7 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         prof = cfg.build_profile()
         geom = geo.StripGeometry(a=cfg.a, L=cfg.L, n1=cfg.n1, n2=cfg.n2)
         geo.check_compatible(prof, geom, closed_form=(cfg.profile_kind == "ruled"))
-    except (StripLabError, ValueError) as exc:
+    except (StripLabError, TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc))
     return cfg
 
@@ -222,6 +243,8 @@ def _exp_jacobi(cfg, outdir):
 
 
 def _exp_spectrum(cfg, outdir):
+    from . import spectral as sp
+
     metric, _ = cfg.build_metric()
     pair = sp.assemble_hk(metric)
     k = int(cfg.controls.get("k", 4))
@@ -235,6 +258,8 @@ def _exp_spectrum(cfg, outdir):
 
 
 def _exp_mu(cfg, outdir):
+    from . import spectral as sp
+
     metric, prof = cfg.build_metric()
     mu = sp.transverse_mu_profile(metric, metric.x1)
     bound = sp.thin_strip_bound(prof, cfg.a, x1=metric.x1)
@@ -248,6 +273,8 @@ def _exp_mu(cfg, outdir):
 
 
 def _exp_nu_sweep(cfg, outdir):
+    from . import spectral as sp
+
     metric, _ = cfg.build_metric()
     s_lattice = cfg.controls.get("s_lattice", [0.0, 1.0, 2.0, 4.0, 8.0])
     if not isinstance(s_lattice, list):
@@ -265,6 +292,8 @@ def _exp_nu_sweep(cfg, outdir):
 
 
 def _exp_hardy(cfg, outdir):
+    from . import spectral as sp
+
     metric, _ = cfg.build_metric()
     pair = sp.assemble_hk(metric)
     cert = sp.pick_hardy_interval(metric)
@@ -284,6 +313,9 @@ def _exp_hardy(cfg, outdir):
 
 
 def _exp_evolve(cfg, outdir):
+    from . import evolution as ev
+    from . import spectral as sp
+
     metric, _ = cfg.build_metric()
     pair = sp.assemble_hk(metric)
     e1h = pair.meta["e1_discrete"]

@@ -59,6 +59,13 @@ def smooth_cutoff(r: np.ndarray, r_full: float, r_zero: float) -> np.ndarray:
     return num / den
 
 
+def _plateau_radius(plateau_fraction: float, support_radius: float) -> float:
+    """Radius of a cutoff's plateau, which must start before the support ends."""
+    if not 0.0 <= plateau_fraction < 1.0:
+        raise ValueError(f"plateau_fraction must lie in [0, 1), got {plateau_fraction!r}")
+    return plateau_fraction * support_radius
+
+
 @dataclass(eq=False)
 class CurvatureProfile:
     """Evaluable Gauss curvature with declared support radius and bounds.
@@ -119,7 +126,7 @@ def gaussian_bump(
     """
     if support_radius <= 0 or width <= 0:
         raise ValueError("width and support_radius must be positive")
-    r_full = plateau_fraction * support_radius
+    r_full = _plateau_radius(plateau_fraction, support_radius)
 
     def shape(x1):
         g = amplitude * np.exp(-((x1 - center) ** 2) / (2.0 * width**2))
@@ -152,7 +159,7 @@ def ruled_profile(
     plateau bump theta_dot, with K = -theta_dot^2 / f^4 derived from it."""
     if support_radius <= 0:
         raise ValueError("support_radius must be positive")
-    r_full = plateau_fraction * support_radius
+    r_full = _plateau_radius(plateau_fraction, support_radius)
 
     def theta_dot(x1):
         return theta_dot_max * smooth_cutoff(x1, r_full, support_radius)
@@ -227,8 +234,8 @@ class StripGeometry:
     n2: int
 
     def __post_init__(self):
-        if self.a <= 0 or self.L <= 0:
-            raise GeometryInvalid("a and L must be positive")
+        if not (0 < self.a < math.inf and 0 < self.L < math.inf):
+            raise GeometryInvalid("a and L must be positive and finite")
         if self.n1 < 4 or self.n2 < 4:
             raise GeometryInvalid("need at least 4 cells per direction")
 

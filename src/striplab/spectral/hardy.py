@@ -44,7 +44,8 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     """Column-wise lowest transverse eigenvalue minus the flat reference.
 
     The reference is the discrete flat transverse ground energy on the same
-    cross-section grid, so flat columns give exactly zero.
+    cross-section grid, so flat columns give zero to round-off (-5.3e-13 on
+    a box profile); only a metric that is flat everywhere returns exact zeros.
 
     All columns are done together: the metric is sampled once, the
     tridiagonal interior S and M of every column come from one batch of

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, on the first np.random lookup
 
 from .errors import (
     BadStart,

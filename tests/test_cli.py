@@ -316,6 +316,74 @@ def test_import_loads_neither_special_functions_nor_process_pools():
     assert out.strip() == "[]"
 
 
+def _fresh_python(code: str) -> str:
+    """Last stdout line of ``code`` run in a new interpreter that finds striplab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_monte_carlo_jacobi_and_oracle_commands_never_load_scipy(tmp_path):
+    """Only the PDE kinds pay for importing scipy."""
+    mc, jacobi = _write(tmp_path, FLAT_MC, "mc.ini"), _write(tmp_path, BUMP_JACOBI, "jacobi.ini")
+    code = (
+        "import sys; from striplab import cli; "
+        f"cli.run(cli.load_config({str(mc)!r})); cli.run(cli.load_config({str(jacobi)!r})); "
+        "cli.main(['oracle', 'p0', 't=1.0', 'x=1.0', 'y=1.0']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+# a small config of each kind that `strip-lab run` runs on its own
+_SMALL = {
+    "jacobi": BUMP_JACOBI,
+    "spectrum": FLAT_SPECTRUM,
+    "mu": BUMP_JACOBI.replace("kind = jacobi", "kind = mu"),
+    "nu-sweep": RULED_NU,
+    "hardy": RULED_NU.replace(
+        "kind = nu-sweep\ns_lattice = 0.0, 2.0\nframe_half_width = 13.0\nframe_cells = 260",
+        "kind = hardy\ntrials = 5",
+    ),
+    "evolve": FLAT_EVOLVE,
+    "mc": FLAT_MC,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(set(cli._CONTROLS) - {"report"}))
+def test_run_imports_no_module_that_load_config_did_not(tmp_path, kind):
+    """load_config loads every layer its kind runs on, so no import lands in a
+    run's wall time."""
+    p = _write(tmp_path, _SMALL[kind])
+    code = (
+        "import sys; from striplab import cli; "
+        f"cfg = cli.load_config({str(p)!r}); before = set(sys.modules); cli.run(cfg); "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert _fresh_python(code) == "[]"
+    assert (tmp_path / "out" / kind / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("a = 1.0", "a = abc", "[geometry] a must be a number"),
+        ("n1 = 24", "n1 = 2, 4", "[geometry] n1 must be a number"),
+        ("a = 1.0", "a = nan", "finite"),
+        ("width = 2.0", "width = abc", "not supported"),
+        ("support_radius = 8.0", "support_radius = 8.0\nplateau_fraction = 1.5", "plateau_fraction"),
+    ],
+    ids=["geometry-word", "geometry-list", "geometry-nan", "curvature-word", "plateau-fraction"],
+)
+def test_config_values_of_the_wrong_type_or_range_exit_2(tmp_path, capsys, old, new, named):
+    bad = _write(tmp_path, BUMP_JACOBI.replace(old, new))
+    assert cli.main(["run", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_subcommand(capsys):
     assert cli.main(["oracle", "p0", "t=1.0", "x=1.0", "y=1.0"]) == 0
     out = capsys.readouterr().out

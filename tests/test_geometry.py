@@ -240,3 +240,18 @@ def test_tabulated_profile_roundtrip():
     assert vals[0] == pytest.approx(-0.2, abs=1e-12)
     assert prof.evaluate(np.array(10.0), np.array(0.0)) == 0.0
     assert prof.axis_infimum(np.array([0.0]))[0] == pytest.approx(-0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("plateau_fraction", [-0.1, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda pf: geo.gaussian_bump(0.3, 1.0, 3.0, plateau_fraction=pf),
+        lambda pf: geo.ruled_profile(0.5, 3.0, plateau_fraction=pf),
+    ],
+    ids=["gaussian_bump", "ruled_profile"],
+)
+def test_plateau_fraction_outside_the_unit_interval_is_rejected(build, plateau_fraction):
+    with pytest.raises(ValueError, match="plateau_fraction"):
+        build(plateau_fraction)
+    assert build(0.0).support_radius == 3.0
