@@ -38,29 +38,7 @@ from .errors import (
 
 __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run", "emit_plot", "main"]
 
-# [experiment] keys each kind reads, besides ``kind``
-_CONTROLS = {
-    "jacobi": (),
-    "spectrum": ("k",),
-    "mu": (),
-    "nu-sweep": ("s_lattice", "frame_half_width", "frame_cells"),
-    "hardy": ("trials", "seed"),
-    "evolve": ("alpha", "t_end", "checkpoint_step", "fit_window", "dt", "initial"),
-    "mc": ("x0", "t_lattice", "dt", "n_paths", "seed", "box", "dump_paths"),
-    "report": ("include_slow",),
-}
-# striplab modules each kind runs on besides geometry and stochastic; its
-# runner imports them, and load_config loads them so that run imports nothing
-_LAYERS = {
-    "jacobi": (),
-    "spectrum": ("spectral",),
-    "mu": ("spectral",),
-    "nu-sweep": ("spectral",),
-    "hardy": ("spectral",),
-    "evolve": ("spectral", "evolution"),
-    "mc": (),
-    "report": ("acceptance",),
-}
+_GEOMETRY = {"a": float, "l": float, "n1": int, "n2": int}
 # [curvature] kind -> profile constructor; the block's other keys are its keywords
 _PROFILES = {
     "zero": geo.zero_profile,
@@ -131,12 +109,30 @@ def _parse_value(raw: str):
         return raw
 
 
-def _geometry_number(block: dict, key: str, cast):
-    """``cast(block[key])`` for a [geometry] value; ConfigInvalid names the key."""
+def _typed(section: str, key: str, value, kind):
+    """``[section] key = value`` as a ``kind``: a float takes a number, an int a
+    whole number, a list one number or several, a tuple exactly two numbers, a
+    bool true or false, and ``_box`` a box. ConfigInvalid names the key."""
+    name = f"[{section}] {key}"
+    if kind is _box:
+        return _box(value, name)
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
+    items = value if isinstance(value, list) else [value]
     try:
-        return cast(block[key])
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"[geometry] {key} must be a number, got {block[key]!r}")
+        numbers = [float(v) for v in items if not isinstance(v, bool)]
+    except ValueError:
+        numbers = []
+    size = {list: max(len(items), 1), tuple: 2}.get(kind, 1)
+    if len(numbers) != len(items) or size != len(items) or (kind is int and not numbers[0].is_integer()):
+        what = {float: "a number", int: "a number with no fractional part",
+                list: "one number or several", tuple: "two numbers"}[kind]
+        raise ConfigInvalid(f"{name} must be {what}, got {value!r}")
+    if kind is int:
+        return int(items[0])
+    return numbers if kind is list else tuple(numbers) if kind is tuple else numbers[0]
 
 
 def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig:
@@ -159,57 +155,54 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
     out = os.environ.get("OUTPUT_DIR", out)
     if out_override:
         out = out_override
-    if seed_override is not None:
-        e["seed"] = int(seed_override)
     try:
-        cfg = ExperimentConfig(
-            a=_geometry_number(g, "a", float),
-            L=_geometry_number(g, "l", float),
-            n1=_geometry_number(g, "n1", int),
-            n2=_geometry_number(g, "n2", int),
-            profile_kind=str(c.pop("kind")),
-            profile_params=c,
-            kind=str(e.pop("kind")),
-            controls=e,
-            out_dir=Path(out),
-            source_path=path,
-            source_bytes=raw,
-        )
+        profile_kind, kind = str(c.pop("kind")), str(e.pop("kind"))
+        geometry = {key: _typed("geometry", key, g[key], cast) for key, cast in _GEOMETRY.items()}
     except KeyError as exc:
         raise ConfigInvalid(f"missing required key {exc}")
-    if cfg.kind not in _CONTROLS:
-        raise ConfigInvalid(f"unknown experiment kind {cfg.kind!r}")
-    for name in _LAYERS[cfg.kind]:
+    if kind not in _KINDS:
+        raise ConfigInvalid(f"unknown experiment kind {kind!r}")
+    _, layers, keys = _KINDS[kind]
+    for name in layers:
         importlib.import_module(f".{name}", __package__)
-    known = {"geometry": ("a", "l", "n1", "n2"), "output": ("dir",),
-             "experiment": ("kind", *_CONTROLS[cfg.kind])}
-    for section, keys in known.items():
-        unknown = sorted(set(cp[section]) - set(keys)) if section in cp else []
+    for section, known in {"geometry": _GEOMETRY, "output": ("dir",), "experiment": ("kind", *keys)}.items():
+        unknown = sorted(set(cp[section]) - set(known)) if section in cp else []
         if unknown:
             raise ConfigInvalid(f"unknown keys in [{section}]: {', '.join(unknown)}")
-    if cfg.profile_kind not in _PROFILES:
-        raise ConfigInvalid(f"unknown profile kind {cfg.profile_kind!r}")
+    if seed_override is not None and "seed" in keys:
+        e["seed"] = seed_override
+    controls = {key: _typed("experiment", key, e[key], cast) if key in e else default
+                for key, (cast, default) in keys.items()}
+    if profile_kind not in _PROFILES:
+        raise ConfigInvalid(f"unknown profile kind {profile_kind!r}")
     try:
-        inspect.signature(_PROFILES[cfg.profile_kind]).bind(**cfg.profile_params)
+        inspect.signature(_PROFILES[profile_kind]).bind(**c)
     except TypeError as exc:
-        raise ConfigInvalid(f"[curvature] for kind {cfg.profile_kind!r}: {exc}")
+        raise ConfigInvalid(f"[curvature] for kind {profile_kind!r}: {exc}")
+    cfg = ExperimentConfig(
+        a=geometry["a"], L=geometry["l"], n1=geometry["n1"], n2=geometry["n2"],
+        profile_kind=profile_kind,
+        profile_params={key: _typed("curvature", key, v, float) for key, v in c.items()},
+        kind=kind, controls=controls, out_dir=Path(out), source_path=path, source_bytes=raw,
+    )
     try:
         prof = cfg.build_profile()
         geom = geo.StripGeometry(a=cfg.a, L=cfg.L, n1=cfg.n1, n2=cfg.n2)
         geo.check_compatible(prof, geom, closed_form=(cfg.profile_kind == "ruled"))
-    except (StripLabError, TypeError, ValueError) as exc:
+    except (StripLabError, ValueError) as exc:
         raise ConfigInvalid(str(exc))
     return cfg
 
 
-def _box(value):
-    """A box 'x1_lo, x1_hi, x2_lo, x2_hi' as two ranges; None or 'all' is no box."""
+def _box(value, name="box"):
+    """A box 'x1_lo, x1_hi, x2_lo, x2_hi' as two ranges; None or 'all' is no box.
+    ConfigInvalid names the value ``name``."""
     if value in (None, "all"):
         return None
     try:
         lo1, hi1, lo2, hi2 = map(float, value)
     except (TypeError, ValueError):
-        raise ConfigInvalid(f"box must be 'all' or four numbers, got {value!r}")
+        raise ConfigInvalid(f"{name} must be 'all' or four numbers, got {value!r}")
     return (lo1, hi1), (lo2, hi2)
 
 
@@ -247,7 +240,7 @@ def _exp_spectrum(cfg, outdir):
 
     metric, _ = cfg.build_metric()
     pair = sp.assemble_hk(metric)
-    k = int(cfg.controls.get("k", 4))
+    k = cfg.controls["k"]
     res = sp.lowest_eigenpairs(pair, k=k)
     p = outdir / "spectrum.csv"
     rows = [
@@ -276,16 +269,12 @@ def _exp_nu_sweep(cfg, outdir):
     from . import spectral as sp
 
     metric, _ = cfg.build_metric()
-    s_lattice = cfg.controls.get("s_lattice", [0.0, 1.0, 2.0, 4.0, 8.0])
-    if not isinstance(s_lattice, list):
-        s_lattice = [s_lattice]
-    half = float(cfg.controls.get("frame_half_width", 16.0))
-    cells = int(cfg.controls.get("frame_cells", 640))
-    gy = sp.make_y_grid(metric, half, cells)
+    ctr = cfg.controls
+    gy = sp.make_y_grid(metric, ctr["frame_half_width"], ctr["frame_cells"])
     rows = []
-    for s in s_lattice:
-        res = sp.lowest_eigenpairs(sp.assemble_Ls(metric, float(s), gy), k=1)
-        rows.append((float(s), 0, res.eigenvalues[0], res.residuals[0]))
+    for s in ctr["s_lattice"]:
+        res = sp.lowest_eigenpairs(sp.assemble_Ls(metric, s, gy), k=1)
+        rows.append((s, 0, res.eigenvalues[0], res.residuals[0]))
     p = outdir / "nu_sweep.csv"
     _write_csv(p, ["s[1]", "index[1]", "nu[1]", "residual[1]"], rows)
     return [p.name]
@@ -299,8 +288,7 @@ def _exp_hardy(cfg, outdir):
     cert = sp.pick_hardy_interval(metric)
     x10 = 0.5 * (cert.J[0] + cert.J[1])
     rho = (cert.c_K / (1.0 + (metric.x1 - x10) ** 2))[:, None] * np.ones_like(metric.x2)[None, :]
-    trials = int(cfg.controls.get("trials", 100))
-    seed = int(cfg.controls.get("seed", 0))
+    trials, seed = cfg.controls["trials"], cfg.controls["seed"]
     margin = sp.hardy_verify(pair, rho, trials=trials, seed=seed)
     p = outdir / "hardy.csv"
     _write_csv(
@@ -320,13 +308,11 @@ def _exp_evolve(cfg, outdir):
     pair = sp.assemble_hk(metric)
     e1h = pair.meta["e1_discrete"]
     ctr = cfg.controls
-    alpha = float(ctr.get("alpha", 1.0))
-    t_end = float(ctr.get("t_end", 100.0))
-    step = float(ctr.get("checkpoint_step", 0.5))
-    window = ctr.get("fit_window", [5.0, min(100.0, t_end)])
-    dt = float(ctr.get("dt", min(0.01, (window[1] - window[0]) / 2000.0)))
-    u0 = ev.weighted_initial(pair, str(ctr.get("initial", "mode")), alpha=alpha)
-    t_grid = np.arange(0.0, t_end + 1e-9, step)
+    # the two defaults that depend on other keys
+    window = (5.0, min(100.0, ctr["t_end"])) if ctr["fit_window"] is None else ctr["fit_window"]
+    dt = min(0.01, (window[1] - window[0]) / 2000.0) if ctr["dt"] is None else ctr["dt"]
+    u0 = ev.weighted_initial(pair, "mode", alpha=ctr["alpha"])
+    t_grid = np.arange(0.0, ctr["t_end"] + 1e-9, ctr["checkpoint_step"])
     tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=e1h, record_mode1=True)
     p = outdir / "trajectory.csv"
     _write_csv(
@@ -334,7 +320,7 @@ def _exp_evolve(cfg, outdir):
         ["t[time]", "norm_f[1]", "mode1_fraction[1]"],
         zip(tr.times, tr.norm_f, tr.mode1_fraction),
     )
-    fit = ev.fit_decay(tr, e1h, (float(window[0]), float(window[1])))
+    fit = ev.fit_decay(tr, e1h, window)
     q = outdir / "decay_fit.json"
     record = {
         "lambda_hat": fit.lambda_hat,
@@ -354,22 +340,14 @@ def _exp_mc(cfg, outdir):
     metric, _ = cfg.build_metric()
     sde = st.sde_from_metric(metric)
     ctr = cfg.controls
-    x0 = ctr.get("x0", [0.0, 0.0])
-    lattice = ctr.get("t_lattice", [1.0])
-    if not isinstance(lattice, list):
-        lattice = [lattice]
-    lattice = [float(t) for t in lattice]
-    dt = float(ctr.get("dt", 1e-3))
-    n_paths = int(ctr.get("n_paths", 10000))
-    seed = int(ctr.get("seed", 0))
+    lattice = ctr["t_lattice"]
     ens = st.simulate_killed(
-        sde, (float(x0[0]), float(x0[1])), t_max=max(lattice), dt=dt,
-        n_paths=n_paths, seed=seed, checkpoints=lattice, box_limit=cfg.L,
+        sde, ctr["x0"], t_max=max(lattice), dt=ctr["dt"],
+        n_paths=ctr["n_paths"], seed=ctr["seed"], checkpoints=lattice, box_limit=cfg.L,
     )
-    B = _box(ctr.get("box"))
     rows = []
     for t in lattice:
-        e = st.survival_estimate(ens, B, t)
+        e = st.survival_estimate(ens, ctr["box"], t)
         rows.append(
             (t, int(ens.alive_at(t).sum()), e.probability,
              e.probability - e.half_width, e.probability + e.half_width)
@@ -377,7 +355,7 @@ def _exp_mc(cfg, outdir):
     p = outdir / "mc.csv"
     _write_csv(p, ["t[time]", "alive[1]", "estimate[1]", "ci_low[1]", "ci_high[1]"], rows)
     names = [p.name]
-    if ctr.get("dump_paths", False):
+    if ctr["dump_paths"]:
         q = outdir / "paths.csv"
         q.write_text(_paths_csv(ens))
         names.append(q.name)
@@ -411,19 +389,31 @@ def _report(include_slow: bool, path) -> None:
 
 def _exp_report(cfg, outdir):
     p = outdir / "report.txt"
-    _report(bool(cfg.controls.get("include_slow", True)), p)
+    # a config loaded as another kind and switched to report may lack the key
+    _report(cfg.controls.get("include_slow", True), p)
     return [p.name]
 
 
-_DISPATCH = {
-    "jacobi": _exp_jacobi,
-    "spectrum": _exp_spectrum,
-    "mu": _exp_mu,
-    "nu-sweep": _exp_nu_sweep,
-    "hardy": _exp_hardy,
-    "evolve": _exp_evolve,
-    "mc": _exp_mc,
-    "report": _exp_report,
+# experiment kind -> (runner, the striplab modules it runs on besides geometry
+# and stochastic, which load_config imports so that run imports nothing, and
+# its [experiment] keys besides kind as {key: (type for _typed, default)})
+_KINDS = {
+    "jacobi": (_exp_jacobi, (), {}),
+    "spectrum": (_exp_spectrum, ("spectral",), {"k": (int, 4)}),
+    "mu": (_exp_mu, ("spectral",), {}),
+    "nu-sweep": (_exp_nu_sweep, ("spectral",), {
+        "s_lattice": (list, [0.0, 1.0, 2.0, 4.0, 8.0]), "frame_half_width": (float, 16.0),
+        "frame_cells": (int, 640)}),
+    "hardy": (_exp_hardy, ("spectral",), {"trials": (int, 100), "seed": (int, 0)}),
+    # None: the default depends on other keys, and the runner works it out
+    "evolve": (_exp_evolve, ("spectral", "evolution"), {
+        "alpha": (float, 1.0), "t_end": (float, 100.0), "checkpoint_step": (float, 0.5),
+        "fit_window": (tuple, None), "dt": (float, None)}),
+    "mc": (_exp_mc, (), {
+        "x0": (tuple, (0.0, 0.0)), "t_lattice": (list, [1.0]), "dt": (float, 1e-3),
+        "n_paths": (int, 10000), "seed": (int, 0), "box": (_box, None),
+        "dump_paths": (bool, False)}),
+    "report": (_exp_report, ("acceptance",), {"include_slow": (bool, True)}),
 }
 
 
@@ -433,7 +423,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     outdir = cfg.out_dir / cfg.kind
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs = _DISPATCH[cfg.kind](cfg, outdir)
+        runner, _, _ = _KINDS[cfg.kind]
+        outputs = runner(cfg, outdir)
     except (StripLabError, KeyboardInterrupt):
         raise
     except Exception as exc:

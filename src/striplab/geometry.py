@@ -276,7 +276,6 @@ class MetricField:
     together with per-column Taylor envelopes and a column sampler that
     re-evaluates the field at arbitrary coordinates."""
 
-    geom: StripGeometry
     x1: np.ndarray
     x2: np.ndarray
     f: np.ndarray      # (n1+1, n2+1)
@@ -395,7 +394,6 @@ def solve_jacobi(profile: CurvatureProfile, geom: StripGeometry) -> MetricField:
         return jacobi_columns(profile, cols, levels, base_step)
 
     return MetricField(
-        geom=geom,
         x1=x1,
         x2=x2,
         f=f,
@@ -446,7 +444,6 @@ def ruled_strip(theta_dot, geom: StripGeometry):
     lower = np.ones_like(x1)
     upper = np.sqrt(1.0 + td_cols**2 * geom.a**2)
     metric = MetricField(
-        geom=geom,
         x1=x1,
         x2=x2,
         f=f,

@@ -221,7 +221,6 @@ class OperatorPair:
 
     S: sp.csr_matrix
     M: sp.csr_matrix
-    label: str
     grid: WeightedGrid = None
     kept: np.ndarray = None        # indices of retained nodes in the full grid
     meta: dict = field(default_factory=dict)

@@ -311,7 +311,6 @@ def perturbed_threshold(pair: OperatorPair, v_nodal: np.ndarray) -> float:
     perturbed = OperatorPair(
         S=(pair.S + M_v).tocsr(),
         M=pair.M,
-        label="perturbed",
         grid=pair.grid,
         kept=pair.kept,
         meta=dict(pair.meta),
@@ -352,7 +351,7 @@ def essential_threshold_probe(metric: MetricField, L_values, k: int = 5) -> Thre
         upper = np.interp(geom.x1, metric.x1, metric.envelope_upper, left=1.0, right=1.0)
         f, d2f = metric.sample(geom.x1, x2)
         m = replace(
-            metric, geom=geom, x1=geom.x1, f=f, d2f=d2f,
+            metric, x1=geom.x1, f=f, d2f=d2f,
             envelope_lower=lower, envelope_upper=upper,
         )
         pair = assemble_hk(m)

@@ -65,16 +65,16 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
     _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
     e1_exact = (math.pi / (2.0 * (grid.x2[-1]))) ** 2
     meta = {"metric": metric, "e1_discrete": flat_transverse_ground(grid.x2), "e1_exact": e1_exact}
-    return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F, "h_K", meta)
+    return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F, meta)
 
 
-def _checked_pair(grid: WeightedGrid, terms_S, F, label: str, meta: dict) -> OperatorPair:
+def _checked_pair(grid: WeightedGrid, terms_S, F, meta: dict) -> OperatorPair:
     """The checked pair of stiffness ``terms_S`` and mass weight ``F`` on the
     grid's kept nodes."""
     keep = grid.keep
     S = assemble_2d(grid.x1, grid.x2, terms_S, keep)
     M = assemble_2d(grid.x1, grid.x2, [("mass", F)], keep)
-    pair = OperatorPair(S, M, label, grid=grid, kept=grid.keep_indices(), meta=meta)
+    pair = OperatorPair(S, M, grid=grid, kept=grid.keep_indices(), meta=meta)
     pair.check()
     return pair
 
@@ -120,9 +120,9 @@ def transverse_pair(metric: MetricField, x1: float) -> OperatorPair:
     f, _ = metric.sample(np.array([x1], float), g2.ravel())
     S, M = _transverse_matrices(x2, f.reshape(g2.shape))
     return OperatorPair(
-        S=S, M=M, label="transverse",
+        S=S, M=M,
         kept=np.arange(1, x2.size - 1),
-        meta={"x1": float(x1), "e1_discrete": flat_transverse_ground(x2)},
+        meta={"e1_discrete": flat_transverse_ground(x2)},
     )
 
 
@@ -168,8 +168,8 @@ def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> Operator
         ("d1sym", -0.5 * Y * FS),
         ("mass", (1.0 / 16.0) * Y**2 * (2.0 - FS**-2) * FS),
     ]
-    meta = {"s": float(s), "e1_discrete": e1h, "metric": metric}
-    return _checked_pair(grid_y, terms_S, FS, "L_s", meta)
+    meta = {"e1_discrete": e1h, "metric": metric}
+    return _checked_pair(grid_y, terms_S, FS, meta)
 
 
 def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> OperatorPair:
@@ -191,7 +191,5 @@ def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> Operato
     return OperatorPair(
         S=assemble_1d(y, [("dd", np.ones_like(g)), ("mass", g**2 / 16.0)], keep),
         M=assemble_1d(y, [("mass", np.ones_like(g))], keep),
-        label="oscillator",
         kept=np.flatnonzero(keep),
-        meta={"dirichlet_at_zero": bool(dirichlet_at_zero)},
     )

@@ -267,7 +267,7 @@ _ROOT = Path(__file__).resolve().parents[1]
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_shipped_configs_load(path):
-    assert cli.load_config(path).kind in cli._CONTROLS
+    assert cli.load_config(path).kind in cli._KINDS
 
 
 def test_emit_plot_schema_mismatch(tmp_path):
@@ -352,7 +352,7 @@ _SMALL = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(set(cli._CONTROLS) - {"report"}))
+@pytest.mark.parametrize("kind", sorted(set(cli._KINDS) - {"report"}))
 def test_run_imports_no_module_that_load_config_did_not(tmp_path, kind):
     """load_config loads every layer its kind runs on, so no import lands in a
     run's wall time."""
@@ -371,17 +371,80 @@ def test_run_imports_no_module_that_load_config_did_not(tmp_path, kind):
     [
         ("a = 1.0", "a = abc", "[geometry] a must be a number"),
         ("n1 = 24", "n1 = 2, 4", "[geometry] n1 must be a number"),
+        ("n1 = 24", "n1 = 240.7", "[geometry] n1"),
         ("a = 1.0", "a = nan", "finite"),
-        ("width = 2.0", "width = abc", "not supported"),
+        ("width = 2.0", "width = abc", "[curvature] width"),
         ("support_radius = 8.0", "support_radius = 8.0\nplateau_fraction = 1.5", "plateau_fraction"),
     ],
-    ids=["geometry-word", "geometry-list", "geometry-nan", "curvature-word", "plateau-fraction"],
+    ids=["geometry-word", "geometry-list", "geometry-fraction", "geometry-nan", "curvature-word",
+         "plateau-fraction"],
 )
 def test_config_values_of_the_wrong_type_or_range_exit_2(tmp_path, capsys, old, new, named):
     bad = _write(tmp_path, BUMP_JACOBI.replace(old, new))
     assert cli.main(["run", str(bad)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    [
+        ("mc", "dt = 0.002", "dt = abc"),
+        ("mc", "n_paths = 5000", "n_paths = 1000.5"),
+        ("mc", "x0 = 0.0, 0.0", "x0 = 0.0"),
+        ("mc", "seed = 7", "seed = 7\nbox = 1, 2, 3"),
+        ("mc", "seed = 7", "seed = 7\ndump_paths = 3"),
+        ("evolve", "fit_window = 2.0, 12.0", "fit_window = 5.0"),
+        ("evolve", "alpha = 1.0", "alpha = mode"),
+        ("nu-sweep", "frame_cells = 260", "frame_cells = 11.5"),
+        ("hardy", "trials = 5", "trials = abc"),
+    ],
+    ids=["mc-dt-word", "mc-n_paths-fraction", "mc-x0-one-number", "mc-box-three-numbers",
+         "mc-dump_paths-number", "evolve-fit_window-one-number", "evolve-alpha-word",
+         "nu-sweep-frame_cells-fraction", "hardy-trials-word"],
+)
+def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, kind, old, new):
+    assert old in _SMALL[kind]
+    bad = _write(tmp_path, _SMALL[kind].replace(old, new))
+    assert cli.main(["run", str(bad)]) == 2
+    key = new.splitlines()[-1].split(" =")[0]
+    assert f"[experiment] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_option_sets_the_seed_of_the_kinds_that_have_one(tmp_path):
+    mu = _write(tmp_path, _SMALL["mu"], "mu.ini")
+    mc = _write(tmp_path, FLAT_MC, "mc.ini")
+    assert cli.main(["run", str(mu), str(mc), "--seed", "5"]) == 0
+    seeded = _write(tmp_path, FLAT_MC.replace("seed = 7", "seed = 5"), "seeded.ini")
+    assert cli.main(["run", str(seeded), "--out", str(tmp_path / "seeded")]) == 0
+    assert (tmp_path / "out" / "mu" / "mu.csv").exists()
+    assert (tmp_path / "out" / "mc" / "mc.csv").read_bytes() == (
+        tmp_path / "seeded" / "mc" / "mc.csv").read_bytes()
+
+
+def test_readme_lists_every_kinds_experiment_keys():
+    """README's table of [experiment] keys names each kind's keys, types and
+    literal defaults as cli._KINDS declares them."""
+    types = {"number": float, "whole number": int, "one or more numbers": list,
+             "two numbers": tuple, "true or false": bool, "`all` or four numbers": cli._box}
+    lines = (_ROOT / "README.md").read_text().splitlines()
+    rows = [[cell.strip() for cell in ln.strip("|").split("|")] for ln in lines if ln.startswith("| `")]
+    listed = {kind.strip("`"): {} for kind, *_ in rows}
+    for kind, key, type_name, default in rows:
+        if key != "none":
+            listed[kind.strip("`")][key.strip("`")] = (types[type_name], default)
+    assert listed.keys() == cli._KINDS.keys()
+    for kind, (_, _, keys) in cli._KINDS.items():
+        assert {key: cast for key, (cast, _) in listed[kind].items()} == {
+            key: cast for key, (cast, _) in keys.items()}, kind
+        for key, (cast, default) in keys.items():
+            text = listed[kind][key][1]
+            if text.startswith("`") and text.count("`") == 2:  # a literal default
+                value = cli._typed("experiment", key, cli._parse_value(text.strip("`")), cast)
+                assert value == default, (kind, key)
+            else:  # one worked out from other keys
+                assert default is None and cast is not cli._box, (kind, key)
 
 
 def test_oracle_subcommand(capsys):

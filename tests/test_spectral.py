@@ -125,7 +125,6 @@ def test_domain_monotonicity_under_extra_mask(flat_pair):
     sub = sp.OperatorPair(
         S=pair.S[keep][:, keep].tocsr(),
         M=pair.M[keep][:, keep].tocsr(),
-        label="masked",
     )
     masked = sp.lowest_eigenpairs(sub, k=1).eigenvalues[0]
     assert masked >= base - 1e-12
@@ -626,7 +625,7 @@ def test_asymmetric_pair_raises(flat_pair):
     _, pair = flat_pair
     S = pair.S.tolil()
     S[0, 1] += 1e-3 * abs(pair.S).max()
-    bad = sp.OperatorPair(S=S.tocsr(), M=pair.M, label="asymmetric")
+    bad = sp.OperatorPair(S=S.tocsr(), M=pair.M)
     assert bad.n > 400
     with pytest.raises(LinearSolveFailure, match="not symmetric"):
         sp.lowest_eigenpairs(bad, k=1)
