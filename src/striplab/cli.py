@@ -30,6 +30,7 @@ from . import oracle
 from . import stochastic as st
 from .errors import (
     AcceptanceFailure,
+    BadCheckpoint,
     ConfigInvalid,
     NumericalFailure,
     SchemaMismatch,
@@ -284,12 +285,11 @@ def _exp_hardy(cfg, outdir):
     from . import spectral as sp
 
     metric, _ = cfg.build_metric()
-    pair = sp.assemble_hk(metric)
     cert = sp.pick_hardy_interval(metric)
     x10 = 0.5 * (cert.J[0] + cert.J[1])
     rho = (cert.c_K / (1.0 + (metric.x1 - x10) ** 2))[:, None] * np.ones_like(metric.x2)[None, :]
     trials, seed = cfg.controls["trials"], cfg.controls["seed"]
-    margin = sp.hardy_verify(pair, rho, trials=trials, seed=seed)
+    margin = sp.hardy_verify(metric, rho, trials=trials, seed=seed)
     p = outdir / "hardy.csv"
     _write_csv(
         p,
@@ -304,10 +304,12 @@ def _exp_evolve(cfg, outdir):
     from . import evolution as ev
     from . import spectral as sp
 
+    ctr = cfg.controls
+    if not ctr["checkpoint_step"] > 0:
+        raise BadCheckpoint(f"checkpoint_step must be positive, not {ctr['checkpoint_step']}")
     metric, _ = cfg.build_metric()
     pair = sp.assemble_hk(metric)
-    e1h = pair.meta["e1_discrete"]
-    ctr = cfg.controls
+    e1h = sp.flat_transverse_ground(metric.x2)
     # the two defaults that depend on other keys
     window = (5.0, min(100.0, ctr["t_end"])) if ctr["fit_window"] is None else ctr["fit_window"]
     dt = min(0.01, (window[1] - window[0]) / 2000.0) if ctr["dt"] is None else ctr["dt"]

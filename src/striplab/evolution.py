@@ -110,40 +110,33 @@ def _initial_state(pair: OperatorPair, u: np.ndarray) -> HeatState:
 
 
 def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None) -> HeatState:
-    """Initial datum at t = 0.
+    """Initial datum at t = 0 on the pair's kept nodes.
 
     kind 'mode': w^-alpha times the first transverse mode, normalized in the
-    Gaussian-weighted norm (requires alpha > 1/2); 'indicator': nodal
-    indicator of a rectangle; 'delta': nodal spike at the box midpoint,
-    normalized in the plain weighted norm.
+    Gaussian-weighted norm (requires alpha > 1/2, else
+    ``NotInWeightedSpace``); 'indicator': nodal indicator of the rectangle
+    ``box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi)). Any other kind, and
+    'indicator' without a box, raise ``ValueError``.
     """
     grid = pair.grid
     x1g = np.repeat(grid.x1, grid.x2.size)[pair.kept]
     x2g = np.tile(grid.x2, grid.x1.size)[pair.kept]
     a = float(grid.x2[-1])
     if kind == "mode":
-        if alpha <= 0.5:
+        if not alpha > 0.5:  # NaN included
             raise NotInWeightedSpace(
-                f"alpha = {alpha} <= 1/2: datum not in the Gaussian-weighted space"
+                f"alpha = {alpha} is not above 1/2: datum not in the Gaussian-weighted space"
             )
         u = np.exp(-alpha * x1g**2 / 4.0) * mode_function(1, a, x2g)
         state = _initial_state(pair, u)
         u = u / state.norm_wf
         return _initial_state(pair, u)
-    if kind in ("indicator", "delta") and box is None:
-        raise ValueError(f"{kind!r} initial data needs a box")
     if kind == "indicator":
+        if box is None:
+            raise ValueError("'indicator' initial data needs a box")
         (bx0, bx1), (by0, by1) = box
         u = ((x1g >= bx0) & (x1g <= bx1) & (x2g >= by0) & (x2g <= by1)).astype(float)
         return _initial_state(pair, u)
-    if kind == "delta":
-        (bx0, bx1), (by0, by1) = box
-        cx, cy = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-        i = np.argmin((x1g - cx) ** 2 + (x2g - cy) ** 2)
-        u = np.zeros(x1g.size)
-        u[i] = 1.0
-        state = _initial_state(pair, u)
-        return _initial_state(pair, u / state.norm_f)
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
@@ -400,8 +393,7 @@ def fit_decay(trajectory: Trajectory, E1: float, window: tuple) -> DecayFit:
 
 @dataclass(frozen=True)
 class Mode1Projection:
-    x1: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray             # mode-1 coefficient of each column of the grid
     remainder_norm: float
 
 
@@ -420,7 +412,7 @@ def project_mode1(state: HeatState, pair: OperatorPair) -> Mode1Projection:
     R = U - phi[:, None] * j1[None, :]
     r = R.ravel()[pair.kept]
     rem = math.sqrt(max(r @ (pair.M @ r), 0.0))
-    return Mode1Projection(x1=pair.grid.x1, phi=phi, remainder_norm=rem)
+    return Mode1Projection(phi=phi, remainder_norm=rem)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ is an n x 1 one), computed once per grid and mask.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,13 +217,18 @@ def make_grid(x1, x2, dirichlet_x1_ends=True) -> WeightedGrid:
 
 @dataclass(eq=False)
 class OperatorPair:
-    """Symmetric stiffness/mass pair restricted to unmasked nodes."""
+    """Symmetric stiffness/mass pair restricted to unmasked nodes.
+
+    A pair carries its matrices, its grid and the indices of its kept nodes,
+    nothing else: the metric it was assembled from is the caller's, the
+    discrete transverse reference energy is ``flat_transverse_ground(x2)``
+    and the exact one ``oracle.transverse_energy(1, a)``.
+    """
 
     S: sp.csr_matrix
     M: sp.csr_matrix
     grid: WeightedGrid = None
     kept: np.ndarray = None        # indices of retained nodes in the full grid
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:

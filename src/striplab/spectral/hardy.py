@@ -8,13 +8,14 @@ of the operator inequality, and stability probes of the spectral threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import HypothesisFailed
-from ..geometry import MetricField, StripGeometry
-from .core import OperatorPair, _diagonals, element_matrices_1d, gauss_points_1d
+from ..geometry import MetricField, StripGeometry, smooth_cutoff
+from ..oracle import mode_function, transverse_energy
+from .core import OperatorPair, _diagonals, element_matrices_1d, gauss_points_1d, make_grid
 from .operators import assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
 
@@ -249,9 +250,6 @@ def _trial_vectors(grid, a: float, trials: int, seed: int) -> np.ndarray:
     the canonical near-critical witness), mode-mixed envelopes, and mildly
     rough ones. Everything is reproducible from the seed alone.
     """
-    from ..geometry import smooth_cutoff
-    from ..oracle import mode_function
-
     rng = np.random.default_rng(seed)
     x1, x2 = grid.x1, grid.x2
     L = float(x1[-1])
@@ -276,45 +274,47 @@ def _trial_vectors(grid, a: float, trials: int, seed: int) -> np.ndarray:
     return out
 
 
-def hardy_verify(pair: OperatorPair, rho: np.ndarray, trials: int, seed: int) -> float:
-    """Minimum randomized margin of  S - E1 M - M_rho  over trial vectors.
+def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -> float:
+    """Minimum randomized margin of  S - E1 M - M_rho  over ``trials`` trial
+    vectors, with (S, M) = ``assemble_hk(metric)`` on the metric's own grid,
+    E1 the exact transverse ground energy ``oracle.transverse_energy(1, a)``
+    and ``rho`` the nodal candidate weight on that grid.
 
     A negative return is a valid falsification, not an error. The trial
     family mixes narrow, wide and mildly rough compactly supported shapes.
+    ``ValueError`` is raised for fewer than one trial and for a weight with
+    a negative value.
     """
-    grid = pair.grid
-    metric = pair.meta["metric"]
-    e1 = pair.meta["e1_exact"]
+    if trials < 1:
+        raise ValueError(f"hardy_verify needs at least one trial, not trials = {trials}")
     rho = np.asarray(rho, float)
     if rho.min() < 0:
         raise ValueError("the candidate weight must be nonnegative")
+    pair = assemble_hk(metric)
+    grid = pair.grid
     M_rho = assemble_potential(metric, grid, rho)
     a = float(grid.x2[-1])
-    kept = grid.keep_indices()
+    e1 = transverse_energy(1, a)
     margins = np.empty(trials)
     trials_full = _trial_vectors(grid, a, trials, seed)
     for i in range(trials):
-        v = trials_full[i][kept]
+        v = trials_full[i][pair.kept]
         mv = pair.M @ v
         denom = float(v @ mv)
         margins[i] = (float(v @ (pair.S @ v)) - e1 * denom - float(v @ (M_rho @ v))) / denom
     return float(margins.min())
 
 
-def perturbed_threshold(pair: OperatorPair, v_nodal: np.ndarray) -> float:
-    """Lowest eigenvalue of the pair with an attractive potential added."""
+def perturbed_threshold(metric: MetricField, v_nodal: np.ndarray) -> float:
+    """Lowest eigenvalue of ``assemble_hk(metric)``, on the metric's own grid,
+    with the attractive potential of nodal values ``v_nodal`` (nonpositive,
+    else ``ValueError``) added to its stiffness matrix."""
     v_nodal = np.asarray(v_nodal, float)
     if v_nodal.max() > 0:
         raise ValueError("perturbation must be nonpositive")
-    metric = pair.meta["metric"]
+    pair = assemble_hk(metric)
     M_v = assemble_potential(metric, pair.grid, v_nodal)
-    perturbed = OperatorPair(
-        S=(pair.S + M_v).tocsr(),
-        M=pair.M,
-        grid=pair.grid,
-        kept=pair.kept,
-        meta=dict(pair.meta),
-    )
+    perturbed = OperatorPair(S=(pair.S + M_v).tocsr(), M=pair.M, grid=pair.grid, kept=pair.kept)
     res = lowest_eigenpairs(perturbed, k=1)
     return float(res.eigenvalues[0])
 
@@ -323,8 +323,7 @@ def perturbed_threshold(pair: OperatorPair, v_nodal: np.ndarray) -> float:
 class ThresholdProbe:
     limit: float
     slope: float
-    table: np.ndarray          # (len(L_values), k) eigenvalues per truncation
-    L_values: np.ndarray
+    table: np.ndarray          # (len(L_values), k) eigenvalues per truncation, L ascending
     discrete_limits: np.ndarray
 
 
@@ -347,14 +346,8 @@ def essential_threshold_probe(metric: MetricField, L_values, k: int = 5) -> Thre
     for i, L in enumerate(L_values):
         n1 = int(round(2 * L / h1))
         geom = StripGeometry(a=a, L=float(L), n1=n1, n2=n2)
-        lower = np.interp(geom.x1, metric.x1, metric.envelope_lower, left=1.0, right=1.0)
-        upper = np.interp(geom.x1, metric.x1, metric.envelope_upper, left=1.0, right=1.0)
-        f, d2f = metric.sample(geom.x1, x2)
-        m = replace(
-            metric, x1=geom.x1, f=f, d2f=d2f,
-            envelope_lower=lower, envelope_upper=upper,
-        )
-        pair = assemble_hk(m)
+        # assembly reads the metric only through its sampler
+        pair = assemble_hk(metric, make_grid(geom.x1, x2))
         table[i] = lowest_eigenpairs(pair, k=k).eigenvalues
 
     design = np.column_stack([np.ones_like(L_values), 1.0 / L_values**2])
@@ -371,6 +364,5 @@ def essential_threshold_probe(metric: MetricField, L_values, k: int = 5) -> Thre
         limit=float(limits[jstar]),
         slope=float(slopes[jstar]),
         table=table,
-        L_values=L_values,
         discrete_limits=limits[~continuum],
     )

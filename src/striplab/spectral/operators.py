@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from ..errors import GridMisaligned, TruncationWarning
+from ..errors import GeometryInvalid, GridMisaligned, TruncationWarning
 from ..geometry import MetricField
 from .core import (
     _GP,
@@ -63,18 +63,16 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
     if grid is None:
         grid = make_grid(metric.x1, metric.x2)
     _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
-    e1_exact = (math.pi / (2.0 * (grid.x2[-1]))) ** 2
-    meta = {"metric": metric, "e1_discrete": flat_transverse_ground(grid.x2), "e1_exact": e1_exact}
-    return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F, meta)
+    return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F)
 
 
-def _checked_pair(grid: WeightedGrid, terms_S, F, meta: dict) -> OperatorPair:
+def _checked_pair(grid: WeightedGrid, terms_S, F) -> OperatorPair:
     """The checked pair of stiffness ``terms_S`` and mass weight ``F`` on the
     grid's kept nodes."""
     keep = grid.keep
     S = assemble_2d(grid.x1, grid.x2, terms_S, keep)
     M = assemble_2d(grid.x1, grid.x2, [("mass", F)], keep)
-    pair = OperatorPair(S, M, grid=grid, kept=grid.keep_indices(), meta=meta)
+    pair = OperatorPair(S, M, grid=grid, kept=grid.keep_indices())
     pair.check()
     return pair
 
@@ -119,16 +117,18 @@ def transverse_pair(metric: MetricField, x1: float) -> OperatorPair:
     g2 = gauss_points_1d(x2)
     f, _ = metric.sample(np.array([x1], float), g2.ravel())
     S, M = _transverse_matrices(x2, f.reshape(g2.shape))
-    return OperatorPair(
-        S=S, M=M,
-        kept=np.arange(1, x2.size - 1),
-        meta={"e1_discrete": flat_transverse_ground(x2)},
-    )
+    return OperatorPair(S=S, M=M, kept=np.arange(1, x2.size - 1))
 
 
 def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> WeightedGrid:
     """Frame grid for the self-similar family: longitudinal box
-    [-half_width, half_width] times the strip cross-section."""
+    [-half_width, half_width] times the strip cross-section, in ``n_cells``
+    cells. ``GeometryInvalid`` is raised for fewer than 2 cells, which leave
+    no interior column, and for a half-width not positive and finite."""
+    if n_cells < 2:
+        raise GeometryInvalid(f"the frame grid needs at least 2 cells, not n_cells = {n_cells}")
+    if not 0 < half_width < math.inf:
+        raise GeometryInvalid(f"the frame half-width must be positive and finite, not {half_width}")
     y1 = np.linspace(-half_width, half_width, n_cells + 1)
     return make_grid(y1, metric.x2)
 
@@ -168,8 +168,7 @@ def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> Operator
         ("d1sym", -0.5 * Y * FS),
         ("mass", (1.0 / 16.0) * Y**2 * (2.0 - FS**-2) * FS),
     ]
-    meta = {"e1_discrete": e1h, "metric": metric}
-    return _checked_pair(grid_y, terms_S, FS, meta)
+    return _checked_pair(grid_y, terms_S, FS)
 
 
 def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> OperatorPair:

@@ -15,6 +15,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily, on the first np.random lookup
 
 from .errors import (
+    BadCheckpoint,
     BadStart,
     CheckpointMissing,
     InsufficientSignal,
@@ -132,7 +133,6 @@ class PathEnsemble:
     positions: np.ndarray     # (n_checkpoints, n_paths, 2), frozen at death
     kill_time: np.ndarray     # inf when censored at t_max
     t_max: float
-    beyond_box_fraction: float = 0.0
 
     def checkpoint_index(self, t: float) -> int:
         hits = np.flatnonzero(np.isclose(self.checkpoint_times, t, rtol=0, atol=1e-9))
@@ -168,11 +168,21 @@ def simulate_killed(
     when it dies, and stops once none is left. Each step draws normals, then
     uniforms, for the live paths only, in ascending path order, so a chunk's
     stream depends on its deaths but stays a function of (seed, dt, n_paths).
+
+    The inputs are checked before any step: ``BadStart`` for an ``x0`` that
+    is not a finite point of the open strip, ``ValueError`` for a ``dt`` not
+    positive and finite or an ``n_paths`` below 1, ``StepTooLarge`` for
+    dt > a^2/100, and ``BadCheckpoint`` for a checkpoint (by default
+    ``t_max``) that is not a nonnegative finite time.
     """
     a = sde.a
     x10, x20 = float(x0[0]), float(x0[1])
-    if abs(x20) >= a:
-        raise BadStart(f"|x2| = {abs(x20)} is not inside the strip of width {a}")
+    if not (math.isfinite(x10) and abs(x20) < a):
+        raise BadStart(f"x0 = ({x10}, {x20}) is not inside the open strip |x2| < {a}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, not {n_paths}")
     if dt > a**2 / 100.0:
         raise StepTooLarge(f"dt = {dt} exceeds a^2/100 = {a ** 2 / 100.0:.3g}")
     if checkpoints is None:
@@ -180,6 +190,8 @@ def simulate_killed(
     n_steps = int(round(t_max / dt)) if t_max > 0 else 0
     check_steps = []
     for t in checkpoints:
+        if not 0 <= t < math.inf:
+            raise BadCheckpoint(f"checkpoint t = {t} is not a nonnegative finite time")
         k = int(round(t / dt))
         if abs(k * dt - t) > 1e-9 * max(1.0, t_max):
             raise CheckpointMissing(f"checkpoint {t} is not a multiple of dt")
@@ -242,7 +254,6 @@ def simulate_killed(
             positions[ci, c0:c1] = last
         kill_time[c0:c1] = ktime
 
-    beyond = 0.0
     if box_limit is not None:
         final_alive = kill_time > t_max
         if final_alive.any():
@@ -264,7 +275,6 @@ def simulate_killed(
         positions=positions,
         kill_time=kill_time,
         t_max=t_max,
-        beyond_box_fraction=beyond,
     )
 
 
@@ -273,8 +283,6 @@ class SurvivalEstimate:
     probability: float
     half_width: float        # 99% binomial (Wilson) half-width
     t: float
-    target: tuple            # None means the whole strip
-    n_alive_in_B: int
     n_paths: int
 
 
@@ -305,10 +313,7 @@ def survival_estimate(ensemble: PathEnsemble, B, t: float) -> SurvivalEstimate:
     half = (_Z99 / (1.0 + z2 / n)) * math.sqrt(
         phat * (1.0 - phat) / n + z2 / (4.0 * n**2)
     )
-    return SurvivalEstimate(
-        probability=phat, half_width=half, t=float(t), target=B,
-        n_alive_in_B=k, n_paths=n,
-    )
+    return SurvivalEstimate(probability=phat, half_width=half, t=float(t), n_paths=n)
 
 
 @dataclass(frozen=True)
@@ -317,7 +322,6 @@ class RateFit:
     stderr: float
     lambda_hat: float
     stderr_lambda: float
-    n_points: int
 
 
 def pointwise_rate(estimates, E1: float) -> RateFit:
@@ -354,7 +358,6 @@ def pointwise_rate(estimates, E1: float) -> RateFit:
         stderr=stderr,
         lambda_hat=float(-coef2[1]),
         stderr_lambda=float(math.sqrt(cov2[1, 1])),
-        n_points=len(usable),
     )
 
 

@@ -18,7 +18,7 @@ from striplab.errors import (
     LinearSolveFailure,
     NotInWeightedSpace,
 )
-from striplab.oracle import mode_function
+from striplab.oracle import mode_function, transverse_energy
 from striplab.spectral.operators import _transverse_matrices
 
 
@@ -103,7 +103,7 @@ def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
     one, the curved and open-ended pairs the banded Cholesky."""
     m, pair = request.getfixturevalue(case)
     if shift == "e1":
-        shift = pair.meta["e1_discrete"]
+        shift = sp.flat_transverse_ground(m.x2)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
     ref = _splu_reference(pair, u0, t_grid, dt=0.01, shift=shift)
@@ -129,7 +129,7 @@ def test_propagator_follows_the_kronecker_structure(request, monkeypatch, case, 
 
     monkeypatch.setattr(ev, "banded_cholesky", spy)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
-    ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=pair.meta["e1_discrete"])
+    ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=sp.flat_transverse_ground(m.x2))
     assert calls == ([(pair.n, pair.n)] if banded else [])
 
 
@@ -143,10 +143,10 @@ def test_checkpoints_at_the_fit_window_ends_are_kept(request, case):
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     dt = 0.01
     t_grid = np.arange(0.0, 100.0 + 1e-9, 5.0)
-    tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=pair.meta["e1_discrete"])
+    tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=sp.flat_transverse_ground(m.x2))
     assert tr.times.tolist() == [k * dt for k in range(0, 10001, 500)]
     assert tr.times[1] == 5.0 and tr.times[-1] == 100.0
-    e1 = pair.meta["e1_exact"]
+    e1 = transverse_energy(1, m.x2[-1])
     fit = ev.fit_decay(tr, e1, (5.0, 100.0))
     wide = ev.fit_decay(tr, e1, (5.0 - dt / 2, 100.0 + dt / 2))
     assert (fit.gamma_hat, fit.lambda_hat) == (wide.gamma_hat, wide.lambda_hat)
@@ -278,7 +278,7 @@ def _per_k_reference(pair, u0, t_grid, dt, shift):
 )
 def test_running_product_matches_per_k_powers(flat_small, t_grid):
     m, pair = flat_small
-    shift = pair.meta["e1_discrete"]
+    shift = sp.flat_transverse_ground(m.x2)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     u0.u = u0.u + 1e-3 * np.sin(3.0 * np.arange(u0.u.size))  # every mode present
     tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=shift, keep_states=True)

@@ -18,6 +18,7 @@ from striplab.errors import (
     ShiftInsideSpectrum,
     TruncationWarning,
 )
+from striplab.oracle import transverse_energy
 from striplab.spectral import core, operators
 
 
@@ -65,7 +66,7 @@ def test_tensor_decomposition(flat_pair):
         subset_by_index=[0, 2],
         eigvals_only=True,
     )
-    expected = pair.meta["e1_discrete"] + xi
+    expected = sp.flat_transverse_ground(m.x2) + xi
     assert np.abs(res.eigenvalues - expected).max() < 1e-9
 
 
@@ -136,7 +137,7 @@ def test_positive_bump_pulls_eigenvalue_below_threshold():
     m = geo.solve_jacobi(prof, geo.StripGeometry(a=a, L=24.0, n1=240, n2=24))
     pair = sp.assemble_hk(m)
     lam = sp.lowest_eigenpairs(pair, k=1).eigenvalues[0]
-    assert lam < pair.meta["e1_exact"]
+    assert lam < transverse_energy(1, a)
 
 
 def test_transverse_mu_flat_exactly_zero():
@@ -165,7 +166,7 @@ def test_frame_operator_flat_matches_direct_assembly():
     gy = sp.make_y_grid(m, 13.0, 130)
     s = 2.0
     pair = sp.assemble_Ls(m, s, gy)
-    e1h = pair.meta["e1_discrete"]
+    e1h = sp.flat_transverse_ground(gy.x2)
     g1 = sp.gauss_points_1d(gy.x1)
     g2 = sp.gauss_points_1d(gy.x2)
     ones = np.ones((g1.shape[0], g2.shape[0], 3, 3))
@@ -286,33 +287,31 @@ def test_thin_strip_bound_zero_width_limit():
 
 
 def test_hardy_verify_zero_weight_nonnegative(flat_pair):
-    m, pair = flat_pair
+    m, _ = flat_pair
     rho = np.zeros((m.x1.size, m.x2.size))
-    assert sp.hardy_verify(pair, rho, trials=30, seed=3) >= -1e-6
+    assert sp.hardy_verify(m, rho, trials=30, seed=3) >= -1e-6
 
 
 def test_hardy_verify_flat_falsified_by_constant_weight():
     m = geo.solve_jacobi(
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=40.0, n1=320, n2=24)
     )
-    pair = sp.assemble_hk(m)
     rho = 0.05 * np.ones((m.x1.size, m.x2.size))
-    assert sp.hardy_verify(pair, rho, trials=60, seed=7) < 0.0
+    assert sp.hardy_verify(m, rho, trials=60, seed=7) < 0.0
 
 
 def test_hardy_verify_certified_weight(ruled_certified):
     m, _ = ruled_certified
-    pair = sp.assemble_hk(m)
     hc = sp.pick_hardy_interval(m)
     x10 = 0.5 * (hc.J[0] + hc.J[1])
     rho = (hc.c_K / (1.0 + (m.x1 - x10) ** 2))[:, None] * np.ones(m.x2.size)[None, :]
-    assert sp.hardy_verify(pair, rho, trials=60, seed=7) >= -1e-6
+    assert sp.hardy_verify(m, rho, trials=60, seed=7) >= -1e-6
 
 
 def test_perturbed_threshold_zero_potential_identity(flat_pair):
     m, pair = flat_pair
     base = sp.lowest_eigenpairs(pair, k=1).eigenvalues[0]
-    lam = sp.perturbed_threshold(pair, np.zeros((m.x1.size, m.x2.size)))
+    lam = sp.perturbed_threshold(m, np.zeros((m.x1.size, m.x2.size)))
     assert lam == pytest.approx(base, abs=1e-12)
 
 
@@ -320,20 +319,18 @@ def test_perturbed_threshold_flat_criticality():
     m = geo.solve_jacobi(
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=40.0, n1=320, n2=24)
     )
-    pair = sp.assemble_hk(m)
     V = -0.1 * np.exp(-m.x1[:, None] ** 2 / 2.0) * np.ones(m.x2.size)[None, :]
-    lam = sp.perturbed_threshold(pair, V)
-    assert lam < pair.meta["e1_exact"]
+    lam = sp.perturbed_threshold(m, V)
+    assert lam < transverse_energy(1, m.x2[-1])
     with pytest.raises(ValueError):
-        sp.perturbed_threshold(pair, -V)
+        sp.perturbed_threshold(m, -V)
 
 
 def test_perturbed_threshold_certified_strip_resists_small_bump(ruled_certified):
     m, _ = ruled_certified
-    pair = sp.assemble_hk(m)
     V = -0.002 * np.exp(-m.x1[:, None] ** 2 / 2.0) * np.ones(m.x2.size)[None, :]
-    lam = sp.perturbed_threshold(pair, V)
-    assert lam >= pair.meta["e1_exact"]
+    lam = sp.perturbed_threshold(m, V)
+    assert lam >= transverse_energy(1, m.x2[-1])
 
 
 def test_shift_inside_spectrum_detected(flat_pair):

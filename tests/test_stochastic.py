@@ -11,6 +11,7 @@ from striplab import oracle
 from striplab import spectral as sp
 from striplab import stochastic as st
 from striplab.errors import (
+    BadCheckpoint,
     BadStart,
     CheckpointMissing,
     StepTooLarge,
@@ -247,6 +248,30 @@ def test_preconditions(flat_sde):
     ens = st.simulate_killed(sde, (0.0, 0.0), t_max=0.2, dt=1e-3, n_paths=8, seed=0)
     with pytest.raises(CheckpointMissing):
         st.survival_estimate(ens, None, 0.1)
+
+
+@pytest.mark.parametrize(
+    "change, error, named",
+    [
+        (dict(checkpoints=[-1.0]), BadCheckpoint, "checkpoint t = -1.0"),
+        (dict(t_max=-1.0), BadCheckpoint, "checkpoint t = -1.0"),
+        (dict(checkpoints=[math.nan]), BadCheckpoint, "checkpoint t = nan"),
+        (dict(dt=math.nan), ValueError, "dt must be positive and finite, not nan"),
+        (dict(dt=-0.001), ValueError, "dt must be positive and finite, not -0.001"),
+        (dict(dt=0.0), ValueError, "dt must be positive and finite, not 0.0"),
+        (dict(n_paths=0), ValueError, "n_paths must be at least 1, not 0"),
+        (dict(x0=(math.nan, 0.0)), BadStart, r"x0 = \(nan, 0.0\)"),
+        (dict(x0=(0.0, math.inf)), BadStart, r"x0 = \(0.0, inf\)"),
+    ],
+    ids=["negative-checkpoint", "negative-t_max", "nan-checkpoint", "nan-dt", "negative-dt",
+         "zero-dt", "no-paths", "nan-x0", "infinite-x0"],
+)
+def test_simulate_killed_rejects_bad_inputs_before_any_step(flat_sde, monkeypatch, change, error, named):
+    _, sde = flat_sde
+    monkeypatch.setattr(st.SdeSpec, "fields", lambda *args: pytest.fail("a step was taken"))
+    kw = dict(x0=(0.0, 0.0), t_max=0.1, dt=1e-3, n_paths=8, seed=0) | change
+    with pytest.raises(error, match=named):
+        st.simulate_killed(sde, **kw)
 
 
 def test_survival_against_series(flat_sde):

@@ -5,7 +5,11 @@ Runs every shipped `configs/*.ini` and every benchmark input
 `perfbench/inputs/*.ini` (read only) into a temporary directory, then the
 acceptance criteria 1-7, 9 and 10 (criterion 8 is the long Monte Carlo
 one). Prints one `sha256  relative/path` line per CSV or JSON output and one
-`number passed detail` line per criterion, without its seconds, so that
+`number passed detail` line per criterion, without its seconds. For the
+threshold probe and the perturbed threshold, which no config or criterion
+writes out, it prints the `sha256` of `essential_threshold_probe(...).table`
+and the `repr` of one `perturbed_threshold` value on the flat and the
+ruled certified strips of `tests/test_spectral.py`. So
 
     python tools/output_digest.py > after.txt
 
@@ -15,6 +19,7 @@ striplab imported is the one under this checkout's `src/`.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -22,10 +27,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from striplab import cli  # noqa: E402
+from striplab import geometry as geo  # noqa: E402
+from striplab import spectral as sp  # noqa: E402
 from striplab.acceptance import run_criterion  # noqa: E402
 
 CRITERIA = (1, 2, 3, 4, 5, 6, 7, 9, 10)
+
+
+def _threshold_lines():
+    """One probe-table digest line and one perturbed-threshold line per
+    strip; each strip comes with its truncation lengths and the depth of the
+    Gaussian well added to it."""
+    flat = geo.solve_jacobi(
+        geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=16.0, n1=128, n2=40)
+    )
+    ruled, _ = geo.ruled_strip(
+        geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=192, n2=40)
+    )
+    for name, m, lengths, depth in (
+        ("flat", flat, [16.0, 24.0, 32.0], 0.1),
+        ("ruled-certified", ruled, [12.0, 18.0, 24.0], 0.002),
+    ):
+        table = sp.essential_threshold_probe(m, lengths, k=4).table
+        yield f"{hashlib.sha256(table.tobytes()).hexdigest()}  threshold-probe/{name}"
+        V = -depth * np.exp(-m.x1[:, None] ** 2 / 2.0) * np.ones(m.x2.size)[None, :]
+        yield f"perturbed-threshold/{name} {sp.perturbed_threshold(m, V)!r}"
 
 
 def main() -> int:
@@ -39,6 +68,8 @@ def main() -> int:
             if path.suffix in (".csv", ".json"):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.relative_to(out)}", flush=True)
+    for line in _threshold_lines():
+        print(line, flush=True)
     for number in CRITERIA:
         r = run_criterion(number)
         print(f"{r.number} {r.passed} {r.detail}", flush=True)
