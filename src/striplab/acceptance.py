@@ -59,9 +59,11 @@ def _c2_flat_frames():
     m = geo.solve_jacobi(geo.zero_profile(), geom)
     gy = sp.make_y_grid(m, 16.0, 640)
     errs = []
+    start = sp.flat_frame_ground(gy)
     for s in [0.0, 1.0, 2.0, 4.0, 8.0]:
-        nu = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1).eigenvalues[0]
-        errs.append(abs(nu - 0.25))
+        res = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1, start=start)
+        start = res.eigenvectors[:, 0]
+        errs.append(abs(res.eigenvalues[0] - 0.25))
     worst = max(errs)
     return worst <= 1e-3, f"max |nu0(s) - 1/4| = {worst:.2e} over s in {{0,1,2,4,8}} (tol 1e-3)"
 
@@ -79,8 +81,11 @@ def _c3_negative_frames():
         return False, f"hardy constant not positive: c_K = {cert.c_K:.3e}"
     gy = sp.make_y_grid(m, 14.0, 1120)
     nus = []
+    start = sp.flat_frame_ground(gy)
     for s in [0.0, 2.0, 4.0, 8.0]:
-        nus.append(sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1).eigenvalues[0])
+        res = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1, start=start)
+        start = res.eigenvectors[:, 0]
+        nus.append(res.eigenvalues[0])
     nus = np.array(nus)
     mono = bool(np.all(np.diff(nus) >= -1e-9))
     dev = abs(nus[-1] - 0.75)

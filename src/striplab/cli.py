@@ -273,8 +273,10 @@ def _exp_nu_sweep(cfg, outdir):
     ctr = cfg.controls
     gy = sp.make_y_grid(metric, ctr["frame_half_width"], ctr["frame_cells"])
     rows = []
+    start = sp.flat_frame_ground(gy)
     for s in ctr["s_lattice"]:
-        res = sp.lowest_eigenpairs(sp.assemble_Ls(metric, s, gy), k=1)
+        res = sp.lowest_eigenpairs(sp.assemble_Ls(metric, s, gy), k=1, start=start)
+        start = res.eigenvectors[:, 0]
         rows.append((s, 0, res.eigenvalues[0], res.residuals[0]))
     p = outdir / "nu_sweep.csv"
     _write_csv(p, ["s[1]", "index[1]", "nu[1]", "residual[1]"], rows)

@@ -282,11 +282,13 @@ def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -
 
     A negative return is a valid falsification, not an error. The trial
     family mixes narrow, wide and mildly rough compactly supported shapes.
-    ``ValueError`` is raised for fewer than one trial and for a weight with
-    a negative value.
+    ``ValueError`` is raised for fewer than one trial, a negative ``seed``
+    and a weight with a negative value.
     """
     if trials < 1:
         raise ValueError(f"hardy_verify needs at least one trial, not trials = {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     rho = np.asarray(rho, float)
     if rho.min() < 0:
         raise ValueError("the candidate weight must be nonnegative")

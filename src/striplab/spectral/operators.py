@@ -16,6 +16,7 @@ import scipy.linalg
 
 from ..errors import GeometryInvalid, GridMisaligned, TruncationWarning
 from ..geometry import MetricField
+from ..oracle import mode_function
 from .core import (
     _GP,
     OperatorPair,
@@ -34,6 +35,7 @@ __all__ = [
     "assemble_Ls",
     "harmonic_oscillator",
     "make_y_grid",
+    "flat_frame_ground",
 ]
 
 
@@ -50,7 +52,9 @@ def _coeff_grid(metric: MetricField, x1: np.ndarray, x2: np.ndarray, scale=1.0):
         F = np.ones((n1, n2, 3, 3))
     else:
         f, _ = metric.sample(scale * g1.ravel(), g2.ravel())
-        F = f.reshape(n1, 3, n2, 3).transpose(0, 2, 1, 3)
+        # contiguous, so that no term's coefficient array is copied again
+        # when assembly flattens it
+        F = np.ascontiguousarray(f.reshape(n1, 3, n2, 3).transpose(0, 2, 1, 3))
     return g1, g2, F
 
 
@@ -131,6 +135,16 @@ def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> Weighte
         raise GeometryInvalid(f"the frame half-width must be positive and finite, not {half_width}")
     y1 = np.linspace(-half_width, half_width, n_cells + 1)
     return make_grid(y1, metric.x2)
+
+
+def flat_frame_ground(grid_y: WeightedGrid) -> np.ndarray:
+    """Ground state of the flat frame operator, exp(-y1^2/8) times the first
+    transverse mode, on the kept nodes of ``grid_y``: the start vector of a
+    frame sweep's first eigensolve, each later frame starting from the
+    previous frame's eigenvector."""
+    x2 = grid_y.x2
+    v = np.outer(np.exp(-grid_y.x1**2 / 8.0), mode_function(1, x2[-1], x2))
+    return v.ravel()[grid_y.keep]
 
 
 def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> OperatorPair:

@@ -171,9 +171,9 @@ def simulate_killed(
 
     The inputs are checked before any step: ``BadStart`` for an ``x0`` that
     is not a finite point of the open strip, ``ValueError`` for a ``dt`` not
-    positive and finite or an ``n_paths`` below 1, ``StepTooLarge`` for
-    dt > a^2/100, and ``BadCheckpoint`` for a checkpoint (by default
-    ``t_max``) that is not a nonnegative finite time.
+    positive and finite, an ``n_paths`` below 1 or a negative ``seed``,
+    ``StepTooLarge`` for dt > a^2/100, and ``BadCheckpoint`` for a checkpoint
+    (by default ``t_max``) that is not a nonnegative finite time.
     """
     a = sde.a
     x10, x20 = float(x0[0]), float(x0[1])
@@ -183,6 +183,8 @@ def simulate_killed(
         raise ValueError(f"dt must be positive and finite, not {dt}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, not {n_paths}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     if dt > a**2 / 100.0:
         raise StepTooLarge(f"dt = {dt} exceeds a^2/100 = {a ** 2 / 100.0:.3g}")
     if checkpoints is None:
@@ -292,14 +294,18 @@ _Z99 = 2.5758293035489004
 def survival_estimate(ensemble: PathEnsemble, B, t: float) -> SurvivalEstimate:
     """Fraction of paths alive at t and inside B, with 99% binomial interval.
 
-    ``B`` is None for the whole strip or ((bx0, bx1), (by0, by1)).
+    ``B`` is None for the whole strip or ((bx0, bx1), (by0, by1)); a box with
+    a low edge above its high edge raises ``ValueError``.
     """
+    if B is not None:
+        (bx0, bx1), (by0, by1) = B
+        if not (bx0 <= bx1 and by0 <= by1):
+            raise ValueError(f"box {B} has a low edge above its high edge")
     ci = ensemble.checkpoint_index(t)
     alive = ensemble.alive_at(t)
     if B is None:
         hit = alive
     else:
-        (bx0, bx1), (by0, by1) = B
         p = ensemble.positions[ci]
         hit = (
             alive

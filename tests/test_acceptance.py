@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each."""
 import pytest
 
-from striplab.acceptance import CRITERIA, run_criterion
+from striplab import spectral as sp
+from striplab.acceptance import CRITERIA, _negative_reference_metric, run_criterion
 
 _FAST = [num for num, _, _, slow in CRITERIA if not slow]
 _SLOW = [num for num, _, _, slow in CRITERIA if slow]
@@ -24,3 +25,21 @@ def test_acceptance_criterion_slow(number):
     result = run_criterion(number)
     _report(result)
     assert result.passed, f"criterion {number}: {result.detail}"
+
+
+def _criterion3_nu8(half_width, cells):
+    m, _ = _negative_reference_metric()
+    gy = sp.make_y_grid(m, half_width, cells)
+    res = sp.lowest_eigenpairs(sp.assemble_Ls(m, 8.0, gy), k=1, start=sp.flat_frame_ground(gy))
+    return res.eigenvalues[0]
+
+
+@pytest.mark.slow
+def test_criterion3_nu8_converges_at_second_order_in_the_frame_cells():
+    """nu(8) of criterion 3's frame, whose grid has 1120 cells on a half-width
+    of 14: halving h cuts the error by about 4, and widening the box at equal
+    h moves nothing. Evidence for the printed 0.7453, not a new gate."""
+    nu = [_criterion3_nu8(14.0, cells) for cells in (560, 1120, 2240)]
+    ratio = (nu[0] - nu[1]) / (nu[1] - nu[2])
+    assert 3.5 <= ratio <= 4.5, (nu, ratio)
+    assert abs(_criterion3_nu8(18.0, 1440) - nu[1]) <= 1e-8

@@ -420,7 +420,10 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
         ("mc", "dt = 0.002", "dt = -0.001", "dt must be positive and finite, not -0.001"),
         ("mc", "n_paths = 5000", "n_paths = 0", "n_paths must be at least 1, not 0"),
         ("mc", "x0 = 0.0, 0.0", "x0 = nan, 0.0", "x0 = (nan, 0.0)"),
+        ("mc", "seed = 7", "seed = -3", "seed must be nonnegative, not -3"),
+        ("mc", "seed = 7", "seed = 7\nbox = 1, -1, 0, 1", "box ((1.0, -1.0), (0.0, 1.0))"),
         ("hardy", "trials = 5", "trials = 0", "trials = 0"),
+        ("hardy", "trials = 5", "trials = 5\nseed = -3", "seed must be nonnegative, not -3"),
         ("nu-sweep", "frame_cells = 260", "frame_cells = 0", "n_cells = 0"),
         ("nu-sweep", "frame_half_width = 13.0", "frame_half_width = -14", "half-width"),
         ("nu-sweep", "frame_half_width = 13.0", "frame_half_width = nan", "half-width"),
@@ -429,16 +432,19 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
         ("evolve", "alpha = 1.0", "alpha = nan", "alpha = nan"),
     ],
     ids=["mc-negative-t_lattice", "mc-nan-dt", "mc-negative-dt", "mc-no-paths", "mc-nan-x0",
-         "hardy-no-trials", "nu-sweep-no-frame_cells", "nu-sweep-negative-half-width",
+         "mc-negative-seed", "mc-box-low-above-high", "hardy-no-trials", "hardy-negative-seed",
+         "nu-sweep-no-frame_cells", "nu-sweep-negative-half-width",
          "nu-sweep-nan-half-width", "evolve-zero-checkpoint_step",
          "evolve-negative-checkpoint_step", "evolve-nan-alpha"],
 )
 def test_experiment_values_out_of_range_exit_3_naming_the_value(tmp_path, capsys, kind, old, new, named):
-    """Ranges are checked by the layer that uses each value, not by load_config."""
+    """Ranges are checked by the layer that uses each value, not by load_config,
+    and no CSV is written."""
     assert old in _SMALL[kind]
     bad = _write(tmp_path, _SMALL[kind].replace(old, new))
     assert cli.main(["run", str(bad)]) == 3
     assert named in capsys.readouterr().err
+    assert not list((tmp_path / "out").rglob("*.csv"))
 
 
 def test_seed_option_sets_the_seed_of_the_kinds_that_have_one(tmp_path):

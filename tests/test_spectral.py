@@ -19,7 +19,7 @@ from striplab.errors import (
     TruncationWarning,
 )
 from striplab.oracle import transverse_energy
-from striplab.spectral import core, operators
+from striplab.spectral import core, operators, solve
 
 
 @pytest.fixture(scope="module")
@@ -616,6 +616,52 @@ def test_banded_cholesky_eigenpairs_match_sparse_lu(case):
     vals, solves = _splu_eigenvalues(pair, k=3)
     assert np.abs(res.eigenvalues / vals - 1.0).max() <= 1e-9
     assert res.iterations == solves
+
+
+def test_lowest_eigenpairs_rejects_k_above_the_pair_size():
+    pair = sp.harmonic_oscillator(False, np.linspace(-5.0, 5.0, 50))
+    assert pair.n == 48
+    assert sp.lowest_eigenpairs(pair, k=48).eigenvalues.size == 48
+    with pytest.raises(ValueError, match=r"n = 48 unknowns.*k = 49"):
+        sp.lowest_eigenpairs(pair, k=49)
+
+
+def _frame_sweep(m, gy, lattice, warm):
+    """Lowest frame eigenpair at each s, every solve cold or each started
+    from the previous frame's eigenvector (the first from the flat one)."""
+    start = sp.flat_frame_ground(gy) if warm else None
+    out = []
+    for s in lattice:
+        res = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1, start=start)
+        start = res.eigenvectors[:, 0] if warm else None
+        out.append(res)
+    return out
+
+
+def test_warm_started_frame_sweep_matches_cold_with_fewer_solves():
+    m = _negative_metric()
+    gy = sp.make_y_grid(m, 14.0, 280)
+    lattice = [0.0, 2.0, 4.0, 8.0]
+    cold = _frame_sweep(m, gy, lattice, warm=False)
+    warm = _frame_sweep(m, gy, lattice, warm=True)
+    assert cold[0].eigenvectors.shape[0] > 400  # the shift-invert path
+    for c, w in zip(cold, warm):
+        nu = c.eigenvalues[0]
+        assert abs(w.eigenvalues[0] / nu - 1.0) <= 1e-12
+        assert w.residuals[0] <= solve._TOL * 100 * max(abs(nu), 1.0)
+    assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [(np.ones(5), "entries"), (np.full(6417, np.nan), "finite"), (np.zeros(6417), "nonzero")],
+    ids=["wrong-length", "nan", "zero"],
+)
+def test_lowest_eigenpairs_rejects_a_bad_start(bad, named):
+    pair = PAIRS["curved_frame"]()()
+    assert pair.n == 6417
+    with pytest.raises(ValueError, match=named):
+        sp.lowest_eigenpairs(pair, k=1, start=bad)
 
 
 def test_asymmetric_pair_raises(flat_pair):
