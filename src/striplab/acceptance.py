@@ -2,7 +2,11 @@
 
 Each criterion builds its own fixed configuration (grids, profiles, seeds are
 frozen here) and returns a CriterionResult with a pass flag and a detail
-string. Criterion 8 is the long Monte Carlo one and is tagged slow.
+string. The criteria run the pipelines the CLI runners run: the frame sweeps
+of criteria 2 and 3 are ``spectral.frame_sweep``, the decay fits of criteria
+4 and 5 ``evolution.decay_run`` and the weight of criterion 10
+``spectral.hardy_weight``. Criterion 8 is the long Monte Carlo one and is
+tagged slow.
 """
 from __future__ import annotations
 
@@ -57,14 +61,8 @@ def _c2_flat_frames():
     a = math.pi / 2
     geom = geo.StripGeometry(a=a, L=20.0, n1=200, n2=32)
     m = geo.solve_jacobi(geo.zero_profile(), geom)
-    gy = sp.make_y_grid(m, 16.0, 640)
-    errs = []
-    start = sp.flat_frame_ground(gy)
-    for s in [0.0, 1.0, 2.0, 4.0, 8.0]:
-        res = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1, start=start)
-        start = res.eigenvectors[:, 0]
-        errs.append(abs(res.eigenvalues[0] - 0.25))
-    worst = max(errs)
+    sweep = sp.frame_sweep(m, [0.0, 1.0, 2.0, 4.0, 8.0], 16.0, 640)
+    worst = max(abs(res.eigenvalues[0] - 0.25) for res in sweep)
     return worst <= 1e-3, f"max |nu0(s) - 1/4| = {worst:.2e} over s in {{0,1,2,4,8}} (tol 1e-3)"
 
 
@@ -79,14 +77,8 @@ def _c3_negative_frames():
     cert = sp.pick_hardy_interval(m)
     if cert.c_K <= 0:
         return False, f"hardy constant not positive: c_K = {cert.c_K:.3e}"
-    gy = sp.make_y_grid(m, 14.0, 1120)
-    nus = []
-    start = sp.flat_frame_ground(gy)
-    for s in [0.0, 2.0, 4.0, 8.0]:
-        res = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1, start=start)
-        start = res.eigenvectors[:, 0]
-        nus.append(res.eigenvalues[0])
-    nus = np.array(nus)
+    sweep = sp.frame_sweep(m, [0.0, 2.0, 4.0, 8.0], 14.0, 1120)
+    nus = np.array([res.eigenvalues[0] for res in sweep])
     mono = bool(np.all(np.diff(nus) >= -1e-9))
     dev = abs(nus[-1] - 0.75)
     ok = mono and dev <= 0.05
@@ -96,21 +88,11 @@ def _c3_negative_frames():
     )
 
 
-def _decay_run(metric, n_checkpoints=0.5, t_end=100.0, dt=0.01):
-    pair = sp.assemble_hk(metric)
-    e1h = sp.flat_transverse_ground(metric.x2)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
-    t_grid = np.arange(0.0, t_end + 1e-9, n_checkpoints)
-    tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=e1h)
-    return tr, e1h
-
-
 def _c4_flat_decay():
     a = math.pi / 2
     geom = geo.StripGeometry(a=a, L=60.0, n1=600, n2=48)
     m = geo.solve_jacobi(geo.zero_profile(), geom)
-    tr, e1h = _decay_run(m)
-    fit = ev.fit_decay(tr, e1h, (5.0, 100.0))
+    _, fit, _ = ev.decay_run(m)
     e1_exact = oracle.transverse_energy(1, a)
     ok = abs(fit.gamma_hat - 0.25) <= 0.05 and abs(fit.lambda_hat - e1_exact) <= 0.01
     return ok, (
@@ -121,8 +103,7 @@ def _c4_flat_decay():
 
 def _c5_negative_decay():
     m, prof = _negative_reference_metric(L=60.0, n1=900, n2=40)
-    tr, e1h = _decay_run(m)
-    fit = ev.fit_decay(tr, e1h, (5.0, 100.0))
+    _, fit, _ = ev.decay_run(m)
     ok = abs(fit.gamma_hat - 0.75) <= 0.10
     return ok, f"gamma_hat = {fit.gamma_hat:.4f} (want 0.75 +- 0.10)"
 
@@ -172,36 +153,28 @@ def _c7_mc_vs_oracle():
     )
 
 
+def _mc_slope(metric, lattice, dt, seed, box):
+    """Pointwise decay rate of the survival in ``box`` at the times of
+    ``lattice``, from a million killed paths started at the origin."""
+    ens = st.simulate_killed(
+        st.sde_from_metric(metric), (0.0, 0.0), t_max=lattice[-1], dt=dt, n_paths=1_000_000,
+        seed=seed, checkpoints=lattice,
+    )
+    return st.pointwise_rate([st.survival_estimate(ens, box, t) for t in lattice], 1.0)
+
+
 def _c8_pointwise_exponents():
     a = math.pi / 2
     # flat side
     m = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=a, L=40.0, n1=80, n2=16))
-    sde = st.sde_from_metric(m)
-    lattice = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-    ens = st.simulate_killed(
-        sde, (0.0, 0.0), t_max=8.0, dt=0.02, n_paths=1_000_000, seed=77,
-        checkpoints=lattice,
-    )
-    box = ((-0.5, 0.5), (-a, a))
-    flat_fit = st.pointwise_rate(
-        [st.survival_estimate(ens, box, t) for t in lattice], 1.0
-    )
+    flat_fit = _mc_slope(m, [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 0.02, 77, ((-0.5, 0.5), (-a, a)))
     # certified negative side: strong rotation bump, window inside the
     # curved region where the accelerated decay is the measured signal
     prof = geo.ruled_profile(0.85, 8.0, plateau_fraction=0.75)
     mneg, _ = geo.ruled_strip(prof, geo.StripGeometry(a=a, L=40.0, n1=400, n2=32))
     mu = sp.transverse_mu_profile(mneg, np.linspace(-8.0, 8.0, 33))
     certified = bool(mu.min() >= -1e-8 and mu.max() > 1e-3)
-    sden = st.sde_from_metric(mneg)
-    lattice_n = [5.0, 5.5, 6.0, 6.5, 7.0, 7.5]
-    ensn = st.simulate_killed(
-        sden, (0.0, 0.0), t_max=7.5, dt=0.005, n_paths=1_000_000, seed=78,
-        checkpoints=lattice_n,
-    )
-    boxn = ((-4.0, 4.0), (-a, a))
-    neg_fit = st.pointwise_rate(
-        [st.survival_estimate(ensn, boxn, t) for t in lattice_n], 1.0
-    )
+    neg_fit = _mc_slope(mneg, [5.0, 5.5, 6.0, 6.5, 7.0, 7.5], 0.005, 78, ((-4.0, 4.0), (-a, a)))
     ok = (
         abs(flat_fit.slope + 0.5) <= 0.1
         and certified
@@ -248,10 +221,7 @@ def _c9_jacobi_taylor():
 def _c10_hardy_suite():
     m, prof = _negative_reference_metric(L=12.0, n1=192, n2=40)
     cert = sp.pick_hardy_interval(m)
-    x10 = 0.5 * (cert.J[0] + cert.J[1])
-    delta = np.abs(m.x1 - x10)
-    rho = (cert.c_K / (1.0 + delta**2))[:, None] * np.ones_like(m.x2)[None, :]
-    margin = sp.hardy_verify(m, rho, trials=100, seed=4242)
+    margin = sp.hardy_verify(m, sp.hardy_weight(m, cert), trials=100, seed=4242)
 
     a = math.pi / 2
     mf = geo.solve_jacobi(

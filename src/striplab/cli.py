@@ -30,7 +30,6 @@ from . import oracle
 from . import stochastic as st
 from .errors import (
     AcceptanceFailure,
-    BadCheckpoint,
     ConfigInvalid,
     NumericalFailure,
     SchemaMismatch,
@@ -197,13 +196,16 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
 
 def _box(value, name="box"):
     """A box 'x1_lo, x1_hi, x2_lo, x2_hi' as two ranges; None or 'all' is no box.
-    ConfigInvalid names the value ``name``."""
+    ConfigInvalid names the value ``name``; it is raised for a low edge above
+    its high edge, and for a NaN edge."""
     if value in (None, "all"):
         return None
     try:
         lo1, hi1, lo2, hi2 = map(float, value)
     except (TypeError, ValueError):
         raise ConfigInvalid(f"{name} must be 'all' or four numbers, got {value!r}")
+    if not (lo1 <= hi1 and lo2 <= hi2):  # NaN included
+        raise ConfigInvalid(f"{name} needs each low edge at most its high edge, none NaN, got {value!r}")
     return (lo1, hi1), (lo2, hi2)
 
 
@@ -271,13 +273,8 @@ def _exp_nu_sweep(cfg, outdir):
 
     metric, _ = cfg.build_metric()
     ctr = cfg.controls
-    gy = sp.make_y_grid(metric, ctr["frame_half_width"], ctr["frame_cells"])
-    rows = []
-    start = sp.flat_frame_ground(gy)
-    for s in ctr["s_lattice"]:
-        res = sp.lowest_eigenpairs(sp.assemble_Ls(metric, s, gy), k=1, start=start)
-        start = res.eigenvectors[:, 0]
-        rows.append((s, 0, res.eigenvalues[0], res.residuals[0]))
+    sweep = sp.frame_sweep(metric, ctr["s_lattice"], ctr["frame_half_width"], ctr["frame_cells"])
+    rows = [(s, 0, res.eigenvalues[0], res.residuals[0]) for s, res in zip(ctr["s_lattice"], sweep)]
     p = outdir / "nu_sweep.csv"
     _write_csv(p, ["s[1]", "index[1]", "nu[1]", "residual[1]"], rows)
     return [p.name]
@@ -288,10 +285,8 @@ def _exp_hardy(cfg, outdir):
 
     metric, _ = cfg.build_metric()
     cert = sp.pick_hardy_interval(metric)
-    x10 = 0.5 * (cert.J[0] + cert.J[1])
-    rho = (cert.c_K / (1.0 + (metric.x1 - x10) ** 2))[:, None] * np.ones_like(metric.x2)[None, :]
     trials, seed = cfg.controls["trials"], cfg.controls["seed"]
-    margin = sp.hardy_verify(metric, rho, trials=trials, seed=seed)
+    margin = sp.hardy_verify(metric, sp.hardy_weight(metric, cert), trials=trials, seed=seed)
     p = outdir / "hardy.csv"
     _write_csv(
         p,
@@ -304,27 +299,17 @@ def _exp_hardy(cfg, outdir):
 
 def _exp_evolve(cfg, outdir):
     from . import evolution as ev
-    from . import spectral as sp
 
     ctr = cfg.controls
-    if not ctr["checkpoint_step"] > 0:
-        raise BadCheckpoint(f"checkpoint_step must be positive, not {ctr['checkpoint_step']}")
     metric, _ = cfg.build_metric()
-    pair = sp.assemble_hk(metric)
-    e1h = sp.flat_transverse_ground(metric.x2)
-    # the two defaults that depend on other keys
-    window = (5.0, min(100.0, ctr["t_end"])) if ctr["fit_window"] is None else ctr["fit_window"]
-    dt = min(0.01, (window[1] - window[0]) / 2000.0) if ctr["dt"] is None else ctr["dt"]
-    u0 = ev.weighted_initial(pair, "mode", alpha=ctr["alpha"])
-    t_grid = np.arange(0.0, ctr["t_end"] + 1e-9, ctr["checkpoint_step"])
-    tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=e1h, record_mode1=True)
+    tr, fit, e1h = ev.decay_run(metric, ctr["alpha"], ctr["t_end"], ctr["checkpoint_step"],
+                                ctr["fit_window"], ctr["dt"])
     p = outdir / "trajectory.csv"
     _write_csv(
         p,
         ["t[time]", "norm_f[1]", "mode1_fraction[1]"],
         zip(tr.times, tr.norm_f, tr.mode1_fraction),
     )
-    fit = ev.fit_decay(tr, e1h, window)
     q = outdir / "decay_fit.json"
     record = {
         "lambda_hat": fit.lambda_hat,
@@ -409,7 +394,7 @@ _KINDS = {
         "s_lattice": (list, [0.0, 1.0, 2.0, 4.0, 8.0]), "frame_half_width": (float, 16.0),
         "frame_cells": (int, 640)}),
     "hardy": (_exp_hardy, ("spectral",), {"trials": (int, 100), "seed": (int, 0)}),
-    # None: the default depends on other keys, and the runner works it out
+    # None: the default depends on other keys, and decay_run works it out
     "evolve": (_exp_evolve, ("spectral", "evolution"), {
         "alpha": (float, 1.0), "t_end": (float, 100.0), "checkpoint_step": (float, 0.5),
         "fit_window": (tuple, None), "dt": (float, None)}),
@@ -589,7 +574,8 @@ def _oracle_query(tokens):
         elif what == "p0":
             print(f"p0 = {oracle.killed_halfline_kernel(kv['t'], kv['x'], kv['y']):.10g}")
         elif what == "modes":
-            for m in oracle.transverse_modes(kv["a"], int(kv.get("n", 3))):
+            n = _typed("oracle", "n", kv.get("n", 3), int)
+            for m in oracle.transverse_modes(kv["a"], n):
                 print(f"n = {m.index}  energy = {m.energy:.10g}")
         else:
             raise ConfigInvalid(f"unknown oracle query {what!r}")
@@ -620,13 +606,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            jobs = max(1, args.jobs)
+            if args.jobs < 1:
+                raise ConfigInvalid(f"--jobs must be at least 1, not {args.jobs}")
             cfgs = [
                 load_config(p, out_override=args.out, seed_override=args.seed)
                 for p in args.configs
             ]
             _check_distinct_outputs(cfgs)
-            if jobs == 1 or len(cfgs) == 1:
+            jobs = min(args.jobs, len(cfgs))
+            if jobs == 1:
                 for cfg in cfgs:
                     run(cfg)
             else:

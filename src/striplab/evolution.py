@@ -32,6 +32,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
+from .spectral import assemble_hk, flat_transverse_ground
 from .spectral.core import (
     OperatorPair,
     _csr_structure,
@@ -49,6 +50,7 @@ __all__ = [
     "weighted_initial",
     "evolve",
     "fit_decay",
+    "decay_run",
     "project_mode1",
     "seminorm_decay_bound",
     "SeminormPrediction",
@@ -84,7 +86,7 @@ def _log_weighted_norm_sq(pair: OperatorPair, u: np.ndarray) -> float:
     """
     grid = pair.grid
     lw = np.asarray(pair.M.sum(axis=1)).ravel()
-    x1 = np.repeat(grid.x1, grid.x2.size)[pair.kept]
+    x1 = np.repeat(grid.x1, grid.x2.size)[grid.keep]
     nz = u != 0.0
     if not nz.any():
         return -math.inf
@@ -119,8 +121,8 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     'indicator' without a box, raise ``ValueError``.
     """
     grid = pair.grid
-    x1g = np.repeat(grid.x1, grid.x2.size)[pair.kept]
-    x2g = np.tile(grid.x2, grid.x1.size)[pair.kept]
+    x1g = np.repeat(grid.x1, grid.x2.size)[grid.keep]
+    x2g = np.tile(grid.x2, grid.x1.size)[grid.keep]
     a = float(grid.x2[-1])
     if kind == "mode":
         if not alpha > 0.5:  # NaN included
@@ -167,10 +169,8 @@ def _kronecker_factors(pair: OperatorPair):
     9-point CSR structure of the assembly, with the products of the 1-D
     stencils (``_interior_stencils``) at the offset of each entry."""
     grid = pair.grid
-    if grid is None or pair.kept is None:
-        return None
     interior = make_grid(grid.x1, grid.x2).keep
-    if not np.array_equal(pair.kept, np.flatnonzero(interior)):
+    if not np.array_equal(grid.keep, interior):
         return None
     (k1, m1), (k2, m2) = stencils = [_interior_stencils(x) for x in (grid.x1, grid.x2)]
     structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
@@ -266,10 +266,10 @@ def evolve(
     t_grid,
     dt: float,
     shift: float = 0.0,
-    record_mode1: bool = False,
     keep_states: bool = False,
 ) -> Trajectory:
-    """Trapezoidal evolution of the pair, recording norms at the checkpoints.
+    """Trapezoidal evolution of the pair, recording at the checkpoints the
+    norm and the fraction of it off the first transverse mode.
 
     Checkpoints snap to whole multiples of ``dt`` after ``u0.t``; checkpoint
     k steps after the start is recorded at time ``u0.t + k dt``. A checkpoint
@@ -318,11 +318,8 @@ def evolve(
         last = HeatState(u=u, t=t0 + k * dt, norm_f=_norm_f(pair, u))
         times.append(last.t)
         nf.append(last.norm_f)
-        if record_mode1:
-            rem = project_mode1(last, pair).remainder_norm
-            m1.append(rem / last.norm_f if last.norm_f > 0 else 0.0)
-        else:
-            m1.append(math.nan)
+        rem = project_mode1(last, pair).remainder_norm
+        m1.append(rem / last.norm_f if last.norm_f > 0 else 0.0)
         if keep_states:
             states.append(last)
 
@@ -391,6 +388,25 @@ def fit_decay(trajectory: Trajectory, E1: float, window: tuple) -> DecayFit:
     )
 
 
+def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, dt=None):
+    """``(trajectory, fit, E1h)`` of the mode datum of decay ``alpha`` on the
+    metric's default-grid pair, evolved in the gauge of E1h =
+    ``flat_transverse_ground(metric.x2)`` to checkpoints every positive
+    ``checkpoint_step`` (else ``BadCheckpoint``) up to ``t_end`` and fitted on
+    ``window``, by default (5, min(100, t_end)); ``dt`` defaults to
+    min(0.01, window length / 2000)."""
+    if not checkpoint_step > 0:
+        raise BadCheckpoint(f"checkpoint_step must be positive, not {checkpoint_step}")
+    window = (5.0, min(100.0, t_end)) if window is None else window
+    dt = min(0.01, (window[1] - window[0]) / 2000.0) if dt is None else dt
+    pair = assemble_hk(metric)
+    e1h = flat_transverse_ground(metric.x2)
+    u0 = weighted_initial(pair, "mode", alpha=alpha)
+    t_grid = np.arange(0.0, t_end + 1e-9, checkpoint_step)
+    trajectory = evolve(pair, u0, t_grid, dt=dt, shift=e1h)
+    return trajectory, fit_decay(trajectory, e1h, window), e1h
+
+
 @dataclass(frozen=True)
 class Mode1Projection:
     phi: np.ndarray             # mode-1 coefficient of each column of the grid
@@ -406,11 +422,11 @@ def project_mode1(state: HeatState, pair: OperatorPair) -> Mode1Projection:
     w2[0] = w2[-1] = h2 / 2.0
     n1, n2 = pair.grid.shape
     full = np.zeros(n1 * n2)
-    full[pair.kept] = state.u
+    full[pair.grid.keep] = state.u
     U = full.reshape(n1, n2)
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
-    r = R.ravel()[pair.kept]
+    r = R.ravel()[pair.grid.keep]
     rem = math.sqrt(max(r @ (pair.M @ r), 0.0))
     return Mode1Projection(phi=phi, remainder_norm=rem)
 

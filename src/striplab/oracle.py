@@ -133,16 +133,26 @@ def _mode_integral(n: np.ndarray, a: float, y0: float, y1: float) -> np.ndarray:
 def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
     """Probability of being alive at time t and inside ``B``, flat strip.
 
-    ``B`` is None for the whole strip, else ((bx0, bx1), (by0, by1)).
+    ``B`` is None for the whole strip, else ((bx0, bx1), (by0, by1)), its
+    transverse range clipped to [-a, a], where every live path is.
     Longitudinal integrals are Gaussian error functions (exact); transverse
     integrals of the modes are elementary. Returns (value, tail_bound).
+    ``ValueError`` is raised for ``a`` not positive and finite, a start
+    outside the open strip and a box with a low edge above its high edge.
     """
     x1, x2 = float(x0[0]), float(x0[1])
+    if not 0 < a < math.inf:
+        raise ValueError(f"the half-width a must be positive and finite, not {a}")
+    if not abs(x2) < a:
+        raise ValueError(f"the start x2 = {x2} lies outside the open strip |x2| < {a}")
     if B is None:
         ix = 1.0
         by0, by1 = -a, a
     else:
         (bx0, bx1), (by0, by1) = B
+        if not (bx0 <= bx1 and by0 <= by1):
+            raise ValueError(f"box {B} has a low edge above its high edge")
+        by0, by1 = min(max(by0, -a), a), min(max(by1, -a), a)
         s = math.sqrt(4.0 * t)
         ix = 0.5 * (math.erf((bx1 - x1) / s) - math.erf((bx0 - x1) / s))
     factor = abs(ix) * (1.0 / math.sqrt(a)) * min(2.0 * math.sqrt(a), (by1 - by0) / math.sqrt(a))

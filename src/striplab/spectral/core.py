@@ -183,22 +183,15 @@ def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
 
 @dataclass(eq=False)
 class WeightedGrid:
-    """Tensor grid with its Dirichlet mask."""
+    """Tensor grid with the mask of its kept (non-Dirichlet) nodes."""
 
     x1: np.ndarray
     x2: np.ndarray
-    dirichlet: np.ndarray  # bool over all nodes (flattened)
-
-    @property
-    def keep(self) -> np.ndarray:
-        return ~self.dirichlet
+    keep: np.ndarray  # bool over all nodes (flattened, x1-major)
 
     @property
     def shape(self):
         return (self.x1.size, self.x2.size)
-
-    def keep_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.keep)
 
 
 def make_grid(x1, x2, dirichlet_x1_ends=True) -> WeightedGrid:
@@ -206,29 +199,27 @@ def make_grid(x1, x2, dirichlet_x1_ends=True) -> WeightedGrid:
     longitudinal truncation ends."""
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
-    mask = np.zeros((x1.size, x2.size), dtype=bool)
-    mask[:, 0] = True
-    mask[:, -1] = True
+    keep = np.ones((x1.size, x2.size), dtype=bool)
+    keep[:, [0, -1]] = False
     if dirichlet_x1_ends:
-        mask[0, :] = True
-        mask[-1, :] = True
-    return WeightedGrid(x1=x1, x2=x2, dirichlet=mask.ravel())
+        keep[[0, -1], :] = False
+    return WeightedGrid(x1=x1, x2=x2, keep=keep.ravel())
 
 
 @dataclass(eq=False)
 class OperatorPair:
     """Symmetric stiffness/mass pair restricted to unmasked nodes.
 
-    A pair carries its matrices, its grid and the indices of its kept nodes,
-    nothing else: the metric it was assembled from is the caller's, the
-    discrete transverse reference energy is ``flat_transverse_ground(x2)``
-    and the exact one ``oracle.transverse_energy(1, a)``.
+    A pair carries its matrices and, when it is 2-D, its grid, whose ``keep``
+    mask picks its unknowns out of the grid's nodes; nothing else: the metric
+    it was assembled from is the caller's, the discrete transverse reference
+    energy is ``flat_transverse_ground(x2)`` and the exact one
+    ``oracle.transverse_energy(1, a)``.
     """
 
     S: sp.csr_matrix
     M: sp.csr_matrix
     grid: WeightedGrid = None
-    kept: np.ndarray = None        # indices of retained nodes in the full grid
 
     @property
     def n(self) -> int:

@@ -28,6 +28,7 @@ __all__ = [
     "ThinStripBound",
     "thin_strip_bound",
     "thin_strip_constant",
+    "hardy_weight",
     "hardy_verify",
     "perturbed_threshold",
     "ThresholdProbe",
@@ -274,6 +275,14 @@ def _trial_vectors(grid, a: float, trials: int, seed: int) -> np.ndarray:
     return out
 
 
+def hardy_weight(metric: MetricField, cert: HardyConstants) -> np.ndarray:
+    """Nodal candidate weight c_K / (1 + (x1 - x10)^2) on the metric's grid,
+    with c_K and the midpoint x10 of J from the certificate ``cert``: the
+    weight ``hardy_verify`` is run on."""
+    x10 = 0.5 * (cert.J[0] + cert.J[1])
+    return (cert.c_K / (1.0 + (metric.x1 - x10) ** 2))[:, None] * np.ones_like(metric.x2)[None, :]
+
+
 def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -> float:
     """Minimum randomized margin of  S - E1 M - M_rho  over ``trials`` trial
     vectors, with (S, M) = ``assemble_hk(metric)`` on the metric's own grid,
@@ -300,7 +309,7 @@ def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -
     margins = np.empty(trials)
     trials_full = _trial_vectors(grid, a, trials, seed)
     for i in range(trials):
-        v = trials_full[i][pair.kept]
+        v = trials_full[i][grid.keep]
         mv = pair.M @ v
         denom = float(v @ mv)
         margins[i] = (float(v @ (pair.S @ v)) - e1 * denom - float(v @ (M_rho @ v))) / denom
@@ -316,7 +325,7 @@ def perturbed_threshold(metric: MetricField, v_nodal: np.ndarray) -> float:
         raise ValueError("perturbation must be nonpositive")
     pair = assemble_hk(metric)
     M_v = assemble_potential(metric, pair.grid, v_nodal)
-    perturbed = OperatorPair(S=(pair.S + M_v).tocsr(), M=pair.M, grid=pair.grid, kept=pair.kept)
+    perturbed = OperatorPair(S=(pair.S + M_v).tocsr(), M=pair.M, grid=pair.grid)
     res = lowest_eigenpairs(perturbed, k=1)
     return float(res.eigenvalues[0])
 

@@ -26,6 +26,7 @@ from .core import (
     gauss_points_1d,
     make_grid,
 )
+from .solve import lowest_eigenpairs
 
 __all__ = [
     "assemble_hk",
@@ -35,7 +36,7 @@ __all__ = [
     "assemble_Ls",
     "harmonic_oscillator",
     "make_y_grid",
-    "flat_frame_ground",
+    "frame_sweep",
 ]
 
 
@@ -76,7 +77,7 @@ def _checked_pair(grid: WeightedGrid, terms_S, F) -> OperatorPair:
     keep = grid.keep
     S = assemble_2d(grid.x1, grid.x2, terms_S, keep)
     M = assemble_2d(grid.x1, grid.x2, [("mass", F)], keep)
-    pair = OperatorPair(S, M, grid=grid, kept=grid.keep_indices())
+    pair = OperatorPair(S, M, grid=grid)
     pair.check()
     return pair
 
@@ -121,7 +122,7 @@ def transverse_pair(metric: MetricField, x1: float) -> OperatorPair:
     g2 = gauss_points_1d(x2)
     f, _ = metric.sample(np.array([x1], float), g2.ravel())
     S, M = _transverse_matrices(x2, f.reshape(g2.shape))
-    return OperatorPair(S=S, M=M, kept=np.arange(1, x2.size - 1))
+    return OperatorPair(S=S, M=M)
 
 
 def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> WeightedGrid:
@@ -137,14 +138,21 @@ def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> Weighte
     return make_grid(y1, metric.x2)
 
 
-def flat_frame_ground(grid_y: WeightedGrid) -> np.ndarray:
-    """Ground state of the flat frame operator, exp(-y1^2/8) times the first
-    transverse mode, on the kept nodes of ``grid_y``: the start vector of a
-    frame sweep's first eigensolve, each later frame starting from the
-    previous frame's eigenvector."""
+def frame_sweep(metric: MetricField, s_values, half_width: float, n_cells: int) -> list:
+    """One ``EigenResult``, the lowest eigenpair of ``assemble_Ls``, per frame
+    time of ``s_values`` on ``make_y_grid(metric, half_width, n_cells)``. The
+    first solve starts from the flat frame ground state, exp(-y1^2/8) times
+    the first transverse mode, and each later one from the previous frame's
+    eigenvector."""
+    grid_y = make_y_grid(metric, half_width, n_cells)
     x2 = grid_y.x2
-    v = np.outer(np.exp(-grid_y.x1**2 / 8.0), mode_function(1, x2[-1], x2))
-    return v.ravel()[grid_y.keep]
+    start = np.outer(np.exp(-grid_y.x1**2 / 8.0), mode_function(1, x2[-1], x2)).ravel()[grid_y.keep]
+    results = []
+    for s in s_values:
+        res = lowest_eigenpairs(assemble_Ls(metric, s, grid_y), k=1, start=start)
+        start = res.eigenvectors[:, 0]
+        results.append(res)
+    return results
 
 
 def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> OperatorPair:
@@ -204,5 +212,4 @@ def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> Operato
     return OperatorPair(
         S=assemble_1d(y, [("dd", np.ones_like(g)), ("mass", g**2 / 16.0)], keep),
         M=assemble_1d(y, [("mass", np.ones_like(g))], keep),
-        kept=np.flatnonzero(keep),
     )

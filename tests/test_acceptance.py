@@ -29,8 +29,7 @@ def test_acceptance_criterion_slow(number):
 
 def _criterion3_nu8(half_width, cells):
     m, _ = _negative_reference_metric()
-    gy = sp.make_y_grid(m, half_width, cells)
-    res = sp.lowest_eigenpairs(sp.assemble_Ls(m, 8.0, gy), k=1, start=sp.flat_frame_ground(gy))
+    (res,) = sp.frame_sweep(m, [8.0], half_width, cells)
     return res.eigenvalues[0]
 
 

@@ -178,6 +178,16 @@ def test_nu_sweep_run_and_plot(tmp_path):
     assert svg.exists() and svg.read_text().startswith("<svg")
 
 
+def test_nu_sweep_column_is_the_frame_sweep(tmp_path):
+    from striplab import spectral as sp
+
+    cfg = cli.load_config(_write(tmp_path, RULED_NU))
+    cli.run(cfg)
+    rows = (tmp_path / "out" / "nu-sweep" / "nu_sweep.csv").read_text().splitlines()[1:]
+    sweep = sp.frame_sweep(cfg.build_metric()[0], [0.0, 2.0], 13.0, 260)
+    assert [r.split(",")[2] for r in rows] == [cli._fmt(res.eigenvalues[0]) for res in sweep]
+
+
 def test_evolve_run_fit_record_and_plot(tmp_path):
     p = _write(tmp_path, FLAT_EVOLVE)
     cli.run(cli.load_config(p))
@@ -303,6 +313,37 @@ def test_run_rejects_configs_sharing_an_output_dir(tmp_path, capsys, jobs):
     assert (tmp_path / "other" / "spectrum" / "spectrum.csv").exists()
 
 
+def test_jobs_pool_is_capped_at_the_number_of_configs(tmp_path, capsys, monkeypatch):
+    """A fake pool records the workers asked for; no process is started."""
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    first = _write(tmp_path, FLAT_SPECTRUM, "first.ini")
+    second = _write(tmp_path, FLAT_SPECTRUM, "second.ini")
+    second.write_text(FLAT_SPECTRUM.format(out=tmp_path / "other"))
+    assert cli.main(["run", str(first), str(second), "--jobs", "1000"]) == 0
+    assert asked == [2]
+    for jobs in ("0", "-3"):
+        assert cli.main(["run", str(first), str(second), "--jobs", jobs]) == 2
+        assert f"--jobs must be at least 1, not {jobs}" in capsys.readouterr().err
+    assert asked == [2]
+
+
 def test_import_loads_neither_special_functions_nor_process_pools():
     """``scipy.special`` and the process pool load only where they run."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -398,10 +439,11 @@ def test_config_values_of_the_wrong_type_or_range_exit_2(tmp_path, capsys, old, 
         ("evolve", "alpha = 1.0", "alpha = mode"),
         ("nu-sweep", "frame_cells = 260", "frame_cells = 11.5"),
         ("hardy", "trials = 5", "trials = abc"),
+        ("mc", "seed = 7", "seed = 7\nbox = 1, -1, 0, 1"),
     ],
     ids=["mc-dt-word", "mc-n_paths-fraction", "mc-x0-one-number", "mc-box-three-numbers",
          "mc-dump_paths-number", "evolve-fit_window-one-number", "evolve-alpha-word",
-         "nu-sweep-frame_cells-fraction", "hardy-trials-word"],
+         "nu-sweep-frame_cells-fraction", "hardy-trials-word", "mc-box-low-above-high"],
 )
 def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, kind, old, new):
     assert old in _SMALL[kind]
@@ -421,7 +463,6 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
         ("mc", "n_paths = 5000", "n_paths = 0", "n_paths must be at least 1, not 0"),
         ("mc", "x0 = 0.0, 0.0", "x0 = nan, 0.0", "x0 = (nan, 0.0)"),
         ("mc", "seed = 7", "seed = -3", "seed must be nonnegative, not -3"),
-        ("mc", "seed = 7", "seed = 7\nbox = 1, -1, 0, 1", "box ((1.0, -1.0), (0.0, 1.0))"),
         ("hardy", "trials = 5", "trials = 0", "trials = 0"),
         ("hardy", "trials = 5", "trials = 5\nseed = -3", "seed must be nonnegative, not -3"),
         ("nu-sweep", "frame_cells = 260", "frame_cells = 0", "n_cells = 0"),
@@ -432,7 +473,7 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
         ("evolve", "alpha = 1.0", "alpha = nan", "alpha = nan"),
     ],
     ids=["mc-negative-t_lattice", "mc-nan-dt", "mc-negative-dt", "mc-no-paths", "mc-nan-x0",
-         "mc-negative-seed", "mc-box-low-above-high", "hardy-no-trials", "hardy-negative-seed",
+         "mc-negative-seed", "hardy-no-trials", "hardy-negative-seed",
          "nu-sweep-no-frame_cells", "nu-sweep-negative-half-width",
          "nu-sweep-nan-half-width", "evolve-zero-checkpoint_step",
          "evolve-negative-checkpoint_step", "evolve-nan-alpha"],
@@ -497,8 +538,11 @@ def test_oracle_subcommand(capsys):
         ["p0", "t=-1", "x=1", "y=1"],
         ["modes", "a=1", "n=0"],
         ["survival", "t=1", "a=1", "box=1,2"],
+        ["survival", "t=1", "a=1", "box=1,-1,0,0.5"],
+        ["modes", "a=1", "n=2.5"],
     ],
-    ids=["missing-key", "negative-time", "no-modes", "short-box"],
+    ids=["missing-key", "negative-time", "no-modes", "short-box", "reversed-box",
+         "fractional-modes"],
 )
 def test_oracle_input_errors_exit_2(capsys, query):
     assert cli.main(["oracle", *query]) == 2

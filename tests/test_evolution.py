@@ -68,11 +68,11 @@ def _mode1_fraction_reference(pair, u):
     w2[0] = w2[-1] = h2 / 2.0
     n1, n2 = pair.grid.shape
     full = np.zeros(n1 * n2)
-    full[pair.kept] = u
+    full[pair.grid.keep] = u
     U = full.reshape(n1, n2)
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
-    r = R.ravel()[pair.kept]
+    r = R.ravel()[pair.grid.keep]
     nrm = math.sqrt(max(u @ (pair.M @ u), 0.0))
     rem = math.sqrt(max(r @ (pair.M @ r), 0.0))
     return rem / nrm if nrm > 0 else 0.0
@@ -152,11 +152,26 @@ def test_checkpoints_at_the_fit_window_ends_are_kept(request, case):
     assert (fit.gamma_hat, fit.lambda_hat) == (wide.gamma_hat, wide.lambda_hat)
 
 
+def test_decay_run_defaults_its_window_and_step_from_t_end(flat_small):
+    m, _ = flat_small
+    tr, fit, e1h = ev.decay_run(m, t_end=20.0)
+    assert fit.window == (5.0, 20.0)
+    assert e1h == sp.flat_transverse_ground(m.x2)
+    # the default step min(0.01, 15 / 2000) snaps each checkpoint to within dt/2
+    assert tr.times.size == 41 and abs(tr.times[-1] - 20.0) <= 0.0075 / 2
+
+
+def test_decay_run_rejects_a_zero_checkpoint_step(flat_small):
+    m, _ = flat_small
+    with pytest.raises(BadCheckpoint, match="checkpoint_step"):
+        ev.decay_run(m, t_end=20.0, checkpoint_step=0.0)
+
+
 def test_mode1_fraction_matches_inline_projection(curved_small):
     m, pair = curved_small
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     u0.u = u0.u + 0.1 * np.sin(3.0 * np.arange(u0.u.size))
-    tr = ev.evolve(pair, u0, [0.0, 0.05, 0.2], dt=0.01, record_mode1=True, keep_states=True)
+    tr = ev.evolve(pair, u0, [0.0, 0.05, 0.2], dt=0.01, keep_states=True)
     expected = [_mode1_fraction_reference(pair, st.u) for st in tr.states]
     assert tr.mode1_fraction.tolist() == expected
     assert expected[0] > 0.0
@@ -320,7 +335,7 @@ def test_weighted_initial_indicator_quadrature_identity(flat_small):
     u0 = ev.weighted_initial(pair, "indicator", box=box)
     # independent quadrature of the same nodal interpolant
     full = np.zeros(pair.grid.x1.size * pair.grid.x2.size)
-    full[pair.kept] = u0.u
+    full[pair.grid.keep] = u0.u
     U = full.reshape(pair.grid.shape)
     g1 = sp.gauss_points_1d(pair.grid.x1)
     g2 = sp.gauss_points_1d(pair.grid.x2)
@@ -392,8 +407,8 @@ def test_flat_norm_matches_closed_form_series():
     geom = geo.StripGeometry(a=a, L=25.0, n1=625, n2=112)
     m = geo.solve_jacobi(geo.zero_profile(), geom)
     pair = sp.assemble_hk(m)
-    x1g = np.repeat(m.x1, m.x2.size)[pair.kept]
-    x2g = np.tile(m.x2, m.x1.size)[pair.kept]
+    x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
+    x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     sig = 2.0
     u0v = np.exp(-(x1g**2) / (2 * sig**2)) * mode_function(1, a, x2g)
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=0.0, norm_wf=math.inf)
@@ -406,8 +421,8 @@ def test_flat_norm_matches_closed_form_series():
 def test_project_mode1_pure_and_orthogonal(flat_small):
     m, pair = flat_small
     a = math.pi / 2
-    x1g = np.repeat(m.x1, m.x2.size)[pair.kept]
-    x2g = np.tile(m.x2, m.x1.size)[pair.kept]
+    x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
+    x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     g = np.exp(-(x1g**2) / 4.0)
     u1 = ev.HeatState(u=g * mode_function(1, a, x2g), t=0.0, norm_f=1.0, norm_wf=1.0)
     pr1 = ev.project_mode1(u1, pair)
@@ -426,12 +441,12 @@ def test_project_mode1_pure_and_orthogonal(flat_small):
 def test_mode1_dominance_rate(flat_small):
     m, pair = flat_small
     a = math.pi / 2
-    x1g = np.repeat(m.x1, m.x2.size)[pair.kept]
-    x2g = np.tile(m.x2, m.x1.size)[pair.kept]
+    x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
+    x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     g = np.exp(-(x1g**2) / 4.0)
     u0v = g * (mode_function(1, a, x2g) + mode_function(2, a, x2g))
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0, norm_wf=math.inf)
-    tr = ev.evolve(pair, u0, [0.5, 1.0], dt=0.005, record_mode1=True)
+    tr = ev.evolve(pair, u0, [0.5, 1.0], dt=0.005)
     f1, f2 = tr.mode1_fraction
     # remainder fraction decays at least at the transverse gap rate
     gap = 3.0  # E2 - E1 = 4 - 1

@@ -111,6 +111,34 @@ def test_flat_survival_bounded_box_polynomial_decay():
     assert ratio == pytest.approx(0.5, rel=0.05)  # t^{-1/2} between t and 4t
 
 
+def test_flat_survival_clips_the_box_to_the_strip():
+    """Alive paths lie inside the strip, so a box reaching past its walls
+    gives the same survival as the box cut at the walls."""
+    values = [
+        oracle.flat_survival((0.0, 0.0), ((-1.0, 1.0), (-w, w)), 1.0, 1.0)[0]
+        for w in (1.0, 2.0, 3.0)
+    ]
+    assert values[0] == pytest.approx(0.05620203849, abs=1e-11)
+    assert values[1] == values[0] and values[2] == values[0]
+
+
+@pytest.mark.parametrize(
+    "x0, B, a, named",
+    [
+        ((0.0, 0.0), ((1.0, -1.0), (0.0, 0.5)), 1.0, "low edge above"),
+        ((0.0, 0.0), ((-1.0, 1.0), (0.5, 0.0)), 1.0, "low edge above"),
+        ((0.0, 1.5), None, 1.0, "outside the open strip"),
+        ((0.0, 1.0), None, 1.0, "outside the open strip"),
+        ((0.0, 0.0), None, 0.0, "positive and finite"),
+        ((0.0, 0.0), None, math.inf, "positive and finite"),
+    ],
+    ids=["reversed-x1", "reversed-x2", "start-outside", "start-on-wall", "zero-a", "infinite-a"],
+)
+def test_flat_survival_rejects_bad_input(x0, B, a, named):
+    with pytest.raises(ValueError, match=named):
+        oracle.flat_survival(x0, B, 1.0, a)
+
+
 def test_flat_kernel_marginal_matches_survival():
     a = 1.0
     t = 0.8

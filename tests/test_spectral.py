@@ -102,15 +102,16 @@ def test_oscillator_odd_functions_match_pinned():
     kept_free = np.flatnonzero(~np.isin(np.arange(yd.size), [0, yd.size - 1]))
     full_free = np.zeros(yd.size)
     full_free[kept_free] = v_free
-    pinned_pair = sp.harmonic_oscillator(True, yd)
+    pinned_keep = np.ones(yd.size, dtype=bool)
+    pinned_keep[[0, yd.size // 2, -1]] = False  # the box ends and the origin
     full_pinned = np.zeros(yd.size)
-    full_pinned[pinned_pair.kept] = pinned.eigenvectors[:, 0]
+    full_pinned[pinned_keep] = pinned.eigenvectors[:, 0]
     # compare up to sign and the degenerate even/odd mixing of the pinned pair
     overlap = abs(np.dot(full_free, full_pinned)) / (
         np.linalg.norm(full_free) * np.linalg.norm(full_pinned)
     )
     span = np.zeros(yd.size)
-    span[pinned_pair.kept] = pinned.eigenvectors[:, 1]
+    span[pinned_keep] = pinned.eigenvectors[:, 1]
     coef = np.array([np.dot(full_free, full_pinned), np.dot(full_free, span)])
     proj = coef[0] * full_pinned + coef[1] * span
     rel = np.linalg.norm(full_free / np.linalg.norm(full_free) - proj / np.linalg.norm(proj))
@@ -181,7 +182,7 @@ def test_frame_operator_flat_matches_direct_assembly():
             ("mass", -es * e1h * ones + Y**2 / 16.0),
         ],
     )
-    kept = gy.keep_indices()
+    kept = np.flatnonzero(gy.keep)
     S_direct = S_direct[kept][:, kept]
     diff = abs(pair.S - S_direct).max()
     assert diff < 1e-9 * max(abs(S_direct).max(), 1.0)
@@ -303,8 +304,7 @@ def test_hardy_verify_flat_falsified_by_constant_weight():
 def test_hardy_verify_certified_weight(ruled_certified):
     m, _ = ruled_certified
     hc = sp.pick_hardy_interval(m)
-    x10 = 0.5 * (hc.J[0] + hc.J[1])
-    rho = (hc.c_K / (1.0 + (m.x1 - x10) ** 2))[:, None] * np.ones(m.x2.size)[None, :]
+    rho = sp.hardy_weight(m, hc)
     assert sp.hardy_verify(m, rho, trials=60, seed=7) >= -1e-6
 
 
@@ -492,7 +492,7 @@ def _interpolated_potential(metric, grid, v_nodal):
         g1.shape[0], 3, g2.shape[0], 3
     ).transpose(0, 2, 1, 3)
     M_full = _einsum_assemble_2d(grid.x1, grid.x2, [("mass", V * F)])
-    return _restrict(M_full, grid.keep_indices())
+    return _restrict(M_full, np.flatnonzero(grid.keep))
 
 
 def _negative_metric():
@@ -626,24 +626,12 @@ def test_lowest_eigenpairs_rejects_k_above_the_pair_size():
         sp.lowest_eigenpairs(pair, k=49)
 
 
-def _frame_sweep(m, gy, lattice, warm):
-    """Lowest frame eigenpair at each s, every solve cold or each started
-    from the previous frame's eigenvector (the first from the flat one)."""
-    start = sp.flat_frame_ground(gy) if warm else None
-    out = []
-    for s in lattice:
-        res = sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1, start=start)
-        start = res.eigenvectors[:, 0] if warm else None
-        out.append(res)
-    return out
-
-
 def test_warm_started_frame_sweep_matches_cold_with_fewer_solves():
     m = _negative_metric()
     gy = sp.make_y_grid(m, 14.0, 280)
     lattice = [0.0, 2.0, 4.0, 8.0]
-    cold = _frame_sweep(m, gy, lattice, warm=False)
-    warm = _frame_sweep(m, gy, lattice, warm=True)
+    cold = [sp.lowest_eigenpairs(sp.assemble_Ls(m, s, gy), k=1) for s in lattice]
+    warm = sp.frame_sweep(m, lattice, 14.0, 280)
     assert cold[0].eigenvectors.shape[0] > 400  # the shift-invert path
     for c, w in zip(cold, warm):
         nu = c.eigenvalues[0]

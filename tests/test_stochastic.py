@@ -396,7 +396,7 @@ def test_yaglom_contraction_toward_ground_state():
     pair = sp.assemble_hk(m)
     res = sp.lowest_eigenpairs(pair, k=1)
     full = np.zeros(pair.grid.x1.size * pair.grid.x2.size)
-    full[pair.kept] = res.eigenvectors[:, 0]
+    full[pair.grid.keep] = res.eigenvectors[:, 0]
     phi0 = full.reshape(pair.grid.shape)
     # f-weighted longitudinal marginal of the quasi-stationary profile
     h2 = m.x2[1] - m.x2[0]
@@ -432,14 +432,14 @@ def test_occupation_measure_matches_pde_on_curved_strip():
         s = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         return np.sin(math.pi * s) ** 2
 
-    x1g = np.repeat(pair.grid.x1, pair.grid.x2.size)[pair.kept]
-    x2g = np.tile(pair.grid.x2, pair.grid.x1.size)[pair.kept]
+    x1g = np.repeat(pair.grid.x1, pair.grid.x2.size)[pair.grid.keep]
+    x2g = np.tile(pair.grid.x2, pair.grid.x1.size)[pair.grid.keep]
     u0v = smooth_bump(x1g, 0.0, 2.0) * smooth_bump(x2g, -0.4, 0.5)
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0, norm_wf=math.inf)
     t_star = 0.75
     tr = ev.evolve(pair, u0, [t_star], dt=0.002, keep_states=True)
     full = np.zeros(pair.grid.x1.size * pair.grid.x2.size)
-    full[pair.kept] = tr.states[-1].u
+    full[pair.grid.keep] = tr.states[-1].u
     U = full.reshape(pair.grid.shape)
     x0 = (1.0, 0.3)
     pde_val = float(RegularGridInterpolator((pair.grid.x1, pair.grid.x2), U)(x0))
