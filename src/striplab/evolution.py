@@ -62,9 +62,6 @@ class HeatState:
     u: np.ndarray          # values on unmasked nodes
     t: float
     norm_f: float
-    # Gaussian-weighted norm, computed for initial data only; it may be inf
-    # when the weighted norm diverges, and is nan where it was not computed
-    norm_wf: float = math.nan
 
 
 @dataclass(eq=False)
@@ -105,20 +102,15 @@ def _norm_f(pair: OperatorPair, u: np.ndarray) -> float:
     return float(math.sqrt(max(u @ (pair.M @ u), 0.0)))
 
 
-def _initial_state(pair: OperatorPair, u: np.ndarray) -> HeatState:
-    lw2 = _log_weighted_norm_sq(pair, u)
-    nwf = math.inf if lw2 == math.inf else math.exp(0.5 * lw2)
-    return HeatState(u=u, t=0.0, norm_f=_norm_f(pair, u), norm_wf=nwf)
-
-
 def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None) -> HeatState:
     """Initial datum at t = 0 on the pair's kept nodes.
 
-    kind 'mode': w^-alpha times the first transverse mode, normalized in the
-    Gaussian-weighted norm (requires alpha > 1/2, else
+    kind 'mode': w^-alpha times the first transverse mode, divided once by
+    its Gaussian-weighted norm (requires alpha > 1/2, else
     ``NotInWeightedSpace``); 'indicator': nodal indicator of the rectangle
     ``box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi)). Any other kind, and
-    'indicator' without a box, raise ``ValueError``.
+    'indicator' without a box, raise ``ValueError``. The state carries the
+    plain norm of the datum.
     """
     grid = pair.grid
     x1g = np.repeat(grid.x1, grid.x2.size)[grid.keep]
@@ -130,16 +122,15 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
                 f"alpha = {alpha} is not above 1/2: datum not in the Gaussian-weighted space"
             )
         u = np.exp(-alpha * x1g**2 / 4.0) * mode_function(1, a, x2g)
-        state = _initial_state(pair, u)
-        u = u / state.norm_wf
-        return _initial_state(pair, u)
-    if kind == "indicator":
+        u = u / math.exp(0.5 * _log_weighted_norm_sq(pair, u))
+    elif kind == "indicator":
         if box is None:
             raise ValueError("'indicator' initial data needs a box")
         (bx0, bx1), (by0, by1) = box
         u = ((x1g >= bx0) & (x1g <= bx1) & (x2g >= by0) & (x2g <= by1)).astype(float)
-        return _initial_state(pair, u)
-    raise ValueError(f"unknown initial kind {kind!r}")
+    else:
+        raise ValueError(f"unknown initial kind {kind!r}")
+    return HeatState(u=u, t=0.0, norm_f=_norm_f(pair, u))
 
 
 def _not_positive_definite(detail) -> LinearSolveFailure:
@@ -343,6 +334,15 @@ class DecayFit:
     residual_norm: float
 
 
+def _slope(X: np.ndarray, y: np.ndarray):
+    """Least squares of y on the columns of X: minus the coefficient of column
+    1, its standard error and the residual sum of squares."""
+    coef, res, *_ = np.linalg.lstsq(X, y, rcond=None)
+    rss = float(res[0]) if res.size else float(((X @ coef - y) ** 2).sum())
+    cov = rss / max(len(y) - X.shape[1], 1) * np.linalg.inv(X.T @ X)
+    return -coef[1], math.sqrt(cov[1, 1]), rss
+
+
 def fit_decay(trajectory: Trajectory, E1: float, window: tuple) -> DecayFit:
     """Polynomial exponent and exponential rate from the norm trajectory.
 
@@ -360,45 +360,40 @@ def fit_decay(trajectory: Trajectory, E1: float, window: tuple) -> DecayFit:
     y = np.log(trajectory.norm_f[sel]) + (E1 - trajectory.shift) * t
     lt = np.log1p(t)
 
-    X1 = np.column_stack([np.ones_like(lt), lt])
-    coef1, res1, *_ = np.linalg.lstsq(X1, y, rcond=None)
-    gamma_hat = -coef1[1]
-    dof1 = max(len(t) - 2, 1)
-    rss1 = float(res1[0]) if res1.size else float(((X1 @ coef1 - y) ** 2).sum())
-    cov1 = rss1 / dof1 * np.linalg.inv(X1.T @ X1)
-    stderr_gamma = math.sqrt(cov1[1, 1])
-
+    gamma_hat, stderr_gamma, rss = _slope(np.column_stack([np.ones_like(lt), lt]), y)
     # unconstrained: log|u| = c - lambda t - gamma log(1+t)
     z = np.log(trajectory.norm_f[sel]) - trajectory.shift * t
-    X2 = np.column_stack([np.ones_like(t), t, lt])
-    coef2, res2, *_ = np.linalg.lstsq(X2, z, rcond=None)
-    lambda_hat = -coef2[1]
-    dof2 = max(len(t) - 3, 1)
-    rss2 = float(res2[0]) if res2.size else float(((X2 @ coef2 - z) ** 2).sum())
-    cov2 = rss2 / dof2 * np.linalg.inv(X2.T @ X2)
-    stderr_lambda = math.sqrt(cov2[1, 1])
-
+    lambda_hat, stderr_lambda, _ = _slope(np.column_stack([np.ones_like(t), t, lt]), z)
     return DecayFit(
         lambda_hat=float(lambda_hat),
         gamma_hat=float(gamma_hat),
         stderr_lambda=float(stderr_lambda),
         stderr_gamma=float(stderr_gamma),
         window=(float(t0), float(t1)),
-        residual_norm=math.sqrt(rss1),
+        residual_norm=math.sqrt(rss),
     )
 
 
 def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, dt=None):
     """``(trajectory, fit, E1h)`` of the mode datum of decay ``alpha`` on the
     metric's default-grid pair, evolved in the gauge of E1h =
-    ``flat_transverse_ground(metric.x2)`` to checkpoints every positive
-    ``checkpoint_step`` (else ``BadCheckpoint``) up to ``t_end`` and fitted on
-    ``window``, by default (5, min(100, t_end)); ``dt`` defaults to
-    min(0.01, window length / 2000)."""
-    if not checkpoint_step > 0:
-        raise BadCheckpoint(f"checkpoint_step must be positive, not {checkpoint_step}")
+    ``flat_transverse_ground(metric.x2)`` to checkpoints every positive and
+    finite ``checkpoint_step`` (else ``BadCheckpoint``) up to ``t_end`` and
+    fitted on ``window``, by default (5, min(100, t_end)). ``dt`` defaults to
+    the largest step at most min(0.01, window length / 2000) that divides
+    ``checkpoint_step``, so every checkpoint lands on its lattice point. A
+    ``t_end`` not positive and finite, and a window whose low end is not
+    below its high end, raise ``ValueError`` before anything is assembled."""
+    if not 0 < checkpoint_step < math.inf:
+        raise BadCheckpoint(f"checkpoint_step must be positive and finite, not {checkpoint_step}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, not {t_end}")
     window = (5.0, min(100.0, t_end)) if window is None else window
-    dt = min(0.01, (window[1] - window[0]) / 2000.0) if dt is None else dt
+    if not window[0] < window[1]:
+        raise ValueError(f"fit window {tuple(window)} does not have its low end below its high end")
+    if dt is None:
+        dt = min(0.01, (window[1] - window[0]) / 2000.0)
+        dt = checkpoint_step / math.ceil(checkpoint_step / dt)
     pair = assemble_hk(metric)
     e1h = flat_transverse_ground(metric.x2)
     u0 = weighted_initial(pair, "mode", alpha=alpha)
@@ -426,8 +421,7 @@ def project_mode1(state: HeatState, pair: OperatorPair) -> Mode1Projection:
     U = full.reshape(n1, n2)
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
-    r = R.ravel()[pair.grid.keep]
-    rem = math.sqrt(max(r @ (pair.M @ r), 0.0))
+    rem = _norm_f(pair, R.ravel()[pair.grid.keep])
     return Mode1Projection(phi=phi, remainder_norm=rem)
 
 

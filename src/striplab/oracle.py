@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 
-def transverse_energy(n: int, a: float) -> float:
-    """n-th transverse Dirichlet energy (n pi / 2a)^2."""
+def transverse_energy(n, a: float):
+    """n-th transverse Dirichlet energy (n pi / 2a)^2, elementwise in n."""
     return (n * math.pi / (2.0 * a)) ** 2
 
 
@@ -92,18 +92,23 @@ def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
     """Dirichlet heat kernel of the flat strip at (x, x', t).
 
     Returns (value, tail_bound); raises TailTooLarge when the truncation
-    cannot meet ``tol``.
+    cannot meet ``tol``. ``ValueError`` is raised for ``a`` not positive and
+    finite and for a point outside the closed strip |x2| <= a; the kernel
+    vanishes on the walls.
     """
     x1, x2 = float(x[0]), float(x[1])
     x1p, x2p = float(xp[0]), float(xp[1])
+    if not 0 < a < math.inf:
+        raise ValueError(f"the half-width a must be positive and finite, not {a}")
+    if not (abs(x2) <= a and abs(x2p) <= a):
+        raise ValueError(f"the points {x} and {xp} are not both in the closed strip |x2| <= {a}")
     p = float(gauss_kernel(x1, x1p, t))
     factor = p / a
     n_terms = _resolve_terms(t, a, n_terms, tol, factor)
     n = np.arange(1, n_terms + 1)
-    energies = (n * math.pi / (2.0 * a)) ** 2
     val = float(
         np.sum(
-            np.exp(-energies * t)
+            np.exp(-transverse_energy(n, a) * t)
             * mode_function(n, a, x2)
             * mode_function(n, a, x2p)
         )
@@ -159,10 +164,9 @@ def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
     factor = max(factor, 1e-300)
     n_terms = _resolve_terms(t, a, n_terms, tol, factor)
     n = np.arange(1, n_terms + 1)
-    energies = (n * math.pi / (2.0 * a)) ** 2
     val = float(
         np.sum(
-            np.exp(-energies * t)
+            np.exp(-transverse_energy(n, a) * t)
             * mode_function(n, a, x2)
             * _mode_integral(n, a, by0, by1)
         )

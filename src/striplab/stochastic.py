@@ -326,16 +326,14 @@ def survival_estimate(ensemble: PathEnsemble, B, t: float) -> SurvivalEstimate:
 class RateFit:
     slope: float
     stderr: float
-    lambda_hat: float
-    stderr_lambda: float
 
 
 def pointwise_rate(estimates, E1: float) -> RateFit:
-    """Weighted fit of log(estimate) + E1 t against log t.
+    """Weighted fit of log(estimate) + E1 t against log t: the slope and its
+    standard error.
 
     Estimates whose confidence interval touches zero are discarded; fewer
-    than six usable points raise InsufficientSignal. The two-parameter
-    variant leaves the exponential rate free and reports it as lambda_hat.
+    than six usable points raise InsufficientSignal.
     """
     usable = [e for e in estimates if e.probability - e.half_width > 0.0]
     if len(usable) < 6:
@@ -352,19 +350,7 @@ def pointwise_rate(estimates, E1: float) -> RateFit:
     WX = X * w[:, None]
     cov = np.linalg.inv(X.T @ WX)
     coef = cov @ (WX.T @ y)
-    slope = float(coef[1])
-    stderr = float(math.sqrt(cov[1, 1]))
-
-    X2 = np.column_stack([np.ones_like(t), t, np.log(t)])
-    WX2 = X2 * w[:, None]
-    cov2 = np.linalg.inv(X2.T @ WX2)
-    coef2 = cov2 @ (WX2.T @ np.log(p))
-    return RateFit(
-        slope=slope,
-        stderr=stderr,
-        lambda_hat=float(-coef2[1]),
-        stderr_lambda=float(math.sqrt(cov2[1, 1])),
-    )
+    return RateFit(slope=float(coef[1]), stderr=float(math.sqrt(cov[1, 1])))
 
 
 def conditional_distribution(ensemble: PathEnsemble, t: float, bins) -> tuple:

@@ -471,12 +471,19 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
         ("evolve", "checkpoint_step = 0.5", "checkpoint_step = 0", "checkpoint_step"),
         ("evolve", "checkpoint_step = 0.5", "checkpoint_step = -0.5", "checkpoint_step"),
         ("evolve", "alpha = 1.0", "alpha = nan", "alpha = nan"),
+        ("evolve", "fit_window = 2.0, 12.0", "fit_window = 12.0, 2.0", "fit window (12.0, 2.0)"),
+        ("evolve", "t_end = 12.0\ncheckpoint_step = 0.5\ndt = 0.02\nfit_window = 2.0, 12.0",
+         "t_end = 3.0\ncheckpoint_step = 0.5\ndt = 0.02", "fit window (5.0, 3.0)"),
+        ("evolve", "t_end = 12.0", "t_end = inf", "t_end must be positive and finite, not inf"),
+        ("evolve", "checkpoint_step = 0.5", "checkpoint_step = inf", "checkpoint_step"),
     ],
     ids=["mc-negative-t_lattice", "mc-nan-dt", "mc-negative-dt", "mc-no-paths", "mc-nan-x0",
          "mc-negative-seed", "hardy-no-trials", "hardy-negative-seed",
          "nu-sweep-no-frame_cells", "nu-sweep-negative-half-width",
          "nu-sweep-nan-half-width", "evolve-zero-checkpoint_step",
-         "evolve-negative-checkpoint_step", "evolve-nan-alpha"],
+         "evolve-negative-checkpoint_step", "evolve-nan-alpha", "evolve-reversed-fit_window",
+         "evolve-t_end-below-default-window", "evolve-infinite-t_end",
+         "evolve-infinite-checkpoint_step"],
 )
 def test_experiment_values_out_of_range_exit_3_naming_the_value(tmp_path, capsys, kind, old, new, named):
     """Ranges are checked by the layer that uses each value, not by load_config,
@@ -540,9 +547,11 @@ def test_oracle_subcommand(capsys):
         ["survival", "t=1", "a=1", "box=1,2"],
         ["survival", "t=1", "a=1", "box=1,-1,0,0.5"],
         ["modes", "a=1", "n=2.5"],
+        ["kernel", "x1=0", "x2=1.5", "y1=0", "y2=0", "t=1", "a=1"],
+        ["kernel", "x1=0", "x2=0", "y1=0", "y2=0", "t=1", "a=0"],
     ],
     ids=["missing-key", "negative-time", "no-modes", "short-box", "reversed-box",
-         "fractional-modes"],
+         "fractional-modes", "kernel-point-outside", "kernel-zero-a"],
 )
 def test_oracle_input_errors_exit_2(capsys, query):
     assert cli.main(["oracle", *query]) == 2

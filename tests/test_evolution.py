@@ -157,14 +157,35 @@ def test_decay_run_defaults_its_window_and_step_from_t_end(flat_small):
     tr, fit, e1h = ev.decay_run(m, t_end=20.0)
     assert fit.window == (5.0, 20.0)
     assert e1h == sp.flat_transverse_ground(m.x2)
-    # the default step min(0.01, 15 / 2000) snaps each checkpoint to within dt/2
-    assert tr.times.size == 41 and abs(tr.times[-1] - 20.0) <= 0.0075 / 2
+    # the default step 0.5 / ceil(0.5 / min(0.01, 15 / 2000)) divides the
+    # checkpoint step, so every checkpoint lands on its lattice point
+    assert tr.times.size == 41 and tr.times[-1] == 20.0
+    assert ((tr.times >= 5.0) & (tr.times <= 20.0)).sum() == 31
 
 
 def test_decay_run_rejects_a_zero_checkpoint_step(flat_small):
     m, _ = flat_small
     with pytest.raises(BadCheckpoint, match="checkpoint_step"):
         ev.decay_run(m, t_end=20.0, checkpoint_step=0.0)
+
+
+@pytest.mark.parametrize(
+    "t_end, window, named",
+    [
+        (3.0, None, r"fit window \(5.0, 3.0\)"),
+        (math.inf, None, "t_end must be positive and finite, not inf"),
+        (0.0, None, "t_end must be positive and finite, not 0.0"),
+        (20.0, (12.0, 2.0), r"fit window \(12.0, 2.0\)"),
+    ],
+    ids=["default-window-reversed", "infinite-t_end", "zero-t_end", "reversed-window"],
+)
+def test_decay_run_rejects_bad_times_before_assembly(flat_small, monkeypatch, t_end, window, named):
+    def no_assembly(metric):
+        raise AssertionError("assembled before the times were checked")
+
+    monkeypatch.setattr(ev, "assemble_hk", no_assembly)
+    with pytest.raises(ValueError, match=named):
+        ev.decay_run(flat_small[0], t_end=t_end, window=window)
 
 
 def test_mode1_fraction_matches_inline_projection(curved_small):
@@ -306,7 +327,7 @@ def test_running_product_matches_per_k_powers(flat_small, t_grid):
 def test_weighted_initial_mode_normalized(flat_small):
     m, pair = flat_small
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
-    assert u0.norm_wf == pytest.approx(1.0, rel=1e-10)
+    assert math.exp(0.5 * ev._log_weighted_norm_sq(pair, u0.u)) == pytest.approx(1.0, rel=1e-10)
     assert u0.t == 0.0
 
 
@@ -367,7 +388,7 @@ def test_eigenvector_decays_at_its_eigenvalue(flat_small):
     m, pair = flat_small
     res = sp.lowest_eigenpairs(pair, k=1)
     lam = res.eigenvalues[0]
-    u0 = ev.HeatState(u=res.eigenvectors[:, 0], t=0.0, norm_f=1.0, norm_wf=math.inf)
+    u0 = ev.HeatState(u=res.eigenvectors[:, 0], t=0.0, norm_f=1.0)
     tr = ev.evolve(pair, u0, [0.5, 1.0], dt=0.002)
     for t, nf in zip(tr.times, tr.norm_f):
         assert nf == pytest.approx(math.exp(-lam * t), rel=1e-6)
@@ -411,7 +432,7 @@ def test_flat_norm_matches_closed_form_series():
     x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     sig = 2.0
     u0v = np.exp(-(x1g**2) / (2 * sig**2)) * mode_function(1, a, x2g)
-    u0 = ev.HeatState(u=u0v, t=0.0, norm_f=0.0, norm_wf=math.inf)
+    u0 = ev.HeatState(u=u0v, t=0.0, norm_f=0.0)
     tr = ev.evolve(pair, u0, [0.1, 1.0, 5.0, 10.0], dt=0.01)
     for t, nf in zip(tr.times, tr.norm_f):
         exact = math.exp(-t) * math.sqrt(sig**2 * math.sqrt(math.pi / (sig**2 + 2 * t)))
@@ -424,14 +445,14 @@ def test_project_mode1_pure_and_orthogonal(flat_small):
     x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
     x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     g = np.exp(-(x1g**2) / 4.0)
-    u1 = ev.HeatState(u=g * mode_function(1, a, x2g), t=0.0, norm_f=1.0, norm_wf=1.0)
+    u1 = ev.HeatState(u=g * mode_function(1, a, x2g), t=0.0, norm_f=1.0)
     pr1 = ev.project_mode1(u1, pair)
     expected = np.exp(-(pair.grid.x1**2) / 4.0)
     inner = slice(1, -1)
     assert np.abs(pr1.phi[inner] - expected[inner]).max() < 2e-3
     assert pr1.remainder_norm < 2e-3
 
-    u2 = ev.HeatState(u=g * mode_function(2, a, x2g), t=0.0, norm_f=1.0, norm_wf=1.0)
+    u2 = ev.HeatState(u=g * mode_function(2, a, x2g), t=0.0, norm_f=1.0)
     pr2 = ev.project_mode1(u2, pair)
     nrm = math.sqrt(u2.u @ (pair.M @ u2.u))
     assert np.abs(pr2.phi).max() < 2e-3
@@ -445,7 +466,7 @@ def test_mode1_dominance_rate(flat_small):
     x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     g = np.exp(-(x1g**2) / 4.0)
     u0v = g * (mode_function(1, a, x2g) + mode_function(2, a, x2g))
-    u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0, norm_wf=math.inf)
+    u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0)
     tr = ev.evolve(pair, u0, [0.5, 1.0], dt=0.005)
     f1, f2 = tr.mode1_fraction
     # remainder fraction decays at least at the transverse gap rate
@@ -467,6 +488,8 @@ def test_fit_decay_recovers_synthetic_law():
     fit = ev.fit_decay(tr, lam, (2.0, 80.0))
     assert fit.gamma_hat == pytest.approx(gam, abs=1e-9)
     assert fit.lambda_hat == pytest.approx(lam, abs=1e-9)
+    # the law is exact, so both fits leave (almost) no residual
+    assert max(fit.stderr_gamma, fit.stderr_lambda, fit.residual_norm) < 1e-8
 
 
 def test_fit_decay_degenerate_window(flat_small):

@@ -139,6 +139,29 @@ def test_flat_survival_rejects_bad_input(x0, B, a, named):
         oracle.flat_survival(x0, B, 1.0, a)
 
 
+@pytest.mark.parametrize(
+    "x, xp, a, named",
+    [
+        ((0.0, 1.5), (0.0, 0.0), 1.0, "not both in the closed strip"),
+        ((0.0, 0.0), (0.0, -1.5), 1.0, "not both in the closed strip"),
+        ((0.0, math.nan), (0.0, 0.0), 1.0, "not both in the closed strip"),
+        ((0.0, 0.0), (0.0, 0.0), 0.0, "positive and finite, not 0.0"),
+        ((0.0, 0.0), (0.0, 0.0), -1.0, "positive and finite, not -1.0"),
+        ((0.0, 0.0), (0.0, 0.0), math.inf, "positive and finite, not inf"),
+    ],
+    ids=["x-outside", "xp-outside", "nan-x2", "zero-a", "negative-a", "infinite-a"],
+)
+def test_flat_kernel_rejects_bad_input(x, xp, a, named):
+    with pytest.raises(ValueError, match=named):
+        oracle.flat_kernel(x, xp, 1.0, a)
+
+
+def test_flat_kernel_vanishes_on_the_walls():
+    for wall in (-1.0, 1.0):
+        v, tail = oracle.flat_kernel((0.0, wall), (0.3, 0.2), 1.0, 1.0)
+        assert abs(v) <= 1e-16 and tail <= 1e-8
+
+
 def test_flat_kernel_marginal_matches_survival():
     a = 1.0
     t = 0.8

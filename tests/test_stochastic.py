@@ -386,6 +386,21 @@ def test_flat_pointwise_slope_moderate_paths(flat_sde):
     assert -0.75 < fit.slope < -0.3
 
 
+def test_pointwise_rate_on_an_exact_law():
+    """On estimates p(t) = C t^s exp(-t) the slope is s and its stderr is the
+    delta-method one, sqrt(inv(X^T W X)[1, 1]) with W = n p / (1 - p)."""
+    s, n = -0.75, 10**9
+    t = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0])
+    p = 0.3 * t**s * np.exp(-t)
+    estimates = [st.SurvivalEstimate(probability=pk, half_width=0.0, t=tk, n_paths=n)
+                 for tk, pk in zip(t, p)]
+    fit = st.pointwise_rate(estimates, 1.0)
+    assert fit.slope == pytest.approx(s, abs=1e-10)
+    X = np.column_stack([np.ones_like(t), np.log(t)])
+    W = np.diag(n * p / (1.0 - p))
+    assert fit.stderr == pytest.approx(math.sqrt(np.linalg.inv(X.T @ W @ X)[1, 1]), rel=1e-10)
+
+
 def test_yaglom_contraction_toward_ground_state():
     # positively curved strip: the conditioned longitudinal marginal moves
     # toward the ground-state profile as time grows
@@ -435,7 +450,7 @@ def test_occupation_measure_matches_pde_on_curved_strip():
     x1g = np.repeat(pair.grid.x1, pair.grid.x2.size)[pair.grid.keep]
     x2g = np.tile(pair.grid.x2, pair.grid.x1.size)[pair.grid.keep]
     u0v = smooth_bump(x1g, 0.0, 2.0) * smooth_bump(x2g, -0.4, 0.5)
-    u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0, norm_wf=math.inf)
+    u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0)
     t_star = 0.75
     tr = ev.evolve(pair, u0, [t_star], dt=0.002, keep_states=True)
     full = np.zeros(pair.grid.x1.size * pair.grid.x2.size)
