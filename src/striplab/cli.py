@@ -12,9 +12,7 @@ import argparse
 import configparser
 import hashlib
 import importlib
-import inspect
 import json
-import math
 import os
 import sys
 import time
@@ -90,48 +88,32 @@ class RunManifest:
         path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        return [_parse_value(tok) for tok in raw.split(",") if tok.strip()]
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    if low in ("inf", "+inf"):
-        return math.inf
-    try:
-        if any(ch in raw for ch in ".eE") and not raw.lstrip("+-").isdigit():
-            return float(raw)
-        return int(raw)
-    except ValueError:
-        return raw
-
-
-def _typed(section: str, key: str, value, kind):
-    """``[section] key = value`` as a ``kind``: a float takes a number, an int a
-    whole number, a list one number or several, a tuple exactly two numbers, a
-    bool true or false, and ``_box`` a box. ConfigInvalid names the key."""
+def _typed(section: str, key: str, text: str, kind):
+    """The text of ``[section] key`` as a ``kind``: a float takes a number, an
+    int a whole number, a list one number or several, a tuple two numbers, a
+    bool true/yes/on or false/no/off and ``_box`` a box. Each comma-split,
+    non-blank item is read by ``float()``, so ``nan`` and ``inf`` are numbers,
+    which the layer using them checks. ConfigInvalid names the key."""
     name = f"[{section}] {key}"
     if kind is _box:
-        return _box(value, name)
+        return _box(text, name)
     if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
-    items = value if isinstance(value, list) else [value]
+        word = text.strip().lower()
+        if word in ("true", "yes", "on", "false", "no", "off"):
+            return word in ("true", "yes", "on")
+        raise ConfigInvalid(f"{name} must be true or false, got {text!r}")
+    items = [tok for tok in text.split(",") if tok.strip()]
     try:
-        numbers = [float(v) for v in items if not isinstance(v, bool)]
+        numbers = [float(tok) for tok in items]
     except ValueError:
         numbers = []
     size = {list: max(len(items), 1), tuple: 2}.get(kind, 1)
     if len(numbers) != len(items) or size != len(items) or (kind is int and not numbers[0].is_integer()):
         what = {float: "a number", int: "a number with no fractional part",
                 list: "one number or several", tuple: "two numbers"}[kind]
-        raise ConfigInvalid(f"{name} must be {what}, got {value!r}")
-    if kind is int:
-        return int(items[0])
+        raise ConfigInvalid(f"{name} must be {what}, got {text!r}")
+    if kind is int:  # int() first keeps a whole number above 2**53 exact
+        return int(items[0]) if items[0].strip().lstrip("+-").isdigit() else int(numbers[0])
     return numbers if kind is list else tuple(numbers) if kind is tuple else numbers[0]
 
 
@@ -148,15 +130,13 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
     for section in ("geometry", "curvature", "experiment"):
         if section not in cp:
             raise ConfigInvalid(f"missing [{section}] block")
-    g = {k: _parse_value(v) for k, v in cp["geometry"].items()}
-    c = {k: _parse_value(v) for k, v in cp["curvature"].items()}
-    e = {k: _parse_value(v) for k, v in cp["experiment"].items()}
+    g, c, e = (dict(cp[section]) for section in ("geometry", "curvature", "experiment"))
     out = cp["output"].get("dir", "out") if "output" in cp else "out"
     out = os.environ.get("OUTPUT_DIR", out)
     if out_override:
         out = out_override
     try:
-        profile_kind, kind = str(c.pop("kind")), str(e.pop("kind"))
+        profile_kind, kind = c.pop("kind"), e.pop("kind")
         geometry = {key: _typed("geometry", key, g[key], cast) for key, cast in _GEOMETRY.items()}
     except KeyError as exc:
         raise ConfigInvalid(f"missing required key {exc}")
@@ -170,53 +150,47 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         if unknown:
             raise ConfigInvalid(f"unknown keys in [{section}]: {', '.join(unknown)}")
     if seed_override is not None and "seed" in keys:
-        e["seed"] = seed_override
+        e["seed"] = str(seed_override)
     controls = {key: _typed("experiment", key, e[key], cast) if key in e else default
                 for key, (cast, default) in keys.items()}
     if profile_kind not in _PROFILES:
         raise ConfigInvalid(f"unknown profile kind {profile_kind!r}")
+    params = {key: _typed("curvature", key, v, float) for key, v in c.items()}
     try:
-        inspect.signature(_PROFILES[profile_kind]).bind(**c)
-    except TypeError as exc:
+        prof = _PROFILES[profile_kind](**params)
+    except (TypeError, ValueError) as exc:  # a missing or unknown key, or a value out of range
         raise ConfigInvalid(f"[curvature] for kind {profile_kind!r}: {exc}")
     cfg = ExperimentConfig(
         a=geometry["a"], L=geometry["l"], n1=geometry["n1"], n2=geometry["n2"],
-        profile_kind=profile_kind,
-        profile_params={key: _typed("curvature", key, v, float) for key, v in c.items()},
+        profile_kind=profile_kind, profile_params=params,
         kind=kind, controls=controls, out_dir=Path(out), source_path=path, source_bytes=raw,
     )
     try:
-        prof = cfg.build_profile()
         geom = geo.StripGeometry(a=cfg.a, L=cfg.L, n1=cfg.n1, n2=cfg.n2)
         geo.check_compatible(prof, geom, closed_form=(cfg.profile_kind == "ruled"))
-    except (StripLabError, ValueError) as exc:
+    except StripLabError as exc:
         raise ConfigInvalid(str(exc))
     return cfg
 
 
-def _box(value, name="box"):
-    """A box 'x1_lo, x1_hi, x2_lo, x2_hi' as two ranges; None or 'all' is no box.
-    ConfigInvalid names the value ``name``; it is raised for a low edge above
-    its high edge, and for a NaN edge."""
-    if value in (None, "all"):
+def _box(text: str, name: str):
+    """The text 'all' (None, no box) or 'x1_lo, x1_hi, x2_lo, x2_hi', blank
+    items dropped, as two ranges. ConfigInvalid names the value ``name``: it is
+    raised for any other text, a boolean word as an edge included, for a low
+    edge above its high edge and for a NaN edge."""
+    if text.strip() == "all":
         return None
     try:
-        lo1, hi1, lo2, hi2 = map(float, value)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{name} must be 'all' or four numbers, got {value!r}")
+        lo1, hi1, lo2, hi2 = (float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigInvalid(f"{name} must be 'all' or four numbers, got {text!r}")
     if not (lo1 <= hi1 and lo2 <= hi2):  # NaN included
-        raise ConfigInvalid(f"{name} needs each low edge at most its high edge, none NaN, got {value!r}")
+        raise ConfigInvalid(f"{name} needs each low edge at most its high edge, none NaN, got {text!r}")
     return (lo1, hi1), (lo2, hi2)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)  # nan, inf and -inf included
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -551,7 +525,8 @@ def _check_distinct_outputs(cfgs) -> None:
 
 
 def _oracle_query(tokens):
-    """Tiny evaluator: 'survival|kernel|p0|modes key=value ...'."""
+    """Tiny evaluator: 'survival|kernel|p0|modes key=value ...'; ``n`` is typed
+    as a whole number, ``box`` as a box and every other argument as a number."""
     if not tokens:
         raise ConfigInvalid("oracle query is empty")
     what, kv = tokens[0], {}
@@ -559,11 +534,11 @@ def _oracle_query(tokens):
         if "=" not in tok:
             raise ConfigInvalid(f"malformed oracle argument {tok!r}")
         key, val = tok.split("=", 1)
-        kv[key] = _parse_value(val)
+        kv[key] = _typed("oracle", key, val, {"n": int, "box": _box}.get(key, float))
     try:
         if what == "survival":
             v, tail = oracle.flat_survival(
-                (kv.get("x1", 0.0), kv.get("x2", 0.0)), _box(kv.get("box")), kv["t"], kv["a"]
+                (kv.get("x1", 0.0), kv.get("x2", 0.0)), kv.get("box"), kv["t"], kv["a"]
             )
             print(f"survival = {v:.10g} (tail bound {tail:.3g})")
         elif what == "kernel":
@@ -574,8 +549,7 @@ def _oracle_query(tokens):
         elif what == "p0":
             print(f"p0 = {oracle.killed_halfline_kernel(kv['t'], kv['x'], kv['y']):.10g}")
         elif what == "modes":
-            n = _typed("oracle", "n", kv.get("n", 3), int)
-            for m in oracle.transverse_modes(kv["a"], n):
+            for m in oracle.transverse_modes(kv["a"], kv.get("n", 3)):
                 print(f"n = {m.index}  energy = {m.energy:.10g}")
         else:
             raise ConfigInvalid(f"unknown oracle query {what!r}")

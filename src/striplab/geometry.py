@@ -59,6 +59,13 @@ def smooth_cutoff(r: np.ndarray, r_full: float, r_zero: float) -> np.ndarray:
     return num / den
 
 
+def _finite(**params) -> None:
+    """Raise ValueError naming the first of ``params`` that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _plateau_radius(plateau_fraction: float, support_radius: float) -> float:
     """Radius of a cutoff's plateau, which must start before the support ends."""
     if not 0.0 <= plateau_fraction < 1.0:
@@ -122,8 +129,9 @@ def gaussian_bump(
     """Gaussian bump in x1 (constant across the width), smoothly cut off.
 
     The cutoff makes the support exact so that the metric is identically 1
-    beyond ``support_radius``, not just close to it.
+    beyond ``support_radius``, not just close to it. Parameters must be finite.
     """
+    _finite(amplitude=amplitude, width=width, support_radius=support_radius, center=center)
     if support_radius <= 0 or width <= 0:
         raise ValueError("width and support_radius must be positive")
     r_full = _plateau_radius(plateau_fraction, support_radius)
@@ -139,8 +147,9 @@ def constant_on_box(value: float, half_length: float) -> CurvatureProfile:
     """Constant curvature inside |x1| <= half_length, zero outside.
 
     ``half_length = inf`` gives the constant-everywhere test profile whose
-    metric has the cos/cosh closed forms.
+    metric has the cos/cosh closed forms; other parameters must be finite.
     """
+    _finite(value=value, half_length=0.0 if half_length == math.inf else half_length)
 
     def shape(x1):
         if math.isinf(half_length):
@@ -156,7 +165,9 @@ def ruled_profile(
     plateau_fraction: float = 0.5,
 ) -> CurvatureProfile:
     """Rotation-rate profile of a ruled strip: a C-infinity compactly supported
-    plateau bump theta_dot, with K = -theta_dot^2 / f^4 derived from it."""
+    plateau bump theta_dot, with K = -theta_dot^2 / f^4 derived from it.
+    Parameters must be finite."""
+    _finite(theta_dot_max=theta_dot_max, support_radius=support_radius)
     if support_radius <= 0:
         raise ValueError("support_radius must be positive")
     r_full = _plateau_radius(plateau_fraction, support_radius)
@@ -256,14 +267,14 @@ def check_compatible(
     The smallness gate sup|K| a^2 < 1/2 guarantees positivity of the
     integrated metric. Closed-form families (ruled strips) are positive by
     construction for every half-width, so they skip that gate and keep only
-    the truncation requirement.
+    the truncation requirement. Each test is written so that NaN fails it.
     """
-    if not closed_form and profile.sup_norm * geom.a**2 >= 0.5:
+    if not (closed_form or profile.sup_norm * geom.a**2 < 0.5):
         raise GeometryInvalid(
             f"sup|K| a^2 = {profile.sup_norm * geom.a ** 2:.4g} >= 1/2; "
             "the strip is too wide for this curvature"
         )
-    if math.isfinite(profile.support_radius) and geom.L <= profile.support_radius:
+    if not (profile.support_radius == math.inf or geom.L > profile.support_radius):
         raise GeometryInvalid(
             f"truncation L = {geom.L} must exceed the support radius "
             f"{profile.support_radius}"
@@ -375,7 +386,8 @@ def solve_jacobi(profile: CurvatureProfile, geom: StripGeometry) -> MetricField:
 
     Integration runs from the axis outward in both directions with a fixed
     RK4 step at four times the transverse grid resolution; the derivative is
-    taken from the integrator state rather than re-differenced.
+    taken from the integrator state rather than re-differenced. A NaN
+    sample fails the positivity and envelope tests.
     """
     check_compatible(profile, geom)
     x1 = geom.x1
@@ -385,9 +397,9 @@ def solve_jacobi(profile: CurvatureProfile, geom: StripGeometry) -> MetricField:
 
     lower, upper = taylor_envelope(profile, geom.a, x1)
     slack = 10.0 * base_step**2 * max(profile.sup_norm, 1.0)
-    if np.any(f <= 0.0):
+    if not np.all(f > 0.0):
         raise NonPositiveMetric("metric factor non-positive; a^2 restriction violated")
-    if np.any(f < lower[:, None] - slack) or np.any(f > upper[:, None] + slack):
+    if not (np.all(f >= lower[:, None] - slack) and np.all(f <= upper[:, None] + slack)):
         raise EnvelopeViolation("metric sample outside its Taylor envelope")
 
     def sampler(cols, levels):
@@ -410,7 +422,8 @@ def ruled_strip(theta_dot, geom: StripGeometry):
 
     ``theta_dot`` is a ruled CurvatureProfile, as ``ruled_profile`` builds;
     any other input raises ValueError. No ODE integration is involved. The
-    sampled field is checked against the metric ODE by finite differences.
+    sampled field is checked against the metric ODE by finite differences
+    (a NaN sample fails).
     Returns the metric together with its curvature profile.
     """
     if not isinstance(theta_dot, CurvatureProfile) or theta_dot.kind != "ruled":
@@ -435,7 +448,7 @@ def ruled_strip(theta_dot, geom: StripGeometry):
     resid = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / h**2 + K[:, 1:-1] * f[:, 1:-1]
     # second-order differencing: tolerance scales with h^2 of the 4th derivative
     scale = max(1.0, profile.sup_norm**2) * h**2
-    if np.max(np.abs(resid)) > max(1e-6, 10.0 * scale):
+    if not np.max(np.abs(resid)) <= max(1e-6, 10.0 * scale):
         raise EnvelopeViolation("ruled closed form violates the metric ODE residual")
 
     # exact closed-form column envelope (sharper than the generic bound and

@@ -47,6 +47,8 @@ class TransverseMode:
 
 
 def transverse_modes(a: float, n_max: int) -> list[TransverseMode]:
+    if not 0 < a < math.inf:
+        raise ValueError(f"the half-width a must be positive and finite, not {a}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return [TransverseMode(n, transverse_energy(n, a), a) for n in range(1, n_max + 1)]
@@ -93,11 +95,13 @@ def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
 
     Returns (value, tail_bound); raises TailTooLarge when the truncation
     cannot meet ``tol``. ``ValueError`` is raised for ``a`` not positive and
-    finite and for a point outside the closed strip |x2| <= a; the kernel
-    vanishes on the walls.
+    finite, a longitudinal coordinate or ``t`` not finite and a point outside
+    the closed strip |x2| <= a; the kernel vanishes on the walls.
     """
     x1, x2 = float(x[0]), float(x[1])
     x1p, x2p = float(xp[0]), float(xp[1])
+    if not all(map(math.isfinite, (x1, x1p, t))):
+        raise ValueError(f"x1 = {x1}, x1' = {x1p} and t = {t} must all be finite")
     if not 0 < a < math.inf:
         raise ValueError(f"the half-width a must be positive and finite, not {a}")
     if not (abs(x2) <= a and abs(x2p) <= a):
@@ -118,13 +122,14 @@ def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
 
 
 def killed_halfline_kernel(t, x, y):
-    """Transition density of the half-line motion absorbed at the origin."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    """Transition density of the half-line motion absorbed at the origin;
+    ``ValueError`` is raised for ``t`` not positive or ``x``, ``y`` negative, NaN included."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, not {t}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("x and y must be nonnegative")
+    if not (np.all(x >= 0) and np.all(y >= 0)):
+        raise ValueError(f"x and y must be nonnegative, not {x} and {y}")
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     return pref * (np.exp(-((x - y) ** 2) / (4.0 * t)) - np.exp(-((x + y) ** 2) / (4.0 * t)))
 
@@ -142,10 +147,12 @@ def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
     transverse range clipped to [-a, a], where every live path is.
     Longitudinal integrals are Gaussian error functions (exact); transverse
     integrals of the modes are elementary. Returns (value, tail_bound).
-    ``ValueError`` is raised for ``a`` not positive and finite, a start
-    outside the open strip and a box with a low edge above its high edge.
+    ``ValueError`` is raised for ``a`` not positive and finite, a start x1 or
+    ``t`` not finite, a start outside the open strip and a reversed box.
     """
     x1, x2 = float(x0[0]), float(x0[1])
+    if not (math.isfinite(x1) and math.isfinite(t)):
+        raise ValueError(f"the start x1 = {x1} and t = {t} must both be finite")
     if not 0 < a < math.inf:
         raise ValueError(f"the half-width a must be positive and finite, not {a}")
     if not abs(x2) < a:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from striplab import cli
 from striplab import stochastic as st
@@ -416,9 +418,14 @@ def test_run_imports_no_module_that_load_config_did_not(tmp_path, kind):
         ("a = 1.0", "a = nan", "finite"),
         ("width = 2.0", "width = abc", "[curvature] width"),
         ("support_radius = 8.0", "support_radius = 8.0\nplateau_fraction = 1.5", "plateau_fraction"),
+        ("width = 2.0", "width = 2.0\ncenter = nan",
+         "[curvature] for kind 'gaussian-bump': center must be finite, got nan"),
+        ("kind = gaussian-bump\namplitude = 0.45\nwidth = 2.0\nsupport_radius = 8.0",
+         "kind = constant-on-box\nvalue = nan\nhalf_length = 4.0",
+         "[curvature] for kind 'constant-on-box': value must be finite, got nan"),
     ],
     ids=["geometry-word", "geometry-list", "geometry-fraction", "geometry-nan", "curvature-word",
-         "plateau-fraction"],
+         "plateau-fraction", "curvature-nan-center", "curvature-nan-value"],
 )
 def test_config_values_of_the_wrong_type_or_range_exit_2(tmp_path, capsys, old, new, named):
     bad = _write(tmp_path, BUMP_JACOBI.replace(old, new))
@@ -440,10 +447,12 @@ def test_config_values_of_the_wrong_type_or_range_exit_2(tmp_path, capsys, old, 
         ("nu-sweep", "frame_cells = 260", "frame_cells = 11.5"),
         ("hardy", "trials = 5", "trials = abc"),
         ("mc", "seed = 7", "seed = 7\nbox = 1, -1, 0, 1"),
+        ("mc", "seed = 7", "seed = 7\nbox = 0, 1, off, on"),
     ],
     ids=["mc-dt-word", "mc-n_paths-fraction", "mc-x0-one-number", "mc-box-three-numbers",
          "mc-dump_paths-number", "evolve-fit_window-one-number", "evolve-alpha-word",
-         "nu-sweep-frame_cells-fraction", "hardy-trials-word", "mc-box-low-above-high"],
+         "nu-sweep-frame_cells-fraction", "hardy-trials-word", "mc-box-low-above-high",
+         "mc-box-boolean-edges"],
 )
 def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, kind, old, new):
     assert old in _SMALL[kind]
@@ -524,10 +533,105 @@ def test_readme_lists_every_kinds_experiment_keys():
         for key, (cast, default) in keys.items():
             text = listed[kind][key][1]
             if text.startswith("`") and text.count("`") == 2:  # a literal default
-                value = cli._typed("experiment", key, cli._parse_value(text.strip("`")), cast)
+                value = cli._typed("experiment", key, text.strip("`"), cast)
                 assert value == default, (kind, key)
             else:  # one worked out from other keys
                 assert default is None and cast is not cli._box, (kind, key)
+
+
+def _two_stage_guess(raw: str):
+    """The former first stage of config parsing, which guessed a type from the text."""
+    raw = raw.strip()
+    if "," in raw:
+        return [_two_stage_guess(tok) for tok in raw.split(",") if tok.strip()]
+    low = raw.lower()
+    if low in ("true", "yes", "on"):
+        return True
+    if low in ("false", "no", "off"):
+        return False
+    if low in ("inf", "+inf"):
+        return math.inf
+    try:
+        if any(ch in raw for ch in ".eE") and not raw.lstrip("+-").isdigit():
+            return float(raw)
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+def _two_stage_box(value, name):
+    """The former box parser, which took the guessed value."""
+    if value in (None, "all"):
+        return None
+    try:
+        lo1, hi1, lo2, hi2 = map(float, value)
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"{name} must be 'all' or four numbers, got {value!r}")
+    if not (lo1 <= hi1 and lo2 <= hi2):
+        raise ConfigInvalid(f"{name} needs each low edge at most its high edge, none NaN, got {value!r}")
+    return (lo1, hi1), (lo2, hi2)
+
+
+def _two_stage_typed(section, key, raw, kind):
+    """The former second stage, which checked the guess against ``kind``; the
+    reference for ``cli._typed``."""
+    value, name = _two_stage_guess(raw), f"[{section}] {key}"
+    if kind is cli._box:
+        return _two_stage_box(value, name)
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
+    items = value if isinstance(value, list) else [value]
+    try:
+        numbers = [float(v) for v in items if not isinstance(v, bool)]
+    except ValueError:
+        numbers = []
+    size = {list: max(len(items), 1), tuple: 2}.get(kind, 1)
+    if len(numbers) != len(items) or size != len(items) or (kind is int and not numbers[0].is_integer()):
+        raise ConfigInvalid(f"{name} does not match")
+    if kind is int:
+        return int(items[0])
+    return numbers if kind is list else tuple(numbers) if kind is tuple else numbers[0]
+
+
+def _same(x, y):
+    """Equal values of equal types, NaN equal to NaN, compared item by item."""
+    if isinstance(x, (list, tuple)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same, x, y))
+    return type(x) is type(y) and (x == y or (x != x and y != y))
+
+
+_BOOL_WORDS = ("true", "yes", "on", "false", "no", "off")
+_TOKENS = ("0", "1", "-2", "+3", "2.5", ".5", "1e3", "-1E-2", "12345678901234567891", "1e400",
+           "inf", "+inf", "-inf", "Infinity", "nan", "NaN", "-nan", "1_0", "0x1", "1__0", "e",
+           "true", "off", "Yes", "NO", " on ", "all", " all", "abc", "", " ", " 4 ", "\t7")
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=hst.lists(hst.sampled_from(_TOKENS), max_size=5).map(",".join),
+    kind=hst.sampled_from([float, int, list, tuple, bool, cli._box]),
+)
+@example(text=" all", kind=cli._box)
+@example(text="0,1,off,on", kind=cli._box)
+@example(text="12345678901234567891", kind=int)
+def test_typed_reads_text_as_the_two_stage_parser_did(text, kind):
+    """``_typed`` gives the value or the ConfigInvalid that the former guess-
+    then-check parser gave, except that a box edge written as a boolean word is
+    now refused."""
+    def outcome(parse):
+        try:
+            return parse("experiment", "key", text, kind)
+        except ConfigInvalid:
+            return ConfigInvalid
+
+    new, old = outcome(cli._typed), outcome(_two_stage_typed)
+    words = kind is cli._box and any(tok.strip().lower() in _BOOL_WORDS for tok in text.split(","))
+    if words and old is not ConfigInvalid:
+        assert new is ConfigInvalid, text
+    else:
+        assert _same(new, old), (text, kind, new, old)
 
 
 def test_oracle_subcommand(capsys):
@@ -539,23 +643,39 @@ def test_oracle_subcommand(capsys):
 
 
 @pytest.mark.parametrize(
-    "query",
+    "query, named",
     [
-        ["survival", "a=1"],
-        ["p0", "t=-1", "x=1", "y=1"],
-        ["modes", "a=1", "n=0"],
-        ["survival", "t=1", "a=1", "box=1,2"],
-        ["survival", "t=1", "a=1", "box=1,-1,0,0.5"],
-        ["modes", "a=1", "n=2.5"],
-        ["kernel", "x1=0", "x2=1.5", "y1=0", "y2=0", "t=1", "a=1"],
-        ["kernel", "x1=0", "x2=0", "y1=0", "y2=0", "t=1", "a=0"],
+        (["survival", "a=1"], "'t'"),
+        (["p0", "t=-1", "x=1", "y=1"], "t must be positive, not -1.0"),
+        (["modes", "a=1", "n=0"], "n_max must be at least 1"),
+        (["survival", "t=1", "a=1", "box=1,2"], "box must be 'all' or four numbers, got '1,2'"),
+        (["survival", "t=1", "a=1", "box=1,-1,0,0.5"], "box needs each low edge"),
+        (["modes", "a=1", "n=2.5"], "n must be a number with no fractional part, got '2.5'"),
+        (["kernel", "x1=0", "x2=1.5", "y1=0", "y2=0", "t=1", "a=1"], "not both in the closed strip"),
+        (["kernel", "x1=0", "x2=0", "y1=0", "y2=0", "t=1", "a=0"], "positive and finite, not 0.0"),
+        (["survival", "t=nan", "a=1"], "t = nan must both be finite"),
+        (["survival", "x1=nan", "t=1", "a=1", "box=0,1,0,0.5"], "x1 = nan and t = 1.0 must both be finite"),
+        (["survival", "t=inf", "a=1"], "t = inf must both be finite"),
+        (["kernel", "x1=nan", "x2=0", "y1=0", "y2=0", "t=1", "a=1"], "x1 = nan, x1' = 0.0"),
+        (["kernel", "x1=0", "x2=0", "y1=0", "y2=0", "t=nan", "a=1"], "t = nan must all be finite"),
+        (["p0", "t=1", "x=nan", "y=1"], "x and y must be nonnegative, not nan and 1.0"),
+        (["p0", "t=nan", "x=1", "y=1"], "t must be positive, not nan"),
+        (["modes", "a=0"], "a must be positive and finite, not 0.0"),
+        (["modes", "a=-1", "n=1"], "a must be positive and finite, not -1.0"),
+        (["modes", "a=nan"], "a must be positive and finite, not nan"),
+        (["survival", "t=1", "a=1", "box=0,1,off,on"], "box must be 'all' or four numbers, got '0,1,off,on'"),
+        (["survival", "t=1", "a=1", "z=abc"], "z must be a number, got 'abc'"),
     ],
     ids=["missing-key", "negative-time", "no-modes", "short-box", "reversed-box",
-         "fractional-modes", "kernel-point-outside", "kernel-zero-a"],
+         "fractional-modes", "kernel-point-outside", "kernel-zero-a", "survival-nan-t",
+         "survival-nan-x1", "survival-infinite-t", "kernel-nan-x1", "kernel-nan-t", "p0-nan-x",
+         "p0-nan-t", "modes-zero-a", "modes-negative-a", "modes-nan-a", "boolean-box-edges",
+         "unknown-argument-not-a-number"],
 )
-def test_oracle_input_errors_exit_2(capsys, query):
+def test_oracle_input_errors_exit_2(capsys, query, named):
     assert cli.main(["oracle", *query]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
 
 
 def test_histogram_plot(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from striplab import geometry as geo
-from striplab.errors import CurvatureDomainError, GeometryInvalid
+from striplab.errors import (
+    CurvatureDomainError,
+    EnvelopeViolation,
+    GeometryInvalid,
+    NonPositiveMetric,
+)
 
 
 GEOM_07 = geo.StripGeometry(a=0.7, L=5.0, n1=16, n2=24)
@@ -255,3 +261,59 @@ def test_plateau_fraction_outside_the_unit_interval_is_rejected(build, plateau_f
     with pytest.raises(ValueError, match="plateau_fraction"):
         build(plateau_fraction)
     assert build(0.0).support_radius == 3.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["amplitude", "width", "support_radius", "center"])
+def test_gaussian_bump_rejects_non_finite_parameters(key, bad):
+    params = {"amplitude": 0.3, "width": 1.0, "support_radius": 3.0, "center": 0.0}
+    with pytest.raises(ValueError, match=f"{key} must be finite, got {bad}"):
+        geo.gaussian_bump(**{**params, key: bad})
+
+
+@pytest.mark.parametrize(
+    "value, half_length, named",
+    [(math.nan, 2.0, "value"), (math.inf, 2.0, "value"), (0.1, math.nan, "half_length"),
+     (0.1, -math.inf, "half_length")],
+)
+def test_constant_on_box_rejects_non_finite_parameters_but_an_infinite_box(value, half_length, named):
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        geo.constant_on_box(value, half_length)
+    assert geo.constant_on_box(0.1, math.inf).support_radius == math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["theta_dot_max", "support_radius"])
+def test_ruled_profile_rejects_non_finite_parameters(key, bad):
+    params = {"theta_dot_max": 0.5, "support_radius": 4.0}
+    with pytest.raises(ValueError, match=f"{key} must be finite, got {bad}"):
+        geo.ruled_profile(**{**params, key: bad})
+
+
+_GEOM_05 = geo.StripGeometry(a=0.5, L=6.0, n1=16, n2=8)
+
+
+@pytest.mark.parametrize(
+    "certify, error",
+    [
+        (lambda: geo.check_compatible(replace(geo.constant_on_box(0.1, 4.0), sup_norm=math.nan),
+                                      _GEOM_05), GeometryInvalid),
+        (lambda: geo.check_compatible(replace(geo.ruled_profile(0.3, 4.0), support_radius=math.nan),
+                                      _GEOM_05, closed_form=True), GeometryInvalid),
+        (lambda: geo.solve_jacobi(replace(geo.constant_on_box(0.1, 4.0),
+                                          _k_eval=lambda x1, x2: np.where(np.abs(x1) < 1.0, np.nan, 0.0)),
+                                  _GEOM_05), NonPositiveMetric),
+        (lambda: geo.solve_jacobi(replace(geo.constant_on_box(0.1, 4.0),
+                                          _col_sup=lambda x1, a: np.full_like(x1, np.nan)),
+                                  _GEOM_05), EnvelopeViolation),
+        (lambda: geo.ruled_strip(replace(geo.ruled_profile(0.3, 4.0),
+                                         theta_dot=lambda x1: np.full_like(x1, np.nan)),
+                                 _GEOM_05), EnvelopeViolation),
+    ],
+    ids=["gate-nan-sup-norm", "truncation-nan-support", "jacobi-nan-field", "jacobi-nan-envelope",
+         "ruled-nan-field"],
+)
+def test_a_nan_field_is_never_certified(certify, error):
+    """Every certification test is written so that NaN fails it."""
+    with pytest.raises(error):
+        certify()

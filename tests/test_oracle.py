@@ -131,12 +131,26 @@ def test_flat_survival_clips_the_box_to_the_strip():
         ((0.0, 1.0), None, 1.0, "outside the open strip"),
         ((0.0, 0.0), None, 0.0, "positive and finite"),
         ((0.0, 0.0), None, math.inf, "positive and finite"),
+        ((math.nan, 0.0), None, 1.0, "x1 = nan and t = 1.0 must both be finite"),
+        ((math.inf, 0.0), ((0.0, 1.0), (0.0, 0.5)), 1.0, "x1 = inf and t = 1.0 must both be finite"),
     ],
-    ids=["reversed-x1", "reversed-x2", "start-outside", "start-on-wall", "zero-a", "infinite-a"],
+    ids=["reversed-x1", "reversed-x2", "start-outside", "start-on-wall", "zero-a", "infinite-a",
+         "nan-x1", "infinite-x1"],
 )
 def test_flat_survival_rejects_bad_input(x0, B, a, named):
     with pytest.raises(ValueError, match=named):
         oracle.flat_survival(x0, B, 1.0, a)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused_before_the_tail_floor(t):
+    """A non-finite t is a ValueError; a finite t below 0.01 stays TailTooLarge."""
+    with pytest.raises(ValueError, match=f"t = {t} must"):
+        oracle.flat_survival((0.0, 0.0), None, t, 1.0)
+    with pytest.raises(ValueError, match=f"t = {t} must"):
+        oracle.flat_kernel((0.0, 0.0), (0.0, 0.0), t, 1.0)
+    with pytest.raises(TailTooLarge):
+        oracle.flat_survival((0.0, 0.0), None, 0.005, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -148,12 +162,48 @@ def test_flat_survival_rejects_bad_input(x0, B, a, named):
         ((0.0, 0.0), (0.0, 0.0), 0.0, "positive and finite, not 0.0"),
         ((0.0, 0.0), (0.0, 0.0), -1.0, "positive and finite, not -1.0"),
         ((0.0, 0.0), (0.0, 0.0), math.inf, "positive and finite, not inf"),
+        ((math.nan, 0.0), (0.0, 0.0), 1.0, "x1 = nan, x1' = 0.0 and t = 1.0 must all be finite"),
+        ((0.0, 0.0), (-math.inf, 0.0), 1.0, "x1 = 0.0, x1' = -inf and t = 1.0 must all be finite"),
     ],
-    ids=["x-outside", "xp-outside", "nan-x2", "zero-a", "negative-a", "infinite-a"],
+    ids=["x-outside", "xp-outside", "nan-x2", "zero-a", "negative-a", "infinite-a", "nan-x1",
+         "infinite-x1p"],
 )
 def test_flat_kernel_rejects_bad_input(x, xp, a, named):
     with pytest.raises(ValueError, match=named):
         oracle.flat_kernel(x, xp, 1.0, a)
+
+
+@pytest.mark.parametrize(
+    "t, x, y, named",
+    [
+        (0.0, 1.0, 1.0, "t must be positive, not 0.0"),
+        (math.nan, 1.0, 1.0, "t must be positive, not nan"),
+        (1.0, -1.0, 1.0, "x and y must be nonnegative"),
+        (1.0, math.nan, 1.0, "x and y must be nonnegative"),
+        (1.0, [0.5, math.nan], 1.0, "x and y must be nonnegative"),
+        (1.0, 1.0, math.nan, "x and y must be nonnegative"),
+    ],
+    ids=["zero-t", "nan-t", "negative-x", "nan-x", "nan-x-in-array", "nan-y"],
+)
+def test_killed_halfline_kernel_rejects_bad_input(t, x, y, named):
+    with pytest.raises(ValueError, match=named):
+        oracle.killed_halfline_kernel(t, x, y)
+
+
+@pytest.mark.parametrize(
+    "a, n_max, named",
+    [
+        (0.0, 3, "positive and finite, not 0.0"),
+        (-1.0, 1, "positive and finite, not -1.0"),
+        (math.nan, 3, "positive and finite, not nan"),
+        (math.inf, 3, "positive and finite, not inf"),
+        (1.0, 0, "n_max must be at least 1"),
+    ],
+    ids=["zero-a", "negative-a", "nan-a", "infinite-a", "no-modes"],
+)
+def test_transverse_modes_rejects_bad_input(a, n_max, named):
+    with pytest.raises(ValueError, match=named):
+        oracle.transverse_modes(a, n_max)
 
 
 def test_flat_kernel_vanishes_on_the_walls():

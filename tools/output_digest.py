@@ -9,7 +9,10 @@ one). Prints one `sha256  relative/path` line per CSV or JSON output and one
 threshold probe and the perturbed threshold, which no config or criterion
 writes out, it prints the `sha256` of `essential_threshold_probe(...).table`
 and the `repr` of one `perturbed_threshold` value on the flat and the
-ruled certified strips of `tests/test_spectral.py`. So
+ruled certified strips of `tests/test_spectral.py`. Last come the lines
+that `strip-lab oracle` prints for a fixed set of `survival` (with and
+without a box), `kernel`, `p0` and `modes` queries, run through
+`cli.main`. So
 
     python tools/output_digest.py > after.txt
 
@@ -18,7 +21,9 @@ striplab imported is the one under this checkout's `src/`.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import math
 import sys
 import tempfile
@@ -35,6 +40,18 @@ from striplab import spectral as sp  # noqa: E402
 from striplab.acceptance import run_criterion  # noqa: E402
 
 CRITERIA = (1, 2, 3, 4, 5, 6, 7, 9, 10)
+ORACLE_QUERIES = (
+    "survival t=1.0 a=1.5707963267948966",
+    "survival x1=0.25 x2=-0.3 t=0.5 a=1.0",
+    "survival x1=0.25 x2=-0.3 t=2.0 a=1.0 box=-1.0,1.5,-0.5,0.75",
+    "survival t=1.0 a=1.0 box=-1,1,-2,2",
+    "kernel x1=0 x2=0.2 y1=0.5 y2=-0.4 t=0.75 a=1.0",
+    "kernel x1=-1 x2=1 y1=1 y2=0 t=3 a=2",
+    "p0 t=1.0 x=1.0 y=1.0",
+    "p0 t=0.25 x=0.5 y=2",
+    "modes a=1.0",
+    "modes a=0.5 n=5",
+)
 
 
 def _threshold_lines():
@@ -57,6 +74,16 @@ def _threshold_lines():
         yield f"perturbed-threshold/{name} {sp.perturbed_threshold(m, V)!r}"
 
 
+def _oracle_lines():
+    """Each oracle query with the lines it prints."""
+    for query in ORACLE_QUERIES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["oracle", *query.split()])
+        for line in buf.getvalue().splitlines():
+            yield f"oracle {query} -> {code} {line}"
+
+
 def main() -> int:
     configs = sorted(ROOT.glob("configs/*.ini")) + sorted(ROOT.glob("perfbench/inputs/*.ini"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -73,6 +100,8 @@ def main() -> int:
     for number in CRITERIA:
         r = run_criterion(number)
         print(f"{r.number} {r.passed} {r.detail}", flush=True)
+    for line in _oracle_lines():
+        print(line, flush=True)
     return 0
 
 
