@@ -30,11 +30,10 @@ from .errors import (
     AcceptanceFailure,
     ConfigInvalid,
     NumericalFailure,
-    SchemaMismatch,
     StripLabError,
 )
 
-__all__ = ["ExperimentConfig", "RunManifest", "load_config", "run", "emit_plot", "main"]
+__all__ = ["ExperimentConfig", "RunManifest", "load_config", "run", "main"]
 
 _GEOMETRY = {"a": float, "l": float, "n1": int, "n2": int}
 # [curvature] kind -> profile constructor; the block's other keys are its keywords
@@ -402,114 +401,6 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-# ---------------------------------------------------------------- plotting --
-
-_GUIDE_SLOPES = (-0.25, -0.75, -0.5, -1.5)
-
-
-def _svg_document(width, height, body) -> str:
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n<rect width="100%" height="100%" fill="white"/>\n'
-        + "\n".join(body)
-        + "\n</svg>\n"
-    )
-
-
-def _read_csv(path: Path):
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise SchemaMismatch(f"{path} has no data rows")
-    header = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    return header, np.array(rows)
-
-
-def emit_plot(csv_path, kind: str, out_path=None) -> Path:
-    """Standalone vector graphic for a CSV: scatter plus reference guides."""
-    csv_path = Path(csv_path)
-    header, data = _read_csv(csv_path)
-    W, H, pad = 640, 480, 60
-    body = [
-        f'<line x1="{pad}" y1="{H - pad}" x2="{W - pad}" y2="{H - pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{H - pad}" stroke="black"/>',
-    ]
-
-    def to_px(u, v, ulim, vlim):
-        x = pad + (u - ulim[0]) / (ulim[1] - ulim[0] + 1e-300) * (W - 2 * pad)
-        y = H - pad - (v - vlim[0]) / (vlim[1] - vlim[0] + 1e-300) * (H - 2 * pad)
-        return x, y
-
-    if kind == "decay-loglog":
-        if len(header) < 2 or not header[0].startswith("t"):
-            raise SchemaMismatch("decay-loglog expects a trajectory CSV")
-        t = data[:, 0]
-        y = data[:, 1]
-        good = (t > 0) & (y > 0) & np.isfinite(y)
-        if good.sum() < 2:
-            raise SchemaMismatch("no positive samples to draw")
-        lu = np.log10(1.0 + t[good])
-        lv = np.log10(y[good])
-        ulim = (lu.min(), lu.max())
-        vlim = (lv.min() - 0.2, lv.max() + 0.2)
-        for slope in _GUIDE_SLOPES:
-            xs = np.linspace(*ulim, 2)
-            ys = lv[0] + slope * (xs - lu[0])
-            (x0, y0), (x1, y1) = to_px(xs[0], ys[0], ulim, vlim), to_px(xs[1], ys[1], ulim, vlim)
-            body.append(
-                f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x1:.1f}" y2="{y1:.1f}" '
-                f'stroke="gray" stroke-dasharray="4 3"/>'
-            )
-            body.append(
-                f'<text x="{x1 - 40:.1f}" y="{y1 - 4:.1f}" font-size="11" fill="gray">{slope}</text>'
-            )
-        for u, v in zip(lu, lv):
-            x, y0 = to_px(u, v, ulim, vlim)
-            body.append(f'<circle cx="{x:.1f}" cy="{y0:.1f}" r="2.5" fill="crimson"/>')
-        body.append(f'<text x="{W // 2 - 40}" y="{H - 18}" font-size="13">log10(1+t)</text>')
-        body.append(f'<text x="10" y="{H // 2}" font-size="13">log10(norm)</text>')
-    elif kind == "nu-vs-s":
-        if len(header) < 3 or not header[0].startswith("s"):
-            raise SchemaMismatch("nu-vs-s expects a frame-sweep CSV")
-        s = data[:, 0]
-        nu = data[:, 2]
-        ulim = (s.min() - 0.3, s.max() + 0.3)
-        vlim = (min(0.2, nu.min() - 0.05), max(0.85, nu.max() + 0.05))
-        for level in (0.25, 0.75):
-            x0, y0 = to_px(ulim[0], level, ulim, vlim)
-            x1, y1 = to_px(ulim[1], level, ulim, vlim)
-            body.append(
-                f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x1:.1f}" y2="{y1:.1f}" '
-                f'stroke="gray" stroke-dasharray="4 3"/>'
-            )
-            body.append(f'<text x="{x1 - 30:.1f}" y="{y1 - 4:.1f}" font-size="11" fill="gray">{level}</text>')
-        for u, v in zip(s, nu):
-            x, y = to_px(u, v, ulim, vlim)
-            body.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="navy"/>')
-        body.append(f'<text x="{W // 2 - 10}" y="{H - 18}" font-size="13">s</text>')
-        body.append(f'<text x="14" y="{H // 2}" font-size="13">nu</text>')
-    elif kind == "histogram":
-        if data.shape[1] < 2:
-            raise SchemaMismatch("histogram expects (bin, mass) columns")
-        xs = data[:, 0]
-        ms = data[:, 1]
-        ulim = (xs.min(), xs.max() + (xs[1] - xs[0] if len(xs) > 1 else 1.0))
-        vlim = (0.0, ms.max() * 1.1 + 1e-12)
-        wpx = (W - 2 * pad) / max(len(xs), 1)
-        for u, v in zip(xs, ms):
-            x, y = to_px(u, v, ulim, vlim)
-            body.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{wpx * 0.9:.1f}" '
-                f'height="{H - pad - y:.1f}" fill="seagreen"/>'
-            )
-    else:
-        raise SchemaMismatch(f"unknown plot kind {kind!r}")
-
-    out = Path(out_path) if out_path else csv_path.with_suffix(f".{kind}.svg")
-    out.write_text(_svg_document(W, H, body))
-    return out
-
-
 # -------------------------------------------------------------------- main --
 
 def _check_distinct_outputs(cfgs) -> None:
@@ -524,9 +415,19 @@ def _check_distinct_outputs(cfgs) -> None:
         seen[target] = cfg.source_path
 
 
+# oracle query -> the arguments it reads
+_ORACLE_ARGS = {
+    "survival": ("x1", "x2", "box", "t", "a"),
+    "kernel": ("x1", "x2", "y1", "y2", "t", "a"),
+    "p0": ("t", "x", "y"),
+    "modes": ("a", "n"),
+}
+
+
 def _oracle_query(tokens):
     """Tiny evaluator: 'survival|kernel|p0|modes key=value ...'; ``n`` is typed
-    as a whole number, ``box`` as a box and every other argument as a number."""
+    as a whole number, ``box`` as a box and every other argument as a number.
+    An argument the query does not read is refused."""
     if not tokens:
         raise ConfigInvalid("oracle query is empty")
     what, kv = tokens[0], {}
@@ -535,6 +436,12 @@ def _oracle_query(tokens):
             raise ConfigInvalid(f"malformed oracle argument {tok!r}")
         key, val = tok.split("=", 1)
         kv[key] = _typed("oracle", key, val, {"n": int, "box": _box}.get(key, float))
+    if what not in _ORACLE_ARGS:
+        raise ConfigInvalid(f"unknown oracle query {what!r}")
+    unread = sorted(set(kv) - set(_ORACLE_ARGS[what]))
+    if unread:
+        raise ConfigInvalid(f"oracle {what} reads only {', '.join(_ORACLE_ARGS[what])}, "
+                            f"not {', '.join(unread)}")
     try:
         if what == "survival":
             v, tail = oracle.flat_survival(
@@ -551,8 +458,6 @@ def _oracle_query(tokens):
         elif what == "modes":
             for m in oracle.transverse_modes(kv["a"], kv.get("n", 3)):
                 print(f"n = {m.index}  energy = {m.energy:.10g}")
-        else:
-            raise ConfigInvalid(f"unknown oracle query {what!r}")
     except KeyError as exc:
         raise ConfigInvalid(f"oracle {what} needs the argument {exc}")
     except (TypeError, ValueError) as exc:

@@ -112,6 +112,3 @@ class NumericalFailure(StripLabError):
 class AcceptanceFailure(StripLabError):
     """One or more acceptance criteria failed (exit code 4, report mode)."""
 
-
-class SchemaMismatch(StripLabError):
-    """CSV file does not match the schema expected by the plot kind."""

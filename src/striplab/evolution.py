@@ -46,7 +46,6 @@ __all__ = [
     "HeatState",
     "Trajectory",
     "DecayFit",
-    "Mode1Projection",
     "weighted_initial",
     "evolve",
     "fit_decay",
@@ -309,7 +308,7 @@ def evolve(
         last = HeatState(u=u, t=t0 + k * dt, norm_f=_norm_f(pair, u))
         times.append(last.t)
         nf.append(last.norm_f)
-        rem = project_mode1(last, pair).remainder_norm
+        rem = project_mode1(last, pair)
         m1.append(rem / last.norm_f if last.norm_f > 0 else 0.0)
         if keep_states:
             states.append(last)
@@ -402,14 +401,9 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
     return trajectory, fit_decay(trajectory, e1h, window), e1h
 
 
-@dataclass(frozen=True)
-class Mode1Projection:
-    phi: np.ndarray             # mode-1 coefficient of each column of the grid
-    remainder_norm: float
-
-
-def project_mode1(state: HeatState, pair: OperatorPair) -> Mode1Projection:
-    """Transverse-mode-1 profile of the state and the orthogonal remainder."""
+def project_mode1(state: HeatState, pair: OperatorPair) -> float:
+    """Weighted norm of the state minus its transverse-mode-1 projection,
+    column by column."""
     x2 = pair.grid.x2
     h2 = x2[1] - x2[0]
     j1 = mode_function(1, float(x2[-1]), x2)
@@ -421,8 +415,7 @@ def project_mode1(state: HeatState, pair: OperatorPair) -> Mode1Projection:
     U = full.reshape(n1, n2)
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
-    rem = _norm_f(pair, R.ravel()[pair.grid.keep])
-    return Mode1Projection(phi=phi, remainder_norm=rem)
+    return _norm_f(pair, R.ravel()[pair.grid.keep])
 
 
 @dataclass(frozen=True)

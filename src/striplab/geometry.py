@@ -29,7 +29,6 @@ __all__ = [
     "gaussian_bump",
     "constant_on_box",
     "ruled_profile",
-    "tabulated_profile",
     "smooth_cutoff",
     "check_compatible",
     "solve_jacobi",
@@ -147,9 +146,12 @@ def constant_on_box(value: float, half_length: float) -> CurvatureProfile:
     """Constant curvature inside |x1| <= half_length, zero outside.
 
     ``half_length = inf`` gives the constant-everywhere test profile whose
-    metric has the cos/cosh closed forms; other parameters must be finite.
+    metric has the cos/cosh closed forms; other parameters must be finite,
+    and ``half_length`` nonnegative.
     """
     _finite(value=value, half_length=0.0 if half_length == math.inf else half_length)
+    if half_length < 0:
+        raise ValueError(f"half_length must be nonnegative, got {half_length!r}")
 
     def shape(x1):
         if math.isinf(half_length):
@@ -189,48 +191,6 @@ def ruled_profile(
         _axis_inf=lambda x1: -theta_dot(x1) ** 2,
         _col_sup=lambda x1, a: theta_dot(x1) ** 2,
         theta_dot=theta_dot,
-    )
-
-
-def tabulated_profile(x1: np.ndarray, x2: np.ndarray, K: np.ndarray) -> CurvatureProfile:
-    """Custom curvature given on a tensor table, bilinearly interpolated.
-
-    Values are taken to vanish outside the tabulated x1 range.
-    """
-    from scipy.interpolate import RegularGridInterpolator
-
-    x1 = np.asarray(x1, float)
-    x2 = np.asarray(x2, float)
-    K = np.asarray(K, float)
-    if K.shape != (x1.size, x2.size):
-        raise ValueError("K must have shape (len(x1), len(x2))")
-    interp = RegularGridInterpolator(
-        (x1, x2), K, method="linear", bounds_error=False, fill_value=0.0
-    )
-
-    def k_eval(xa, xb):
-        pts = np.stack([xa.ravel(), np.clip(xb.ravel(), x2[0], x2[-1])], axis=-1)
-        return interp(pts).reshape(xa.shape)
-
-    def axis_inf(xa):
-        j0 = int(np.argmin(np.abs(x2)))
-        vals = np.interp(xa, x1, K[:, j0], left=0.0, right=0.0)
-        return np.minimum(vals, 0.0)
-
-    def col_sup(xa, a):
-        rows = np.abs(x2) <= a + 1e-12
-        if not rows.any():
-            rows = np.array([int(np.argmin(np.abs(x2)))])
-        prof = np.abs(K[:, rows]).max(axis=1)
-        return np.interp(xa, x1, prof, left=0.0, right=0.0)
-
-    return CurvatureProfile(
-        kind="custom-tabulated",
-        support_radius=float(np.abs(x1).max()),
-        sup_norm=float(np.abs(K).max()),
-        _k_eval=k_eval,
-        _axis_inf=axis_inf,
-        _col_sup=col_sup,
     )
 
 

@@ -69,12 +69,15 @@ def _tail_sum(t: float, a: float, n_terms: int) -> float:
     return lead / (1.0 - ratio)
 
 
+def _check_time_floor(t: float) -> None:
+    """Raise TailTooLarge for a t below 0.01, where the series converge too
+    slowly to truncate; called before any Gaussian or erf factor is formed."""
+    if t < 0.01:
+        raise TailTooLarge(f"t = {t} below the oracle floor 0.01; series truncation unreliable")
+
+
 def _resolve_terms(t: float, a: float, n_terms, tol: float, factor: float):
     """Pick or validate the truncation order against the requested tolerance."""
-    if t < 0.01:
-        raise TailTooLarge(
-            f"t = {t} below the oracle floor 0.01; series truncation unreliable"
-        )
     if n_terms is None:
         n = 1
         while factor * _tail_sum(t, a, n) > tol:
@@ -93,10 +96,10 @@ def _resolve_terms(t: float, a: float, n_terms, tol: float, factor: float):
 def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
     """Dirichlet heat kernel of the flat strip at (x, x', t).
 
-    Returns (value, tail_bound); raises TailTooLarge when the truncation
-    cannot meet ``tol``. ``ValueError`` is raised for ``a`` not positive and
-    finite, a longitudinal coordinate or ``t`` not finite and a point outside
-    the closed strip |x2| <= a; the kernel vanishes on the walls.
+    Returns (value, tail_bound); raises TailTooLarge for a t below 0.01 or a
+    truncation that cannot meet ``tol``. ``ValueError`` is raised for ``a`` not
+    positive and finite, a longitudinal coordinate or ``t`` not finite and a
+    point outside the closed strip |x2| <= a; the kernel vanishes on the walls.
     """
     x1, x2 = float(x[0]), float(x[1])
     x1p, x2p = float(xp[0]), float(xp[1])
@@ -106,6 +109,7 @@ def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
         raise ValueError(f"the half-width a must be positive and finite, not {a}")
     if not (abs(x2) <= a and abs(x2p) <= a):
         raise ValueError(f"the points {x} and {xp} are not both in the closed strip |x2| <= {a}")
+    _check_time_floor(t)
     p = float(gauss_kernel(x1, x1p, t))
     factor = p / a
     n_terms = _resolve_terms(t, a, n_terms, tol, factor)
@@ -146,7 +150,8 @@ def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
     ``B`` is None for the whole strip, else ((bx0, bx1), (by0, by1)), its
     transverse range clipped to [-a, a], where every live path is.
     Longitudinal integrals are Gaussian error functions (exact); transverse
-    integrals of the modes are elementary. Returns (value, tail_bound).
+    integrals of the modes are elementary. Returns (value, tail_bound);
+    TailTooLarge is raised as by ``flat_kernel``.
     ``ValueError`` is raised for ``a`` not positive and finite, a start x1 or
     ``t`` not finite, a start outside the open strip and a reversed box.
     """
@@ -157,6 +162,7 @@ def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
         raise ValueError(f"the half-width a must be positive and finite, not {a}")
     if not abs(x2) < a:
         raise ValueError(f"the start x2 = {x2} lies outside the open strip |x2| < {a}")
+    _check_time_floor(t)
     if B is None:
         ix = 1.0
         by0, by1 = -a, a

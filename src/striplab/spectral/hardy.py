@@ -20,7 +20,6 @@ from .operators import assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
 
 __all__ = [
-    "transverse_mu",
     "transverse_mu_profile",
     "HardyConstants",
     "hardy_constant",
@@ -95,13 +94,6 @@ def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray) -> np.ndarray:
     Cholesky factor M = L L^T it is that of the symmetric L^-1 S L^-T."""
     Linv = np.linalg.inv(np.linalg.cholesky(M))
     return np.linalg.eigvalsh(Linv @ S @ Linv.transpose(0, 2, 1))[:, 0]
-
-
-def transverse_mu(metric: MetricField, x1: float) -> float:
-    """Transverse gap of a single column (see transverse_mu_profile)."""
-    if not (metric.x1[0] <= x1 <= metric.x1[-1]):
-        raise ValueError(f"column {x1} outside the grid")
-    return float(transverse_mu_profile(metric, [x1])[0])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .solve import lowest_eigenpairs
 __all__ = [
     "assemble_hk",
     "assemble_potential",
-    "transverse_pair",
     "flat_transverse_ground",
     "assemble_Ls",
     "harmonic_oscillator",
@@ -98,10 +97,10 @@ def assemble_potential(metric: MetricField, grid: WeightedGrid, v_nodal: np.ndar
     return assemble_2d(grid.x1, grid.x2, [("mass", V * F)], grid.keep)
 
 
-def _transverse_matrices(x2: np.ndarray, f_col=None):
-    """1D transverse pair on the cross-section with optional weight profile
-    evaluated at the Gauss points (shape (n_cells, 3))."""
-    c = np.ones((x2.size - 1, 3)) if f_col is None else f_col
+def _transverse_matrices(x2: np.ndarray):
+    """Unweighted 1D stiffness and mass on the nodes ``x2`` with Dirichlet
+    ends, restricted to the interior nodes."""
+    c = np.ones((x2.size - 1, 3))
     interior = np.ones(x2.size, bool)
     interior[[0, -1]] = False
     return assemble_1d(x2, [("dd", c)], interior), assemble_1d(x2, [("mass", c)], interior)
@@ -114,15 +113,6 @@ def flat_transverse_ground(x2: np.ndarray) -> float:
         S.toarray(), M.toarray(), subset_by_index=[0, 0], eigvals_only=True
     )
     return float(vals[0])
-
-
-def transverse_pair(metric: MetricField, x1: float) -> OperatorPair:
-    """Weighted transverse pair of one longitudinal column."""
-    x2 = metric.x2
-    g2 = gauss_points_1d(x2)
-    f, _ = metric.sample(np.array([x1], float), g2.ravel())
-    S, M = _transverse_matrices(x2, f.reshape(g2.shape))
-    return OperatorPair(S=S, M=M)
 
 
 def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> WeightedGrid:

@@ -5,14 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from striplab import cli
 from striplab import stochastic as st
-from striplab.errors import ConfigInvalid, SchemaMismatch
+from striplab.errors import ConfigInvalid
 
 
 FLAT_SPECTRUM = """
@@ -176,8 +175,6 @@ def test_nu_sweep_run_and_plot(tmp_path):
     assert rows[0].split(",")[0].startswith("s")
     vals = [float(r.split(",")[2]) for r in rows[1:]]
     assert vals[1] > vals[0] > 0.25
-    svg = cli.emit_plot(csv, "nu-vs-s")
-    assert svg.exists() and svg.read_text().startswith("<svg")
 
 
 def test_nu_sweep_column_is_the_frame_sweep(tmp_path):
@@ -200,8 +197,6 @@ def test_evolve_run_fit_record_and_plot(tmp_path):
     record = json.loads(fitjson.read_text())
     assert set(record) >= {"lambda_hat", "gamma_hat", "stderr_gamma", "window_lo"}
     assert record["gamma_hat"] == pytest.approx(0.25, abs=0.08)
-    svg = cli.emit_plot(traj, "decay-loglog")
-    assert svg.exists()
     # headers carry units
     assert "[time]" in traj.read_text().splitlines()[0]
 
@@ -280,17 +275,6 @@ _ROOT = Path(__file__).resolve().parents[1]
 )
 def test_shipped_configs_load(path):
     assert cli.load_config(path).kind in cli._KINDS
-
-
-def test_emit_plot_schema_mismatch(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("a,b\n")
-    with pytest.raises(SchemaMismatch):
-        cli.emit_plot(empty, "decay-loglog")
-    wrong = tmp_path / "wrong.csv"
-    wrong.write_text("foo,bar\n1,2\n")
-    with pytest.raises(SchemaMismatch):
-        cli.emit_plot(wrong, "nu-vs-s")
 
 
 def test_main_exit_codes(tmp_path):
@@ -423,9 +407,13 @@ def test_run_imports_no_module_that_load_config_did_not(tmp_path, kind):
         ("kind = gaussian-bump\namplitude = 0.45\nwidth = 2.0\nsupport_radius = 8.0",
          "kind = constant-on-box\nvalue = nan\nhalf_length = 4.0",
          "[curvature] for kind 'constant-on-box': value must be finite, got nan"),
+        ("kind = gaussian-bump\namplitude = 0.45\nwidth = 2.0\nsupport_radius = 8.0",
+         "kind = constant-on-box\nvalue = 0.1\nhalf_length = -1",
+         "[curvature] for kind 'constant-on-box': half_length must be nonnegative, got -1.0"),
     ],
     ids=["geometry-word", "geometry-list", "geometry-fraction", "geometry-nan", "curvature-word",
-         "plateau-fraction", "curvature-nan-center", "curvature-nan-value"],
+         "plateau-fraction", "curvature-nan-center", "curvature-nan-value",
+         "curvature-negative-half-length"],
 )
 def test_config_values_of_the_wrong_type_or_range_exit_2(tmp_path, capsys, old, new, named):
     bad = _write(tmp_path, BUMP_JACOBI.replace(old, new))
@@ -665,25 +653,19 @@ def test_oracle_subcommand(capsys):
         (["modes", "a=nan"], "a must be positive and finite, not nan"),
         (["survival", "t=1", "a=1", "box=0,1,off,on"], "box must be 'all' or four numbers, got '0,1,off,on'"),
         (["survival", "t=1", "a=1", "z=abc"], "z must be a number, got 'abc'"),
+        (["survival", "t=1", "a=1", "x=5"], "oracle survival reads only x1, x2, box, t, a, not x"),
+        (["modes", "a=1", "t=1", "n=2", "box=all"], "oracle modes reads only a, n, not box, t"),
     ],
     ids=["missing-key", "negative-time", "no-modes", "short-box", "reversed-box",
          "fractional-modes", "kernel-point-outside", "kernel-zero-a", "survival-nan-t",
          "survival-nan-x1", "survival-infinite-t", "kernel-nan-x1", "kernel-nan-t", "p0-nan-x",
          "p0-nan-t", "modes-zero-a", "modes-negative-a", "modes-nan-a", "boolean-box-edges",
-         "unknown-argument-not-a-number"],
+         "unknown-argument-not-a-number", "survival-unread-argument", "modes-unread-arguments"],
 )
 def test_oracle_input_errors_exit_2(capsys, query, named):
     assert cli.main(["oracle", *query]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
-
-
-def test_histogram_plot(tmp_path):
-    csv = tmp_path / "hist.csv"
-    rows = ["bin[len],mass[1]"] + [f"{x},{m}" for x, m in zip(np.linspace(-2, 2, 9), np.linspace(0.01, 0.2, 9))]
-    csv.write_text("\n".join(rows) + "\n")
-    svg = cli.emit_plot(csv, "histogram")
-    assert svg.exists()
 
 
 def test_report_mode_exit_codes(tmp_path, monkeypatch):
@@ -708,16 +690,6 @@ def test_report_mode_exit_codes(tmp_path, monkeypatch):
     # --skip-slow flips the stub to failure -> exit code 4
     assert cli.main(["report", "--skip-slow"]) == 4
     assert cli.main(["report"]) == 0
-
-
-def test_emit_plot_reads_non_finite_values(tmp_path):
-    csv = tmp_path / "traj.csv"
-    csv.write_text("t[time],norm_f[1]\n0,1\n1,0.5\n2,inf\n3,-inf\n4,nan\n5,0.25\n")
-    header, data = cli._read_csv(csv)
-    assert header == ["t[time]", "norm_f[1]"]
-    assert data[2, 1] == math.inf and data[3, 1] == -math.inf and math.isnan(data[4, 1])
-    svg = cli.emit_plot(csv, "decay-loglog")
-    assert svg.read_text().count("<circle") == 2  # t > 0 with a finite positive norm
 
 
 def test_report_prints_the_same_lines_with_and_without_a_config(tmp_path, monkeypatch, capsys):

@@ -446,17 +446,11 @@ def test_project_mode1_pure_and_orthogonal(flat_small):
     x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
     g = np.exp(-(x1g**2) / 4.0)
     u1 = ev.HeatState(u=g * mode_function(1, a, x2g), t=0.0, norm_f=1.0)
-    pr1 = ev.project_mode1(u1, pair)
-    expected = np.exp(-(pair.grid.x1**2) / 4.0)
-    inner = slice(1, -1)
-    assert np.abs(pr1.phi[inner] - expected[inner]).max() < 2e-3
-    assert pr1.remainder_norm < 2e-3
+    assert ev.project_mode1(u1, pair) < 2e-3
 
     u2 = ev.HeatState(u=g * mode_function(2, a, x2g), t=0.0, norm_f=1.0)
-    pr2 = ev.project_mode1(u2, pair)
     nrm = math.sqrt(u2.u @ (pair.M @ u2.u))
-    assert np.abs(pr2.phi).max() < 2e-3
-    assert pr2.remainder_norm == pytest.approx(nrm, rel=1e-2)
+    assert ev.project_mode1(u2, pair) == pytest.approx(nrm, rel=1e-2)
 
 
 def test_mode1_dominance_rate(flat_small):

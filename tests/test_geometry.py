@@ -237,17 +237,6 @@ def test_metric_table_columns():
     assert np.allclose(table[:, 5], V.ravel())
 
 
-def test_tabulated_profile_roundtrip():
-    x1 = np.linspace(-4, 4, 41)
-    x2 = np.linspace(-1, 1, 11)
-    K = -0.2 * np.exp(-x1[:, None] ** 2)[..., None][:, :, 0] * np.ones((1, 11))
-    prof = geo.tabulated_profile(x1, x2, K)
-    vals = prof.evaluate(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    assert vals[0] == pytest.approx(-0.2, abs=1e-12)
-    assert prof.evaluate(np.array(10.0), np.array(0.0)) == 0.0
-    assert prof.axis_infimum(np.array([0.0]))[0] == pytest.approx(-0.2, abs=1e-12)
-
-
 @pytest.mark.parametrize("plateau_fraction", [-0.1, 1.0, 1.5, math.nan])
 @pytest.mark.parametrize(
     "build",
@@ -280,6 +269,12 @@ def test_constant_on_box_rejects_non_finite_parameters_but_an_infinite_box(value
     with pytest.raises(ValueError, match=f"{named} must be finite"):
         geo.constant_on_box(value, half_length)
     assert geo.constant_on_box(0.1, math.inf).support_radius == math.inf
+
+
+def test_constant_on_box_rejects_a_negative_half_length():
+    with pytest.raises(ValueError, match="half_length must be nonnegative, got -1.0"):
+        geo.constant_on_box(0.1, -1.0)
+    assert geo.constant_on_box(0.1, 0.0).support_radius == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

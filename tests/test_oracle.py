@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,13 +143,22 @@ def test_flat_survival_rejects_bad_input(x0, B, a, named):
         oracle.flat_survival(x0, B, 1.0, a)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_times_are_refused_before_the_tail_floor(t):
-    """A non-finite t is a ValueError; a finite t below 0.01 stays TailTooLarge."""
-    with pytest.raises(ValueError, match=f"t = {t} must"):
-        oracle.flat_survival((0.0, 0.0), None, t, 1.0)
-    with pytest.raises(ValueError, match=f"t = {t} must"):
-        oracle.flat_kernel((0.0, 0.0), (0.0, 0.0), t, 1.0)
+    """A non-finite t is a ValueError; a finite t below 0.01 is TailTooLarge
+    naming t, raised before any Gaussian or erf factor is formed, so with no
+    warning, for the kernel and for survival with or without a box."""
+    if math.isfinite(t):
+        error, match = TailTooLarge, f"t = {t} below the oracle floor"
+    else:
+        error, match = ValueError, f"t = {t} must"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for B in (None, ((0.0, 1.0), (0.0, 0.5))):
+            with pytest.raises(error, match=match):
+                oracle.flat_survival((0.0, 0.0), B, t, 1.0)
+        with pytest.raises(error, match=match):
+            oracle.flat_kernel((0.0, 0.0), (0.0, 0.0), t, 1.0)
     with pytest.raises(TailTooLarge):
         oracle.flat_survival((0.0, 0.0), None, 0.005, 1.0)
 

@@ -73,7 +73,7 @@ def test_tensor_decomposition(flat_pair):
 def test_transverse_1d_levels():
     a = 1.0
     m = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=a, L=4.0, n1=8, n2=200))
-    pair = sp.transverse_pair(m, 0.0)
+    pair = sp.OperatorPair(*operators._transverse_matrices(m.x2))
     res = sp.lowest_eigenpairs(pair, k=3)
     exact = np.array([1.0, 4.0, 9.0]) * (math.pi / (2 * a)) ** 2
     assert np.abs(res.eigenvalues / exact - 1.0).max() < 1e-3
@@ -145,15 +145,12 @@ def test_transverse_mu_flat_exactly_zero():
     m = geo.solve_jacobi(
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=8.0, n1=16, n2=24)
     )
-    assert sp.transverse_mu(m, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        sp.transverse_mu(m, 100.0)
+    assert sp.transverse_mu_profile(m, [0.0])[0] == 0.0
 
 
 def test_transverse_mu_lower_bounded_by_potential(ruled_certified):
     m, prof = ruled_certified
-    for x1 in [0.0, 2.0, 4.5]:
-        mu = sp.transverse_mu(m, x1)
+    for x1, mu in zip([0.0, 2.0, 4.5], sp.transverse_mu_profile(m, [0.0, 2.0, 4.5])):
         f, d2f = m.sample(np.array([x1]), m.x2)
         K = prof.evaluate(np.full_like(m.x2, x1), m.x2)
         V = -0.5 * K - 0.25 * (d2f[0] / f[0]) ** 2
