@@ -73,7 +73,7 @@ def _negative_reference_metric(L=10.0, n1=160, n2=40):
 
 
 def _c3_negative_frames():
-    m, prof = _negative_reference_metric()
+    m = _negative_reference_metric()
     cert = sp.pick_hardy_interval(m)
     if cert.c_K <= 0:
         return False, f"hardy constant not positive: c_K = {cert.c_K:.3e}"
@@ -102,7 +102,7 @@ def _c4_flat_decay():
 
 
 def _c5_negative_decay():
-    m, prof = _negative_reference_metric(L=60.0, n1=900, n2=40)
+    m = _negative_reference_metric(L=60.0, n1=900, n2=40)
     _, fit, _ = ev.decay_run(m)
     ok = abs(fit.gamma_hat - 0.75) <= 0.10
     return ok, f"gamma_hat = {fit.gamma_hat:.4f} (want 0.75 +- 0.10)"
@@ -171,7 +171,7 @@ def _c8_pointwise_exponents():
     # certified negative side: strong rotation bump, window inside the
     # curved region where the accelerated decay is the measured signal
     prof = geo.ruled_profile(0.85, 8.0, plateau_fraction=0.75)
-    mneg, _ = geo.ruled_strip(prof, geo.StripGeometry(a=a, L=40.0, n1=400, n2=32))
+    mneg = geo.ruled_strip(prof, geo.StripGeometry(a=a, L=40.0, n1=400, n2=32))
     mu = sp.transverse_mu_profile(mneg, np.linspace(-8.0, 8.0, 33))
     certified = bool(mu.min() >= -1e-8 and mu.max() > 1e-3)
     neg_fit = _mc_slope(mneg, [5.0, 5.5, 6.0, 6.5, 7.0, 7.5], 0.005, 78, ((-4.0, 4.0), (-a, a)))
@@ -206,7 +206,7 @@ def _c9_jacobi_taylor():
         ),
         geo.ruled_strip(
             geo.ruled_profile(0.5, 4.0), geo.StripGeometry(a=0.6, L=8.0, n1=80, n2=24)
-        )[0],
+        ),
     ]
     for m in checks:
         lo = m.envelope_lower[:, None] - 1e-9
@@ -219,7 +219,7 @@ def _c9_jacobi_taylor():
 
 
 def _c10_hardy_suite():
-    m, prof = _negative_reference_metric(L=12.0, n1=192, n2=40)
+    m = _negative_reference_metric(L=12.0, n1=192, n2=40)
     cert = sp.pick_hardy_interval(m)
     margin = sp.hardy_verify(m, sp.hardy_weight(m, cert), trials=100, seed=4242)
 

@@ -59,15 +59,13 @@ class ExperimentConfig:
     source_path: Path = None
     source_bytes: bytes = b""
 
-    def build_profile(self) -> geo.CurvatureProfile:
-        return _PROFILES[self.profile_kind](**self.profile_params)
-
-    def build_metric(self):
-        prof = self.build_profile()
+    def build_metric(self) -> geo.MetricField:
+        """The configured strip's metric, which carries its curvature profile."""
+        prof = _PROFILES[self.profile_kind](**self.profile_params)
         geom = geo.StripGeometry(a=self.a, L=self.L, n1=self.n1, n2=self.n2)
         if self.profile_kind == "ruled":
             return geo.ruled_strip(prof, geom)
-        return geo.solve_jacobi(prof, geom), prof
+        return geo.solve_jacobi(prof, geom)
 
 
 @dataclass(eq=False)
@@ -166,7 +164,7 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
     )
     try:
         geom = geo.StripGeometry(a=cfg.a, L=cfg.L, n1=cfg.n1, n2=cfg.n2)
-        geo.check_compatible(prof, geom, closed_form=(cfg.profile_kind == "ruled"))
+        geo.check_compatible(prof, geom)
     except StripLabError as exc:
         raise ConfigInvalid(str(exc))
     return cfg
@@ -200,8 +198,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _exp_jacobi(cfg, outdir):
-    metric, prof = cfg.build_metric()
-    table = geo.metric_table(metric, prof)
+    table = geo.metric_table(cfg.build_metric())
     p = outdir / "metric.csv"
     _write_csv(
         p,
@@ -214,7 +211,7 @@ def _exp_jacobi(cfg, outdir):
 def _exp_spectrum(cfg, outdir):
     from . import spectral as sp
 
-    metric, _ = cfg.build_metric()
+    metric = cfg.build_metric()
     pair = sp.assemble_hk(metric)
     k = cfg.controls["k"]
     res = sp.lowest_eigenpairs(pair, k=k)
@@ -229,9 +226,9 @@ def _exp_spectrum(cfg, outdir):
 def _exp_mu(cfg, outdir):
     from . import spectral as sp
 
-    metric, prof = cfg.build_metric()
+    metric = cfg.build_metric()
     mu = sp.transverse_mu_profile(metric, metric.x1)
-    bound = sp.thin_strip_bound(prof, cfg.a, x1=metric.x1)
+    bound = sp.thin_strip_bound(metric.profile, cfg.a, metric.x1)
     p = outdir / "mu.csv"
     _write_csv(
         p,
@@ -244,7 +241,7 @@ def _exp_mu(cfg, outdir):
 def _exp_nu_sweep(cfg, outdir):
     from . import spectral as sp
 
-    metric, _ = cfg.build_metric()
+    metric = cfg.build_metric()
     ctr = cfg.controls
     sweep = sp.frame_sweep(metric, ctr["s_lattice"], ctr["frame_half_width"], ctr["frame_cells"])
     rows = [(s, 0, res.eigenvalues[0], res.residuals[0]) for s, res in zip(ctr["s_lattice"], sweep)]
@@ -256,7 +253,7 @@ def _exp_nu_sweep(cfg, outdir):
 def _exp_hardy(cfg, outdir):
     from . import spectral as sp
 
-    metric, _ = cfg.build_metric()
+    metric = cfg.build_metric()
     cert = sp.pick_hardy_interval(metric)
     trials, seed = cfg.controls["trials"], cfg.controls["seed"]
     margin = sp.hardy_verify(metric, sp.hardy_weight(metric, cert), trials=trials, seed=seed)
@@ -274,7 +271,7 @@ def _exp_evolve(cfg, outdir):
     from . import evolution as ev
 
     ctr = cfg.controls
-    metric, _ = cfg.build_metric()
+    metric = cfg.build_metric()
     tr, fit, e1h = ev.decay_run(metric, ctr["alpha"], ctr["t_end"], ctr["checkpoint_step"],
                                 ctr["fit_window"], ctr["dt"])
     p = outdir / "trajectory.csv"
@@ -299,7 +296,7 @@ def _exp_evolve(cfg, outdir):
 
 
 def _exp_mc(cfg, outdir):
-    metric, _ = cfg.build_metric()
+    metric = cfg.build_metric()
     sde = st.sde_from_metric(metric)
     ctr = cfg.controls
     lattice = ctr["t_lattice"]

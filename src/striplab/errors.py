@@ -90,7 +90,7 @@ class TooFewSurvivors(StripLabError):
 
 
 class InsufficientSignal(StripLabError):
-    """Too few estimates bounded away from the confidence floor."""
+    """Too few estimates bounded away from the confidence floor and below 1."""
 
 
 # -- oracle -------------------------------------------------------------------

@@ -219,17 +219,16 @@ class StripGeometry:
         return np.linspace(-self.a, self.a, self.n2 + 1)
 
 
-def check_compatible(
-    profile: CurvatureProfile, geom: StripGeometry, closed_form: bool = False
-) -> None:
+def check_compatible(profile: CurvatureProfile, geom: StripGeometry) -> None:
     """Enforce the construction invariants tying a profile to a strip.
 
     The smallness gate sup|K| a^2 < 1/2 guarantees positivity of the
-    integrated metric. Closed-form families (ruled strips) are positive by
-    construction for every half-width, so they skip that gate and keep only
-    the truncation requirement. Each test is written so that NaN fails it.
+    integrated metric. Ruled profiles have a closed-form metric that is
+    positive by construction for every half-width, so they skip that gate
+    and keep only the truncation requirement. Each test is written so that
+    NaN fails it.
     """
-    if not (closed_form or profile.sup_norm * geom.a**2 < 0.5):
+    if not (profile.kind == "ruled" or profile.sup_norm * geom.a**2 < 0.5):
         raise GeometryInvalid(
             f"sup|K| a^2 = {profile.sup_norm * geom.a ** 2:.4g} >= 1/2; "
             "the strip is too wide for this curvature"
@@ -244,8 +243,9 @@ def check_compatible(
 @dataclass(eq=False)
 class MetricField:
     """Metric factor and its transverse derivative sampled on the tensor grid,
-    together with per-column Taylor envelopes and a column sampler that
-    re-evaluates the field at arbitrary coordinates."""
+    together with per-column Taylor envelopes, a column sampler that
+    re-evaluates the field at arbitrary coordinates and the curvature profile
+    it was built from."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -254,11 +254,11 @@ class MetricField:
     envelope_lower: np.ndarray  # per column
     envelope_upper: np.ndarray
     column_sampler: Callable  # (x1_array, x2_levels) -> (f, d2f)
-    k_sup: float  # sup-norm bound of the generating curvature
+    profile: CurvatureProfile  # the generating curvature
 
     @property
     def flat(self) -> bool:
-        return self.k_sup == 0.0
+        return self.profile.sup_norm == 0.0
 
     def sample(self, x1, x2_levels):
         """Evaluate (f, d2f) on the tensor of the given columns and levels."""
@@ -373,24 +373,22 @@ def solve_jacobi(profile: CurvatureProfile, geom: StripGeometry) -> MetricField:
         envelope_lower=lower,
         envelope_upper=upper,
         column_sampler=sampler,
-        k_sup=profile.sup_norm,
+        profile=profile,
     )
 
 
-def ruled_strip(theta_dot, geom: StripGeometry):
+def ruled_strip(profile, geom: StripGeometry) -> MetricField:
     """Closed-form metric of a ruled strip, f = sqrt(1 + theta_dot^2 x2^2).
 
-    ``theta_dot`` is a ruled CurvatureProfile, as ``ruled_profile`` builds;
+    ``profile`` is a ruled CurvatureProfile, as ``ruled_profile`` builds;
     any other input raises ValueError. No ODE integration is involved. The
     sampled field is checked against the metric ODE by finite differences
     (a NaN sample fails).
-    Returns the metric together with its curvature profile.
     """
-    if not isinstance(theta_dot, CurvatureProfile) or theta_dot.kind != "ruled":
+    if not isinstance(profile, CurvatureProfile) or profile.kind != "ruled":
         raise ValueError("profile passed to ruled_strip must be of ruled kind")
-    profile = theta_dot
     td = profile.theta_dot
-    check_compatible(profile, geom, closed_form=True)
+    check_compatible(profile, geom)
 
     def closed_form(cols, levels):
         td2 = td(np.asarray(cols, float))[:, None] ** 2
@@ -416,7 +414,7 @@ def ruled_strip(theta_dot, geom: StripGeometry):
     td_cols = td(x1)
     lower = np.ones_like(x1)
     upper = np.sqrt(1.0 + td_cols**2 * geom.a**2)
-    metric = MetricField(
+    return MetricField(
         x1=x1,
         x2=x2,
         f=f,
@@ -424,26 +422,26 @@ def ruled_strip(theta_dot, geom: StripGeometry):
         envelope_lower=lower,
         envelope_upper=upper,
         column_sampler=closed_form,
-        k_sup=profile.sup_norm,
+        profile=profile,
     )
-    return metric, profile
 
 
-def effective_potential(metric: MetricField, profile: CurvatureProfile) -> np.ndarray:
+def effective_potential(metric: MetricField) -> np.ndarray:
     """Pointwise effective transverse potential -K/2 - (d2f/f)^2 / 4 on the grid.
 
     This is the potential produced by the ground-state substitution
     phi = f^(-1/2) psi in the weighted transverse quotient; for ruled strips
-    it reduces to theta'^2 (2 - theta'^2 x2^2) / (4 f^4).
+    it reduces to theta'^2 (2 - theta'^2 x2^2) / (4 f^4). K is the metric's
+    own profile.
     """
-    K = profile.evaluate(metric.x1[:, None], metric.x2[None, :])
+    K = metric.profile.evaluate(metric.x1[:, None], metric.x2[None, :])
     return -0.5 * K - 0.25 * (metric.d2f / metric.f) ** 2
 
 
-def metric_table(metric: MetricField, profile: CurvatureProfile) -> np.ndarray:
+def metric_table(metric: MetricField) -> np.ndarray:
     """Inspection table with columns (x1, x2, f, d2f, K, V), row-major in x1."""
-    K = profile.evaluate(metric.x1[:, None], metric.x2[None, :])
-    V = effective_potential(metric, profile)
+    K = metric.profile.evaluate(metric.x1[:, None], metric.x2[None, :])
+    V = effective_potential(metric)
     X1, X2 = np.meshgrid(metric.x1, metric.x2, indexing="ij")
     return np.column_stack(
         [X1.ravel(), X2.ravel(), metric.f.ravel(), metric.d2f.ravel(), K.ravel(), V.ravel()]

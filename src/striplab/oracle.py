@@ -76,28 +76,27 @@ def _check_time_floor(t: float) -> None:
         raise TailTooLarge(f"t = {t} below the oracle floor 0.01; series truncation unreliable")
 
 
-def _resolve_terms(t: float, a: float, n_terms, tol: float, factor: float):
-    """Pick or validate the truncation order against the requested tolerance."""
-    if n_terms is None:
-        n = 1
-        while factor * _tail_sum(t, a, n) > tol:
-            n += 1
-            if n > 100000:
-                raise TailTooLarge("cannot meet the requested tolerance")
-        return n
-    tail = factor * _tail_sum(t, a, n_terms)
-    if tail > tol:
-        raise TailTooLarge(
-            f"tail bound {tail:.3e} exceeds requested tolerance {tol:.3e}"
-        )
-    return n_terms
+# every truncated series stops at the first order whose tail bound is at most this
+_TAIL_TOL = 1e-8
 
 
-def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
+def _resolve_terms(t: float, a: float, factor: float) -> int:
+    """The smallest truncation order whose tail bound, ``factor`` times
+    ``_tail_sum``, is at most ``_TAIL_TOL``."""
+    n = 1
+    while factor * _tail_sum(t, a, n) > _TAIL_TOL:
+        n += 1
+        if n > 100000:
+            raise TailTooLarge("cannot meet the tail tolerance 1e-8")
+    return n
+
+
+def flat_kernel(x, xp, t, a):
     """Dirichlet heat kernel of the flat strip at (x, x', t).
 
-    Returns (value, tail_bound); raises TailTooLarge for a t below 0.01 or a
-    truncation that cannot meet ``tol``. ``ValueError`` is raised for ``a`` not
+    Returns (value, tail_bound), the series truncated at the first order whose
+    tail bound is at most 1e-8; raises TailTooLarge for a t below 0.01 or a
+    truncation that cannot meet that bound. ``ValueError`` is raised for ``a`` not
     positive and finite, a longitudinal coordinate or ``t`` not finite and a
     point outside the closed strip |x2| <= a; the kernel vanishes on the walls.
     """
@@ -112,7 +111,7 @@ def flat_kernel(x, xp, t, a, n_terms=None, tol=1e-8):
     _check_time_floor(t)
     p = float(gauss_kernel(x1, x1p, t))
     factor = p / a
-    n_terms = _resolve_terms(t, a, n_terms, tol, factor)
+    n_terms = _resolve_terms(t, a, factor)
     n = np.arange(1, n_terms + 1)
     val = float(
         np.sum(
@@ -144,14 +143,14 @@ def _mode_integral(n: np.ndarray, a: float, y0: float, y1: float) -> np.ndarray:
     return math.sqrt(1.0 / a) * (np.cos(c * (y0 + a)) - np.cos(c * (y1 + a))) / c
 
 
-def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
+def flat_survival(x0, B, t, a):
     """Probability of being alive at time t and inside ``B``, flat strip.
 
     ``B`` is None for the whole strip, else ((bx0, bx1), (by0, by1)), its
     transverse range clipped to [-a, a], where every live path is.
     Longitudinal integrals are Gaussian error functions (exact); transverse
-    integrals of the modes are elementary. Returns (value, tail_bound);
-    TailTooLarge is raised as by ``flat_kernel``.
+    integrals of the modes are elementary. Returns (value, tail_bound),
+    truncated and refused with TailTooLarge as by ``flat_kernel``.
     ``ValueError`` is raised for ``a`` not positive and finite, a start x1 or
     ``t`` not finite, a start outside the open strip and a reversed box.
     """
@@ -175,7 +174,7 @@ def flat_survival(x0, B, t, a, n_terms=None, tol=1e-8):
         ix = 0.5 * (math.erf((bx1 - x1) / s) - math.erf((bx0 - x1) / s))
     factor = abs(ix) * (1.0 / math.sqrt(a)) * min(2.0 * math.sqrt(a), (by1 - by0) / math.sqrt(a))
     factor = max(factor, 1e-300)
-    n_terms = _resolve_terms(t, a, n_terms, tol, factor)
+    n_terms = _resolve_terms(t, a, factor)
     n = np.arange(1, n_terms + 1)
     val = float(
         np.sum(

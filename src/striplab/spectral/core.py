@@ -194,15 +194,13 @@ class WeightedGrid:
         return (self.x1.size, self.x2.size)
 
 
-def make_grid(x1, x2, dirichlet_x1_ends=True) -> WeightedGrid:
-    """Grid with Dirichlet mask on the transverse walls and, optionally, the
-    longitudinal truncation ends."""
+def make_grid(x1, x2) -> WeightedGrid:
+    """Grid with Dirichlet mask on the transverse walls and the longitudinal
+    truncation ends: its kept nodes are the interior ones."""
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
-    keep = np.ones((x1.size, x2.size), dtype=bool)
-    keep[:, [0, -1]] = False
-    if dirichlet_x1_ends:
-        keep[[0, -1], :] = False
+    keep = np.zeros((x1.size, x2.size), dtype=bool)
+    keep[1:-1, 1:-1] = True
     return WeightedGrid(x1=x1, x2=x2, keep=keep.ravel())
 
 

@@ -122,7 +122,7 @@ def _hardy_constant(metric, J, mu_global):
     j0, j1 = float(J[0]), float(J[1])
     if not j1 > j0:
         raise ValueError("J must be a nondegenerate interval")
-    q = float(metric.k_sup * float(metric.x2[-1]) ** 2)  # sup|K| a^2
+    q = float(metric.profile.sup_norm * float(metric.x2[-1]) ** 2)  # sup|K| a^2
     if q >= 0.5:
         raise HypothesisFailed(
             f"explicit constants require sup|K| a^2 < 1/2 (got {q:.3g}); "
@@ -202,25 +202,26 @@ class ThinStripBound:
 
 
 def thin_strip_constant(xi: float) -> float:
-    """The width-correction constant of the thin-strip lower bound."""
-    if xi == 0.0:
-        return 0.0
+    """The width-correction constant of the thin-strip lower bound.
+
+    With r = xi^2 / (1 - xi^2) it is xi^2 (1 + r)^2 / (4 (1 - r)^2), defined
+    for r < 1, that is xi^2 < 1/2; any other ``xi``, NaN included, raises
+    ValueError naming it.
+    """
+    if not xi**2 < 0.5:
+        raise ValueError(f"the thin-strip constant needs xi^2 < 1/2, got xi = {xi}")
     r = xi**2 / (1.0 - xi**2)
-    if r >= 1.0:
-        raise ValueError("bound constant undefined for this curvature-width product")
     return 0.25 * xi**2 * (1.0 + r) ** 2 / (1.0 - r) ** 2
 
 
-def thin_strip_bound(profile, a: float, x1=None) -> ThinStripBound:
-    """Pointwise lower-bound field -k/2 - C(xi) 1_[-R,R] for the transverse gap.
+def thin_strip_bound(profile, a: float, x1) -> ThinStripBound:
+    """Pointwise lower-bound field -k/2 - C(xi) 1_[-R,R] for the transverse gap
+    at the columns ``x1``, with xi = sup|K| a^2.
 
     The field always dips by -C(xi) where the axis curvature tapers out, so
     the small-width regime is flagged when the width correction is dominated
     by the curvature part (it can then be absorbed into the Hardy weight).
     """
-    if x1 is None:
-        r = profile.support_radius if math.isfinite(profile.support_radius) else 10.0
-        x1 = np.linspace(-1.5 * r, 1.5 * r, 601)
     x1 = np.asarray(x1, float)
     xi = profile.sup_norm * a**2
     cxi = thin_strip_constant(xi)
@@ -236,8 +237,9 @@ def thin_strip_bound(profile, a: float, x1=None) -> ThinStripBound:
     return ThinStripBound(x1=x1, values=values, constant=cxi, applicable=applicable)
 
 
-def _trial_vectors(grid, a: float, trials: int, seed: int) -> np.ndarray:
-    """Deterministic compactly supported trial family on the full grid.
+def _trial_vectors(grid, a: float, trials: int, seed: int):
+    """Deterministic compactly supported trial family on the full grid,
+    yielded one flattened vector at a time.
 
     Mixes three shapes: pure first-mode envelopes (including the widest one,
     the canonical near-critical witness), mode-mixed envelopes, and mildly
@@ -247,7 +249,6 @@ def _trial_vectors(grid, a: float, trials: int, seed: int) -> np.ndarray:
     x1, x2 = grid.x1, grid.x2
     L = float(x1[-1])
     cut = smooth_cutoff(x1, 0.8 * L, 0.98 * L)
-    out = np.empty((trials, x1.size * x2.size))
     for i in range(trials):
         if i % 6 == 0:
             c, w = 0.0, 0.5 * L  # widest pure witness
@@ -263,8 +264,7 @@ def _trial_vectors(grid, a: float, trials: int, seed: int) -> np.ndarray:
         if i % 3 == 2:
             bubble = (a**2 - x2**2) / a**2
             psi = psi + 0.05 * rng.standard_normal(psi.shape) * env[:, None] * bubble[None, :]
-        out[i] = psi.ravel()
-    return out
+        yield psi.ravel()
 
 
 def hardy_weight(metric: MetricField, cert: HardyConstants) -> np.ndarray:
@@ -299,11 +299,9 @@ def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -
     a = float(grid.x2[-1])
     e1 = transverse_energy(1, a)
     margins = np.empty(trials)
-    trials_full = _trial_vectors(grid, a, trials, seed)
-    for i in range(trials):
-        v = trials_full[i][grid.keep]
-        mv = pair.M @ v
-        denom = float(v @ mv)
+    for i, psi in enumerate(_trial_vectors(grid, a, trials, seed)):
+        v = psi[grid.keep]
+        denom = float(v @ (pair.M @ v))
         margins[i] = (float(v @ (pair.S @ v)) - e1 * denom - float(v @ (M_rho @ v))) / denom
     return float(margins.min())
 

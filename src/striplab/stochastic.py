@@ -153,7 +153,6 @@ def simulate_killed(
     seed: int,
     checkpoints=None,
     box_limit: float = None,
-    bridge: bool = True,
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble with Brownian-bridge wall-kill correction.
 
@@ -172,8 +171,10 @@ def simulate_killed(
     The inputs are checked before any step: ``BadStart`` for an ``x0`` that
     is not a finite point of the open strip, ``ValueError`` for a ``dt`` not
     positive and finite, an ``n_paths`` below 1 or a negative ``seed``,
-    ``StepTooLarge`` for dt > a^2/100, and ``BadCheckpoint`` for a checkpoint
-    (by default ``t_max``) that is not a nonnegative finite time.
+    ``StepTooLarge`` for dt > a^2/100, ``BadCheckpoint`` for a checkpoint
+    (by default ``t_max``) that is not a nonnegative finite time, then
+    ``ValueError`` for a ``t_max`` that is not one, and ``BadCheckpoint`` for
+    a checkpoint after ``t_max`` by more than 1e-9 max(1, t_max).
     """
     a = sde.a
     x10, x20 = float(x0[0]), float(x0[1])
@@ -189,13 +190,19 @@ def simulate_killed(
         raise StepTooLarge(f"dt = {dt} exceeds a^2/100 = {a ** 2 / 100.0:.3g}")
     if checkpoints is None:
         checkpoints = [t_max]
-    n_steps = int(round(t_max / dt)) if t_max > 0 else 0
-    check_steps = []
     for t in checkpoints:
         if not 0 <= t < math.inf:
             raise BadCheckpoint(f"checkpoint t = {t} is not a nonnegative finite time")
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be nonnegative and finite, not {t_max}")
+    slack = 1e-9 * max(1.0, t_max)
+    n_steps = int(round(t_max / dt))
+    check_steps = []
+    for t in checkpoints:
+        if t > t_max + slack:
+            raise BadCheckpoint(f"checkpoint t = {t} is after t_max = {t_max}")
         k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(1.0, t_max):
+        if abs(k * dt - t) > slack:
             raise CheckpointMissing(f"checkpoint {t} is not a multiple of dt")
         check_steps.append(min(k, n_steps))
     check_steps = np.asarray(check_steps)
@@ -229,15 +236,12 @@ def simulate_killed(
             q2 = p2 + b2 * dt + _SQRT2 * sqdt * z[:, 1]
             # wall kill: direct exit, then bridge crossing against each wall
             crossed = np.abs(q2) >= a
-            if bridge:
-                d0u, d1u = a - p2, a - q2
-                d0l, d1l = a + p2, a + q2
-                with np.errstate(over="ignore"):
-                    pu = np.exp(-2.0 * d0u * d1u / (2.0 * dt))
-                    pl = np.exp(-2.0 * d0l * d1l / (2.0 * dt))
-                pkill = np.where(crossed, 1.0, pu + pl - pu * pl)
-            else:
-                pkill = crossed.astype(float)
+            d0u, d1u = a - p2, a - q2
+            d0l, d1l = a + p2, a + q2
+            with np.errstate(over="ignore"):
+                pu = np.exp(-2.0 * d0u * d1u / (2.0 * dt))
+                pl = np.exp(-2.0 * d0l * d1l / (2.0 * dt))
+            pkill = np.where(crossed, 1.0, pu + pl - pu * pl)
             dead = u < pkill
             if dead.any():
                 gone = live[dead]
@@ -332,13 +336,14 @@ def pointwise_rate(estimates, E1: float) -> RateFit:
     """Weighted fit of log(estimate) + E1 t against log t: the slope and its
     standard error.
 
-    Estimates whose confidence interval touches zero are discarded; fewer
-    than six usable points raise InsufficientSignal.
+    Estimates whose confidence interval touches zero, and those of
+    probability 1, whose log has no variance to weigh by, are discarded;
+    fewer than six usable points raise InsufficientSignal.
     """
-    usable = [e for e in estimates if e.probability - e.half_width > 0.0]
+    usable = [e for e in estimates if e.probability - e.half_width > 0.0 and e.probability < 1.0]
     if len(usable) < 6:
         raise InsufficientSignal(
-            f"only {len(usable)} estimates are bounded away from the confidence floor"
+            f"only {len(usable)} estimates are bounded away from the confidence floor and below 1"
         )
     t = np.array([e.t for e in usable])
     p = np.array([e.probability for e in usable])

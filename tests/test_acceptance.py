@@ -28,7 +28,7 @@ def test_acceptance_criterion_slow(number):
 
 
 def _criterion3_nu8(half_width, cells):
-    m, _ = _negative_reference_metric()
+    m = _negative_reference_metric()
     (res,) = sp.frame_sweep(m, [8.0], half_width, cells)
     return res.eigenvalues[0]
 

@@ -183,7 +183,7 @@ def test_nu_sweep_column_is_the_frame_sweep(tmp_path):
     cfg = cli.load_config(_write(tmp_path, RULED_NU))
     cli.run(cfg)
     rows = (tmp_path / "out" / "nu-sweep" / "nu_sweep.csv").read_text().splitlines()[1:]
-    sweep = sp.frame_sweep(cfg.build_metric()[0], [0.0, 2.0], 13.0, 260)
+    sweep = sp.frame_sweep(cfg.build_metric(), [0.0, 2.0], 13.0, 260)
     assert [r.split(",")[2] for r in rows] == [cli._fmt(res.eigenvalues[0]) for res in sweep]
 
 
@@ -219,7 +219,7 @@ def test_mc_paths_dump_matches_row_loop(tmp_path):
     cli.run(cfg)
     dumped = (tmp_path / "out" / "mc" / "paths.csv").read_bytes()
 
-    metric, _ = cfg.build_metric()
+    metric = cfg.build_metric()
     ens = st.simulate_killed(
         st.sde_from_metric(metric), (0.0, 0.0), t_max=1.0, dt=0.002, n_paths=700,
         seed=7, checkpoints=[0.5, 1.0], box_limit=cfg.L,
@@ -473,6 +473,10 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
          "t_end = 3.0\ncheckpoint_step = 0.5\ndt = 0.02", "fit window (5.0, 3.0)"),
         ("evolve", "t_end = 12.0", "t_end = inf", "t_end must be positive and finite, not inf"),
         ("evolve", "checkpoint_step = 0.5", "checkpoint_step = inf", "checkpoint_step"),
+        ("nu-sweep", "theta_dot_max = 0.35\nsupport_radius = 6.0\n\n[experiment]\nkind = nu-sweep\n"
+         "s_lattice = 0.0, 2.0\nframe_half_width = 13.0\nframe_cells = 260",
+         "theta_dot_max = 2.67\nsupport_radius = 6.0\n\n[experiment]\nkind = mu",
+         "needs xi^2 < 1/2, got xi = 1.78"),
     ],
     ids=["mc-negative-t_lattice", "mc-nan-dt", "mc-negative-dt", "mc-no-paths", "mc-nan-x0",
          "mc-negative-seed", "hardy-no-trials", "hardy-negative-seed",
@@ -480,7 +484,7 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
          "nu-sweep-nan-half-width", "evolve-zero-checkpoint_step",
          "evolve-negative-checkpoint_step", "evolve-nan-alpha", "evolve-reversed-fit_window",
          "evolve-t_end-below-default-window", "evolve-infinite-t_end",
-         "evolve-infinite-checkpoint_step"],
+         "evolve-infinite-checkpoint_step", "mu-ruled-strip-too-wide-for-the-thin-strip-bound"],
 )
 def test_experiment_values_out_of_range_exit_3_naming_the_value(tmp_path, capsys, kind, old, new, named):
     """Ranges are checked by the layer that uses each value, not by load_config,

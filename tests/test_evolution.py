@@ -83,7 +83,9 @@ def flat_open_ends(flat_small):
     """The flat_small strip with its x1 ends left free: still a flat strip,
     but its kept nodes are not the interior tensor set."""
     m, _ = flat_small
-    return m, sp.assemble_hk(m, sp.make_grid(m.x1, m.x2, dirichlet_x1_ends=False))
+    keep = np.ones((m.x1.size, m.x2.size), bool)
+    keep[:, [0, -1]] = False
+    return m, sp.assemble_hk(m, sp.WeightedGrid(m.x1, m.x2, keep.ravel()))
 
 
 @pytest.mark.parametrize(
@@ -334,7 +336,7 @@ def test_weighted_initial_mode_normalized(flat_small):
 def test_weighted_initial_ignores_later_assemblies_on_its_grid():
     """A frame pair's Gaussian-weighted norm comes from its own mass matrix,
     not from whichever pair was assembled last on the shared grid."""
-    m, _ = geo.ruled_strip(
+    m = geo.ruled_strip(
         geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=96, n2=16)
     )
     gy = sp.make_y_grid(m, 14.0, 112)

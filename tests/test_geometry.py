@@ -120,11 +120,12 @@ def test_ruled_strip_closed_forms():
     # rotation rate 1 at the center; wide strip allowed for the closed form
     prof = geo.ruled_profile(1.0, 4.0)
     geom = geo.StripGeometry(a=1.2, L=8.0, n1=64, n2=24)
-    m, pr = geo.ruled_strip(prof, geom)
+    m = geo.ruled_strip(prof, geom)
+    assert m.profile is prof
     f, d2f = m.sample([0.0], [1.0])
     assert f[0, 0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert pr.evaluate(np.array(0.0), np.array(1.0)) == pytest.approx(-0.25, abs=1e-12)
-    V = geo.effective_potential(m, pr)
+    assert prof.evaluate(np.array(0.0), np.array(1.0)) == pytest.approx(-0.25, abs=1e-12)
+    V = geo.effective_potential(m)
     j = np.argmin(np.abs(m.x2 - 1.0))
     i = np.argmin(np.abs(m.x1))
     # theta^2 (2 - theta^2 x2^2) / (4 f^4) at theta = x2 = 1
@@ -148,21 +149,21 @@ def test_ruled_strip_takes_only_ruled_profiles(theta_dot):
 
 def test_ruled_flat_limit():
     prof = geo.ruled_profile(1e-30, 2.0)
-    m, pr = geo.ruled_strip(prof, geo.StripGeometry(a=0.5, L=4.0, n1=16, n2=8))
+    m = geo.ruled_strip(prof, geo.StripGeometry(a=0.5, L=4.0, n1=16, n2=8))
     assert np.allclose(m.f, 1.0)
-    assert np.allclose(pr.evaluate(m.x1[:, None], m.x2[None, :]), 0.0)
+    assert np.allclose(m.profile.evaluate(m.x1[:, None], m.x2[None, :]), 0.0)
 
 
 def test_effective_potential_constant_negative_axis():
     m = geo.solve_jacobi(geo.constant_on_box(-1.0, math.inf), GEOM_07)
-    V = geo.effective_potential(m, geo.constant_on_box(-1.0, math.inf))
+    V = geo.effective_potential(m)
     j0 = np.argmin(np.abs(m.x2))
     assert V[:, j0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_effective_potential_flat_zero():
     m = geo.solve_jacobi(geo.zero_profile(), GEOM_07)
-    V = geo.effective_potential(m, geo.zero_profile())
+    V = geo.effective_potential(m)
     assert np.all(V == 0.0)
 
 
@@ -170,9 +171,9 @@ def test_ruled_potential_nonnegative_under_certificate():
     # |theta'| a < sqrt(2) keeps the effective potential nonnegative
     prof = geo.ruled_profile(0.9, 4.0)
     geom = geo.StripGeometry(a=1.2, L=8.0, n1=32, n2=24)
-    m, pr = geo.ruled_strip(prof, geom)
+    m = geo.ruled_strip(prof, geom)
     assert 0.9 * 1.2 < math.sqrt(2.0)
-    V = geo.effective_potential(m, pr)
+    V = geo.effective_potential(m)
     assert V.min() >= -1e-14
 
 
@@ -219,8 +220,8 @@ def test_jacobi_residual_second_order():
 def test_ruled_strip_residual_against_own_curvature():
     prof = geo.ruled_profile(0.6, 3.0)
     geom = geo.StripGeometry(a=0.5, L=6.0, n1=32, n2=64)
-    m, pr = geo.ruled_strip(prof, geom)
-    K = pr.evaluate(m.x1[:, None], m.x2[None, :])
+    m = geo.ruled_strip(prof, geom)
+    K = prof.evaluate(m.x1[:, None], m.x2[None, :])
     h = m.x2[1] - m.x2[0]
     res = (m.f[:, 2:] - 2 * m.f[:, 1:-1] + m.f[:, :-2]) / h**2 + K[:, 1:-1] * m.f[:, 1:-1]
     assert np.abs(res).max() < 1e-4
@@ -230,10 +231,11 @@ def test_metric_table_columns():
     prof = geo.gaussian_bump(amplitude=0.2, width=1.0, support_radius=3.0)
     geom = geo.StripGeometry(a=1.0, L=5.0, n1=8, n2=8)
     m = geo.solve_jacobi(prof, geom)
-    table = geo.metric_table(m, prof)
+    table = geo.metric_table(m)
     assert table.shape == (9 * 9, 6)
+    assert table[:, 4] == pytest.approx(prof.evaluate(table[:, 0], table[:, 1]), abs=1e-15)
     # V column consistent with the pointwise formula
-    V = geo.effective_potential(m, prof)
+    V = geo.effective_potential(m)
     assert np.allclose(table[:, 5], V.ravel())
 
 
@@ -294,7 +296,7 @@ _GEOM_05 = geo.StripGeometry(a=0.5, L=6.0, n1=16, n2=8)
         (lambda: geo.check_compatible(replace(geo.constant_on_box(0.1, 4.0), sup_norm=math.nan),
                                       _GEOM_05), GeometryInvalid),
         (lambda: geo.check_compatible(replace(geo.ruled_profile(0.3, 4.0), support_radius=math.nan),
-                                      _GEOM_05, closed_form=True), GeometryInvalid),
+                                      _GEOM_05), GeometryInvalid),
         (lambda: geo.solve_jacobi(replace(geo.constant_on_box(0.1, 4.0),
                                           _k_eval=lambda x1, x2: np.where(np.abs(x1) < 1.0, np.nan, 0.0)),
                                   _GEOM_05), NonPositiveMetric),

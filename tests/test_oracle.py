@@ -244,12 +244,33 @@ def test_flat_kernel_marginal_matches_survival():
 def test_tail_refusals():
     with pytest.raises(TailTooLarge):
         oracle.flat_kernel((0, 0), (0, 0), 0.005, 1.0)
-    with pytest.raises(TailTooLarge):
-        oracle.flat_survival((0, 0), None, 0.02, 1.0, n_terms=1, tol=1e-12)
+    # so wide a strip needs more than 100 000 terms for a tail bound of 1e-8
+    with pytest.raises(TailTooLarge, match="cannot meet the tail tolerance 1e-8"):
+        oracle.flat_survival((0, 0), None, 0.02, 1e6)
+
+
+def _long_series(t, a, x2, weights, n_max=400):
+    """sum over n <= n_max of exp(-E_n t) phi_n(x2) weights(n), with the
+    energies and modes written out here."""
+    n = np.arange(1, n_max + 1)
+    k = n * math.pi / (2.0 * a)
+    return float(np.sum(np.exp(-k**2 * t) * np.sin(k * (x2 + a)) / math.sqrt(a) * weights(n, k)))
 
 
 def test_tail_bound_honest():
-    a = 1.0
-    coarse, tail = oracle.flat_kernel((0.0, 0.1), (0.2, -0.3), 0.05, a, n_terms=8, tol=1.0)
-    fine, _ = oracle.flat_kernel((0.0, 0.1), (0.2, -0.3), 0.05, a, n_terms=200, tol=1.0)
-    assert abs(fine - coarse) <= tail
+    """Each returned tail bound is at most 1e-8 and covers the distance from
+    the value to a 400-term sum, at times where the chosen truncation keeps
+    far fewer terms."""
+    a, t = 1.0, 0.05
+    x, xp = (0.0, 0.1), (0.2, -0.3)
+    value, tail = oracle.flat_kernel(x, xp, t, a)
+    gauss = math.exp(-((x[0] - xp[0]) ** 2) / (4 * t)) / math.sqrt(4 * math.pi * t)
+    long = gauss * _long_series(t, a, x[1], lambda n, k: np.sin(k * (xp[1] + a)) / math.sqrt(a))
+    assert 0 < tail <= 1e-8
+    assert abs(long - value) <= tail
+    for t in (0.02, 0.05, 0.3):
+        value, tail = oracle.flat_survival((0.0, 0.25), None, t, a)
+        # integral of the n-th mode over the whole cross-section
+        long = _long_series(t, a, 0.25, lambda n, k: (1 - np.cos(2 * k * a)) / (k * math.sqrt(a)))
+        assert 0 < tail <= 1e-8
+        assert abs(long - value) <= tail

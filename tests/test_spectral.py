@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +35,7 @@ def flat_pair():
 def ruled_certified():
     prof = geo.ruled_profile(0.35, 6.0)
     geom = geo.StripGeometry(a=0.5, L=12.0, n1=192, n2=40)
-    m, pr = geo.ruled_strip(prof, geom)
-    return m, pr
+    return geo.ruled_strip(prof, geom)
 
 
 def test_flat_lowest_eigenvalue_near_transverse_ground(flat_pair):
@@ -149,10 +149,10 @@ def test_transverse_mu_flat_exactly_zero():
 
 
 def test_transverse_mu_lower_bounded_by_potential(ruled_certified):
-    m, prof = ruled_certified
+    m = ruled_certified
     for x1, mu in zip([0.0, 2.0, 4.5], sp.transverse_mu_profile(m, [0.0, 2.0, 4.5])):
         f, d2f = m.sample(np.array([x1]), m.x2)
-        K = prof.evaluate(np.full_like(m.x2, x1), m.x2)
+        K = m.profile.evaluate(np.full_like(m.x2, x1), m.x2)
         V = -0.5 * K - 0.25 * (d2f[0] / f[0]) ** 2
         assert mu >= V.min() - 5e-3
         assert mu > 0.0
@@ -240,7 +240,7 @@ def test_hardy_positive_curvature_hypothesis_fails():
 
 
 def test_pick_hardy_interval(ruled_certified):
-    m, _ = ruled_certified
+    m = ruled_certified
     hc = sp.pick_hardy_interval(m)
     assert hc.c_K > 0
     assert hc.J[0] < 0 < hc.J[1]
@@ -249,7 +249,7 @@ def test_pick_hardy_interval(ruled_certified):
 def test_pick_hardy_interval_computes_the_global_gap_once(ruled_certified, monkeypatch):
     from striplab.spectral import hardy
 
-    m, _ = ruled_certified
+    m = ruled_certified
     calls = []
 
     def counting(metric, x1):
@@ -269,9 +269,21 @@ def test_thin_strip_constant_values():
     assert sp.thin_strip_constant(0.0) == 0.0
 
 
+@pytest.mark.parametrize("xi", [0.75, 1.0, 1.78, math.nan])
+def test_thin_strip_constant_refuses_xi_squared_from_one_half(xi):
+    """The constant needs xi^2 < 1/2: at xi = 1 the formula divides by zero,
+    and above it would give a positive but meaningless constant (0.0278 at
+    criterion 8's xi = 1.78)."""
+    with pytest.raises(ValueError, match=f"xi = {xi}"):
+        sp.thin_strip_constant(xi)
+    prof = geo.ruled_profile(1.0, 4.0)
+    with pytest.raises(ValueError, match="xi"):
+        sp.thin_strip_bound(prof, math.sqrt(xi), np.linspace(-6.0, 6.0, 13))
+
+
 def test_thin_strip_bound_negative_bump_applicable():
     prof = geo.gaussian_bump(amplitude=-0.3, width=1.5, support_radius=4.0)
-    b = sp.thin_strip_bound(prof, a=0.2)
+    b = sp.thin_strip_bound(prof, a=0.2, x1=np.linspace(-6.0, 6.0, 601))
     assert b.applicable
     inside = np.abs(b.x1) < 1.0
     assert np.all(b.values[inside] > 0)
@@ -290,6 +302,21 @@ def test_hardy_verify_zero_weight_nonnegative(flat_pair):
     assert sp.hardy_verify(m, rho, trials=30, seed=3) >= -1e-6
 
 
+def test_hardy_verify_holds_one_trial_vector_at_a_time(flat_pair):
+    """Its peak allocation does not grow with the trial count: 600 trials on
+    the 301 x 33 nodes of flat_pair would take 48 MB held all at once."""
+    m, _ = flat_pair
+    rho = np.zeros((m.x1.size, m.x2.size))
+    all_at_once = 600 * m.x1.size * m.x2.size * 8
+    tracemalloc.start()
+    try:
+        sp.hardy_verify(m, rho, trials=600, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * all_at_once
+
+
 def test_hardy_verify_flat_falsified_by_constant_weight():
     m = geo.solve_jacobi(
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=40.0, n1=320, n2=24)
@@ -299,7 +326,7 @@ def test_hardy_verify_flat_falsified_by_constant_weight():
 
 
 def test_hardy_verify_certified_weight(ruled_certified):
-    m, _ = ruled_certified
+    m = ruled_certified
     hc = sp.pick_hardy_interval(m)
     rho = sp.hardy_weight(m, hc)
     assert sp.hardy_verify(m, rho, trials=60, seed=7) >= -1e-6
@@ -324,7 +351,7 @@ def test_perturbed_threshold_flat_criticality():
 
 
 def test_perturbed_threshold_certified_strip_resists_small_bump(ruled_certified):
-    m, _ = ruled_certified
+    m = ruled_certified
     V = -0.002 * np.exp(-m.x1[:, None] ** 2 / 2.0) * np.ones(m.x2.size)[None, :]
     lam = sp.perturbed_threshold(m, V)
     assert lam >= transverse_energy(1, m.x2[-1])
@@ -357,7 +384,7 @@ def test_essential_threshold_probe_positive_bump_keeps_bound_state():
 
 
 def test_essential_threshold_probe_negative_no_bound_state(ruled_certified):
-    m, _ = ruled_certified
+    m = ruled_certified
     probe = sp.essential_threshold_probe(m, [12.0, 18.0, 24.0], k=4)
     assert probe.discrete_limits.size == 0
     assert probe.limit == pytest.approx(math.pi**2, abs=0.02)
@@ -505,7 +532,7 @@ def _flat_hk():
 
 
 def _curved_hk():
-    m, _ = geo.ruled_strip(
+    m = geo.ruled_strip(
         geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=192, n2=40)
     )
     return lambda: sp.assemble_hk(m)
@@ -561,7 +588,11 @@ def test_stencil_assembly_is_bit_identical_to_coo(n1, n2, h, kinds, mask, extra,
     if mask == "none":
         keep = None
     else:
-        keep = sp.make_grid(x1, x2, dirichlet_x1_ends=mask == "walls").keep
+        keep = np.ones((x1.size, x2.size), bool)
+        keep[:, [0, -1]] = False
+        if mask == "walls":
+            keep[[0, -1], :] = False
+        keep = keep.ravel()
         keep[rng.choice(keep.size, size=min(extra, keep.size), replace=False)] = False
         ref = _restrict(ref, np.flatnonzero(keep))
     new = sp.assemble_2d(x1, x2, terms, keep)
@@ -661,7 +692,7 @@ def test_asymmetric_pair_raises(flat_pair):
 
 @pytest.mark.parametrize("kind", ["ruled", "jacobi"])
 def test_batched_mu_profile_matches_per_column_eigh(kind, ruled_certified):
-    m = ruled_certified[0] if kind == "ruled" else _negative_metric()
+    m = ruled_certified if kind == "ruled" else _negative_metric()
     cols = np.concatenate([m.x1, sp.gauss_points_1d(m.x1[::4]).ravel()])
     mu = sp.transverse_mu_profile(m, cols)
     ref = _eigh_mu_profile(m, cols)
@@ -670,7 +701,7 @@ def test_batched_mu_profile_matches_per_column_eigh(kind, ruled_certified):
 
 
 def test_batched_mu_profile_splits_long_column_lists(ruled_certified, monkeypatch):
-    m, _ = ruled_certified
+    m = ruled_certified
     whole = sp.transverse_mu_profile(m, m.x1)
     monkeypatch.setattr(sp.hardy, "_MU_BATCH_ENTRIES", 5 * 39**2)
     assert np.array_equal(sp.transverse_mu_profile(m, m.x1), whole)
@@ -696,7 +727,7 @@ def _per_slice_lambda_J(metric, J, n_cells=96):
 
 @pytest.mark.parametrize("kind", ["ruled", "jacobi"])
 def test_batched_hardy_slices_match_per_slice_eigh(kind, ruled_certified):
-    m = ruled_certified[0] if kind == "ruled" else _negative_metric()
+    m = ruled_certified if kind == "ruled" else _negative_metric()
     hc = sp.pick_hardy_interval(m)
     assert hc.lambda_J == pytest.approx(_per_slice_lambda_J(m, hc.J), rel=1e-10)
 
@@ -708,7 +739,7 @@ def test_potential_matches_grid_interpolator(kind, ruled_certified):
             geo.zero_profile(), geo.StripGeometry(a=1.0, L=10.0, n1=80, n2=16)
         )
     else:
-        m = ruled_certified[0]
+        m = ruled_certified
     grid = sp.make_grid(m.x1, m.x2)
     v = np.random.default_rng(11).uniform(-1.0, 1.0, grid.shape)
     new = sp.assemble_potential(m, grid, v)
@@ -722,7 +753,7 @@ def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
     """Dense tridiagonal matrices built from a batch of element matrices are
     the COO 1-D assembly, entry for entry: curved transverse columns with
     Dirichlet ends, and longitudinal slices with free ends."""
-    m = ruled_certified[0]
+    m = ruled_certified
     if free_ends:  # slices at three transverse levels
         nodes = np.linspace(-6.0, 2.0, 41)
         g = sp.gauss_points_1d(nodes)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from striplab.errors import (
     BadCheckpoint,
     BadStart,
     CheckpointMissing,
+    InsufficientSignal,
     StepTooLarge,
     TooFewSurvivors,
 )
@@ -37,7 +39,7 @@ def test_ruled_drift_formula_value():
     # theta' = 1 at the center: at x2 = 1, f = sqrt(2), d2f = 1/sqrt(2),
     # so the transverse drift is d2f / f = 1/2 and sigma1 = sqrt(2)/f = 1
     prof = geo.ruled_profile(1.0, 4.0)
-    m, _ = geo.ruled_strip(prof, geo.StripGeometry(a=1.2, L=8.0, n1=640, n2=480))
+    m = geo.ruled_strip(prof, geo.StripGeometry(a=1.2, L=8.0, n1=640, n2=480))
     sde = st.sde_from_metric(m)
     b1, b2, s1 = sde.fields(np.array([0.0]), np.array([1.0]))
     assert b2[0] == pytest.approx(0.5, abs=1e-5)
@@ -47,7 +49,7 @@ def test_ruled_drift_formula_value():
 
 def test_fields_exactly_flat_outside_support():
     prof = geo.ruled_profile(0.5, 3.0)
-    m, _ = geo.ruled_strip(prof, geo.StripGeometry(a=0.8, L=12.0, n1=120, n2=24))
+    m = geo.ruled_strip(prof, geo.StripGeometry(a=0.8, L=12.0, n1=120, n2=24))
     sde = st.sde_from_metric(m)
     b1, b2, s1 = sde.fields(np.array([6.0, -8.0]), np.array([0.5, -0.3]))
     assert np.all(b1 == 0.0) and np.all(b2 == 0.0) and np.all(s1 == math.sqrt(2.0))
@@ -121,7 +123,8 @@ def _reference_fields(sde, p1, p2):
 def _reference_simulate(sde, x0, t_max, dt, n_paths, seed, checkpoints, bridge=True):
     """The straightforward loop: every path of a chunk is stepped to t_max,
     dead ones included, and each field is interpolated on its own; random
-    numbers are drawn for the paths still alive."""
+    numbers are drawn for the paths still alive. With ``bridge=False`` a path
+    is killed only when a step leaves the strip."""
     a, sq2 = sde.a, math.sqrt(2.0)
     n_steps = int(round(t_max / dt)) if t_max > 0 else 0
     check_steps = np.array([min(int(round(t / dt)), n_steps) for t in checkpoints])
@@ -174,7 +177,7 @@ def _reference_simulate(sde, x0, t_max, dt, n_paths, seed, checkpoints, bridge=T
 
 @pytest.fixture(scope="module")
 def ruled_sde():
-    m, _ = geo.ruled_strip(
+    m = geo.ruled_strip(
         geo.ruled_profile(0.6, 4.0), geo.StripGeometry(a=1.0, L=12.0, n1=120, n2=24)
     )
     return st.sde_from_metric(m)
@@ -204,8 +207,6 @@ _IDENTITY_CASES = {
                           checkpoints=[0.1, 0.3])),
     "ruled": ("ruled", dict(x0=(1.0, 0.3), t_max=0.5, dt=0.0025, n_paths=4000, seed=5,
                             checkpoints=[0.1, 0.5])),
-    "no-bridge": ("ruled", dict(x0=(1.0, 0.3), t_max=0.5, dt=0.0025, n_paths=4000, seed=5,
-                                checkpoints=[0.5], bridge=False)),
     "checkpoints-at-0-and-t_max": ("ruled", dict(x0=(-2.0, -0.4), t_max=0.4, dt=0.0025,
                                                  n_paths=2000, seed=8,
                                                  checkpoints=[0.0, 0.2, 0.4])),
@@ -262,9 +263,20 @@ def test_preconditions(flat_sde):
         (dict(n_paths=0), ValueError, "n_paths must be at least 1, not 0"),
         (dict(x0=(math.nan, 0.0)), BadStart, r"x0 = \(nan, 0.0\)"),
         (dict(x0=(0.0, math.inf)), BadStart, r"x0 = \(0.0, inf\)"),
+        (dict(t_max=math.inf), BadCheckpoint, "checkpoint t = inf"),
+        (dict(t_max=math.inf, checkpoints=[0.05]), ValueError,
+         "t_max must be nonnegative and finite, not inf"),
+        (dict(t_max=-1.0, checkpoints=[0.05]), ValueError,
+         "t_max must be nonnegative and finite, not -1.0"),
+        (dict(t_max=math.nan, checkpoints=[0.05]), ValueError,
+         "t_max must be nonnegative and finite, not nan"),
+        (dict(checkpoints=[0.05, 0.5]), BadCheckpoint, "checkpoint t = 0.5 is after t_max = 0.1"),
+        (dict(checkpoints=[0.1 + 2e-9]), BadCheckpoint, "is after t_max = 0.1"),
     ],
     ids=["negative-checkpoint", "negative-t_max", "nan-checkpoint", "nan-dt", "negative-dt",
-         "zero-dt", "no-paths", "nan-x0", "infinite-x0"],
+         "zero-dt", "no-paths", "nan-x0", "infinite-x0", "infinite-t_max",
+         "infinite-t_max-with-checkpoints", "negative-t_max-with-checkpoints",
+         "nan-t_max-with-checkpoints", "checkpoint-after-t_max", "checkpoint-past-the-slack"],
 )
 def test_simulate_killed_rejects_bad_inputs_before_any_step(flat_sde, monkeypatch, change, error, named):
     _, sde = flat_sde
@@ -272,6 +284,16 @@ def test_simulate_killed_rejects_bad_inputs_before_any_step(flat_sde, monkeypatc
     kw = dict(x0=(0.0, 0.0), t_max=0.1, dt=1e-3, n_paths=8, seed=0) | change
     with pytest.raises(error, match=named):
         st.simulate_killed(sde, **kw)
+
+
+def test_a_checkpoint_within_the_slack_of_t_max_is_recorded_at_t_max(flat_sde):
+    _, sde = flat_sde
+    kw = dict(x0=(0.0, 0.0), t_max=0.1, dt=1e-3, n_paths=64, seed=0)
+    ens = st.simulate_killed(sde, checkpoints=[0.05, 0.1 + 5e-10], **kw)
+    ref = st.simulate_killed(sde, checkpoints=[0.05, 0.1], **kw)
+    assert np.array_equal(ens.checkpoint_times, ref.checkpoint_times)
+    assert np.array_equal(ens.positions, ref.positions)
+    assert np.array_equal(ens.kill_time, ref.kill_time)
 
 
 def test_survival_against_series(flat_sde):
@@ -325,13 +347,20 @@ def test_longitudinal_marginal_gaussian(flat_sde):
     assert stat.pvalue > 0.01
 
 
+def _naive_survival(sde, x0, t_max, dt, n_paths, seed):
+    """Fraction of paths alive at t_max when a path is killed only on leaving
+    the strip at a step, with no bridge crossing check: the reference loop
+    with its correction switched off."""
+    kill_time, _ = _reference_simulate(sde, x0, t_max, dt, n_paths, seed, [t_max], bridge=False)
+    return np.count_nonzero(kill_time > t_max + 1e-12) / n_paths
+
+
 def test_bridge_correction_halves_bias(flat_sde):
     a, sde = flat_sde
     exact, _ = oracle.flat_survival((0.0, 0.0), None, 0.5, a)
     kw = dict(x0=(0.0, 0.0), t_max=0.5, dt=0.02, n_paths=200000, seed=12)
-    naive = st.simulate_killed(sde, bridge=False, **kw)
-    corrected = st.simulate_killed(sde, bridge=True, **kw)
-    b_naive = st.survival_estimate(naive, None, 0.5).probability - exact
+    corrected = st.simulate_killed(sde, **kw)
+    b_naive = _naive_survival(sde, **kw) - exact
     b_corr = st.survival_estimate(corrected, None, 0.5).probability - exact
     assert abs(b_corr) <= 0.5 * abs(b_naive)
     assert b_naive > 0  # skipping the crossing check overestimates survival
@@ -348,9 +377,9 @@ def test_weak_order_in_dt(flat_sde):
     kw = dict(x0=(0.0, 0.0), t_max=t, n_paths=400000, seed=31)
     b_naive, b_corr = [], []
     for dt in dts:
-        for bridge, out in ((False, b_naive), (True, b_corr)):
-            ens = st.simulate_killed(sde, dt=dt, bridge=bridge, **kw)
-            out.append(st.survival_estimate(ens, None, t).probability - exact)
+        b_naive.append(_naive_survival(sde, dt=dt, **kw) - exact)
+        ens = st.simulate_killed(sde, dt=dt, **kw)
+        b_corr.append(st.survival_estimate(ens, None, t).probability - exact)
     b_naive, b_corr = np.array(b_naive), np.array(b_corr)
     assert np.all(b_naive > 0)
     order = np.polyfit(np.log(dts), np.log(b_naive), 1)[0]
@@ -401,6 +430,24 @@ def test_pointwise_rate_on_an_exact_law():
     assert fit.stderr == pytest.approx(math.sqrt(np.linalg.inv(X.T @ W @ X)[1, 1]), rel=1e-10)
 
 
+def test_pointwise_rate_drops_an_estimate_of_probability_one():
+    """An estimate of probability 1 has no log variance to weigh by, so it is
+    unusable like one whose interval touches zero: the fit is the one without
+    it, with no warning, and it does not count toward the six points."""
+    t = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 5.0])
+    p = 0.3 * t**-0.75 * np.exp(-t)
+    estimates = [st.SurvivalEstimate(probability=pk, half_width=0.0, t=tk, n_paths=10**6)
+                 for tk, pk in zip(t, p)]
+    certain = st.SurvivalEstimate(probability=1.0, half_width=1e-5, t=0.5, n_paths=10**6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = st.pointwise_rate([certain, *estimates], 1.0)
+    assert fit == st.pointwise_rate(estimates, 1.0)
+    assert math.isfinite(fit.slope) and math.isfinite(fit.stderr)
+    with pytest.raises(InsufficientSignal, match="only 5 estimates"):
+        st.pointwise_rate([certain, *estimates[1:]], 1.0)
+
+
 def test_yaglom_contraction_toward_ground_state():
     # positively curved strip: the conditioned longitudinal marginal moves
     # toward the ground-state profile as time grows
@@ -440,7 +487,7 @@ def test_occupation_measure_matches_pde_on_curved_strip():
     a = 1.0
     prof = geo.ruled_profile(0.6, 4.0)
     geom = geo.StripGeometry(a=a, L=12.0, n1=480, n2=80)
-    m, _ = geo.ruled_strip(prof, geom)
+    m = geo.ruled_strip(prof, geom)
     pair = sp.assemble_hk(m)
 
     def smooth_bump(x, lo, hi):

@@ -61,7 +61,7 @@ def _threshold_lines():
     flat = geo.solve_jacobi(
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=16.0, n1=128, n2=40)
     )
-    ruled, _ = geo.ruled_strip(
+    ruled = geo.ruled_strip(
         geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=192, n2=40)
     )
     for name, m, lengths, depth in (
