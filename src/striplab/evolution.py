@@ -140,7 +140,7 @@ def _matches_stencil(A, structure, stencil) -> bool:
     """Whether CSR ``A`` has the CSR ``structure`` (``_csr_structure``) and
     agrees entry by entry, to 1e-12 relative to the largest, with the matrix
     holding the (3, 3) ``stencil`` value at each entry's offset (di, dj)."""
-    indptr, indices, coupled = structure
+    indptr, indices, coupled, _ = structure
     data = np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
     return (
         np.array_equal(A.indptr, indptr)

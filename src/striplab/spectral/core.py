@@ -105,7 +105,7 @@ def assemble_1d(nodes: np.ndarray, terms, keep=None) -> sp.csr_matrix:
     nodes = np.asarray(nodes, float)
     lower, diag, upper = _diagonals(element_matrices_1d(nodes, terms))
     stencil = np.stack([np.r_[0.0, lower], diag, np.r_[upper, 0.0]], -1)
-    indptr, indices, coupled = _csr_structure(nodes.size, 1, keep)
+    indptr, indices, coupled, _ = _csr_structure(nodes.size, 1, keep)
     n = indptr.size - 1
     return sp.csr_matrix((stencil[coupled[:, 1::3]], indices, indptr), shape=(n, n))
 
@@ -146,7 +146,7 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None) -> sp.csr_matr
     stencil = np.full((3, 3, n1 + 1, n2 + 1), -0.0)
     for r1, r2 in ((1, 1), (1, 0), (0, 1), (0, 0)):
         stencil[1 - r1:3 - r1, 1 - r2:3 - r2, r1:r1 + n1, r2:r2 + n2] += block[r1, r2]
-    indptr, indices, coupled = _csr_structure(n1 + 1, n2 + 1, keep)
+    indptr, indices, coupled, _ = _csr_structure(n1 + 1, n2 + 1, keep)
     n = indptr.size - 1
     data = stencil.reshape(9, -1).T[coupled]  # row by row, in column order
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -162,11 +162,14 @@ def _csr_structure(n1: int, n2: int, keep):
 @functools.lru_cache(maxsize=4)
 def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
     """The 9-point couplings among the kept nodes of the n1 x n2 mask given
-    by its bytes: read-only CSR ``indptr`` and ``indices`` (int32), and the
+    by its bytes: read-only CSR ``indptr`` and ``indices`` (int32), the
     (nodes, 9) mask ``coupled`` of the node and neighbour offset of each
-    entry. Offset d = 3 (di + 1) + (dj + 1) is neighbour (p1 + di, p2 + dj)
-    of node (p1, p2), so along a row d and the column increase together.
-    Computed once for the last four grids and masks asked for."""
+    entry, and the permutation ``transpose`` of the entries that takes the
+    data of a matrix of this structure to the data of its transpose, which
+    has the same structure. Offset d = 3 (di + 1) + (dj + 1) is neighbour
+    (p1 + di, p2 + dj) of node (p1, p2), so along a row d and the column
+    increase together. Computed once for the last four grids and masks
+    asked for."""
     keep = np.frombuffer(keep_bytes, bool).reshape(n1, n2)
     position = np.full((n1 + 2, n2 + 2), -1, dtype=np.int32)  # -1: not kept
     position[1:-1, 1:-1][keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
@@ -175,10 +178,15 @@ def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
     ends = np.cumsum(coupled, dtype=np.int32).reshape(-1, 9)[keep.ravel(), 8]
     indptr = np.concatenate([np.zeros(1, np.int32), ends])
     indices = column[coupled]
+    # the transpose of entry (p, d) is entry (p + (di, dj), 8 - d)
+    entry = np.full((n1 + 2, n2 + 2, 9), -1, dtype=np.int32)
+    entry[1:-1, 1:-1][coupled] = np.arange(indices.size, dtype=np.int32)
+    mirror = np.stack([entry[d // 3:d // 3 + n1, d % 3:d % 3 + n2, 8 - d] for d in range(9)], -1)
+    transpose = mirror[coupled]
     coupled = coupled.reshape(-1, 9)
-    for a in (indptr, indices, coupled):
+    for a in (indptr, indices, coupled, transpose):
         a.flags.writeable = False
-    return indptr, indices, coupled
+    return indptr, indices, coupled, transpose
 
 
 @dataclass(eq=False)
@@ -224,15 +232,23 @@ class OperatorPair:
         return self.S.shape[0]
 
     def check(self) -> None:
+        """``SingularMass`` for a non-positive lumped mass, ``ValueError`` for
+        a pair not symmetric to round-off: each entry is compared with its
+        mirror through the transpose permutation of the grid's structure."""
         lumped = np.asarray(self.M.sum(axis=1)).ravel()
         if np.any(lumped <= 0.0):
             raise SingularMass(
                 f"{np.count_nonzero(lumped <= 0)} retained nodes have "
                 "non-positive lumped mass"
             )
-        asym_s = abs(self.S - self.S.T).max()
-        asym_m = abs(self.M - self.M.T).max()
-        scale = max(abs(self.S).max(), 1.0)
+        grid = self.grid
+        indptr, indices, _, transpose = _csr_structure(*grid.shape, grid.keep)
+        for A in (self.S, self.M):
+            if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
+                raise ValueError("the pair does not have its grid's stencil structure")
+        asym_s = abs(self.S.data - self.S.data[transpose]).max()
+        asym_m = abs(self.M.data - self.M.data[transpose]).max()
+        scale = max(abs(self.S.data).max(), 1.0)
         if asym_s > 1e-12 * scale or asym_m > 1e-12:
             raise ValueError("assembled pair lost symmetry")
 

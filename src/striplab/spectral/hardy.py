@@ -16,7 +16,7 @@ from ..errors import HypothesisFailed
 from ..geometry import MetricField, StripGeometry, smooth_cutoff
 from ..oracle import mode_function, transverse_energy
 from .core import OperatorPair, _diagonals, element_matrices_1d, gauss_points_1d, make_grid
-from .operators import assemble_hk, assemble_potential, flat_transverse_ground
+from .operators import _half_nodes, assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
 
 __all__ = [
@@ -44,42 +44,47 @@ _HARDY_CELLS = 96
 def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     """Column-wise lowest transverse eigenvalue minus the flat reference.
 
-    The reference is the discrete flat transverse ground energy on the same
-    cross-section grid, so flat columns give zero to round-off (-5.3e-13 on
-    a box profile); only a metric that is flat everywhere returns exact zeros.
+    The reference is the discrete flat transverse ground energy on the
+    metric's cross-section grid, so flat columns give zero to round-off
+    (4.0e-13 on a box profile); only a metric that is flat everywhere
+    returns exact zeros.
 
-    All columns are done together: the metric is sampled once, the
-    tridiagonal interior S and M of every column come from one batch of
-    element matrices, and with the batched Cholesky factor M = L L^T
-    the lowest eigenvalue is that of the symmetric L^-1 S L^-T.
+    Each column's ground state is even in x2, so its eigenvalue is that of
+    the half cross-section (``_half_nodes``, which raises ``GeometryInvalid``
+    for an odd n2 or a metric not even in x2), free on the axis and Dirichlet
+    at the wall. All columns are done together: the metric is sampled once,
+    the tridiagonal S and M of every column come from one batch of element
+    matrices, and with the batched Cholesky factor M = L L^T the lowest
+    eigenvalue is that of the symmetric L^-1 S L^-T.
     """
     x1 = np.atleast_1d(np.asarray(x1, float))
-    x2 = metric.x2
+    x2 = _half_nodes(metric)
     if metric.flat:
         return np.zeros(x1.size)
     g2 = gauss_points_1d(x2)
-    e1h = flat_transverse_ground(x2)
+    e1h = flat_transverse_ground(metric.x2)
     f, _ = metric.sample(x1, g2.ravel())
     f = f.reshape(x1.size, *g2.shape)
     out = np.empty(x1.size)
     # batches of at most ~2M matrix entries keep long column lists small
-    batch = max(1, _MU_BATCH_ENTRIES // (x2.size - 2) ** 2)
+    batch = max(1, _MU_BATCH_ENTRIES // (x2.size - 1) ** 2)
     for lo in range(0, x1.size, batch):
         c = f[lo:lo + batch]
-        S = _tridiagonal(element_matrices_1d(x2, [("dd", c)]))
-        M = _tridiagonal(element_matrices_1d(x2, [("mass", c)]))
+        S = _tridiagonal(element_matrices_1d(x2, [("dd", c)]), wall=True)
+        M = _tridiagonal(element_matrices_1d(x2, [("mass", c)]), wall=True)
         out[lo:lo + batch] = _lowest_eigenvalues(S, M) - e1h
     return out
 
 
-def _tridiagonal(local: np.ndarray, free_ends: bool = False) -> np.ndarray:
+def _tridiagonal(local: np.ndarray, wall: bool) -> np.ndarray:
     """Dense tridiagonal matrices from per-cell 2x2 element matrices shaped
-    (columns, n - 1, 2, 2) on n nodes: (columns, n, n) with free ends, else
-    the (columns, n - 2, n - 2) interior block (Dirichlet ends). The upper
-    diagonal is mirrored below, so each matrix is exactly symmetric."""
+    (columns, n - 1, 2, 2) on n nodes: (columns, n, n) with free ends, or
+    with a Dirichlet ``wall`` at the last node the (columns, n - 1, n - 1)
+    block of the others. The upper diagonal is mirrored below, so each
+    matrix is exactly symmetric."""
     _, diag, off = _diagonals(local)
-    if not free_ends:
-        diag, off = diag[:, 1:-1], off[:, 1:-1]
+    if wall:
+        diag, off = diag[:, :-1], off[:, :-1]
     n = diag.shape[1]
     out = np.zeros((diag.shape[0], n, n))
     i = np.arange(n)
@@ -112,6 +117,9 @@ def hardy_constant(metric: MetricField, J: tuple):
     metric bounds; lambda_J is the lowest eigenvalue of the free-ends
     longitudinal operator with the transverse gap as potential, taken as the
     minimum over transverse slices (the form carries no transverse coupling).
+    The metric is even in x2, so the slices at the levels x2 >= 0 of
+    ``_half_nodes`` give that minimum; ``GeometryInvalid`` is raised for an
+    odd n2 or a metric not even in x2.
     """
     return _hardy_constant(metric, J, None)
 
@@ -151,15 +159,16 @@ def _hardy_constant(metric, J, mu_global):
     C = (1.0 / 8.0 + 4.0 / (j1 - j0) ** 2) / (1.0 - (q / (1.0 - q)) ** 2)
 
     # lowest eigenvalue of the free-ends slice operator of every transverse
-    # level, all levels at once: f is sampled once and each slice's S and M
-    # come from one batch of element matrices
+    # level x2 >= 0, all levels at once: f is sampled once and each slice's
+    # S and M come from one batch of element matrices
     mu_g = mu_cols.reshape(gcols.shape)
-    f, _ = metric.sample(gcols.ravel(), metric.x2)
-    f = f.T.reshape(metric.x2.size, *gcols.shape)
+    levels = _half_nodes(metric)
+    f, _ = metric.sample(gcols.ravel(), levels)
+    f = f.T.reshape(levels.size, *gcols.shape)
     S = _tridiagonal(
-        element_matrices_1d(nodes, [("dd", 1.0 / f), ("mass", mu_g * f)]), free_ends=True
+        element_matrices_1d(nodes, [("dd", 1.0 / f), ("mass", mu_g * f)]), wall=False
     )
-    M = _tridiagonal(element_matrices_1d(nodes, [("mass", f)]), free_ends=True)
+    M = _tridiagonal(element_matrices_1d(nodes, [("mass", f)]), wall=False)
     lam = float(_lowest_eigenvalues(S, M).min())
     c_K = c * lam / (lam + C)
     return HardyConstants(c=float(c), C=float(C), lambda_J=lam, c_K=float(c_K), J=(j0, j1))

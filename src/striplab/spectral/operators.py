@@ -5,6 +5,16 @@ threshold comparisons is the *discrete* flat transverse ground energy on the
 same cross-section grid. Using the analytic value instead would leave an
 O(h^2) mismatch that the e^s factor of the self-similar frame amplifies by
 three orders of magnitude at the largest frames computed here.
+
+Every metric the laboratory builds is even in x2 (f depends on x2 through
+x2^2 only), so every ground state asked of the frame family, the transverse
+gap and the Hardy slices is even too. Those three problems are solved on the
+half cross-section x2 in [0, a] (``_half_nodes``): the axis node is kept, so
+it carries the natural condition, and the wall x2 = a stays Dirichlet. On
+the symmetric grid this is exactly the even subspace of the full-section
+problem, with the same eigenvalue up to round-off, on half the unknowns.
+The transverse grid therefore needs an even number of cells, which puts a
+node on the axis.
 """
 from __future__ import annotations
 
@@ -115,17 +125,47 @@ def flat_transverse_ground(x2: np.ndarray) -> float:
     return float(vals[0])
 
 
+# largest odd part |f(x1, x2) - f(x1, -x2)| of a metric factor, relative to
+# its largest value, that the half cross-section accepts
+_EVEN_RTOL = 1e-12
+
+
+def _half_nodes(metric: MetricField) -> np.ndarray:
+    """The nodes x2 >= 0 of the metric's cross-section grid, the axis first:
+    the grid of the half-section problems. ``GeometryInvalid`` is raised for
+    an odd number of transverse cells, which leaves no node on the axis, and
+    for a metric factor that is not even in x2 to 1e-12 relative."""
+    x2 = metric.x2
+    n2 = x2.size - 1
+    if n2 % 2:
+        raise GeometryInvalid(
+            f"the half cross-section needs an even number of transverse cells, not n2 = {n2}"
+        )
+    odd = float(np.abs(metric.f - metric.f[:, ::-1]).max())
+    if not odd <= _EVEN_RTOL * np.abs(metric.f).max():  # NaN fails too
+        raise GeometryInvalid(
+            f"the metric factor is not even in x2: |f(x1, x2) - f(x1, -x2)| reaches {odd:.3e}"
+        )
+    return x2[n2 // 2:]
+
+
 def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> WeightedGrid:
     """Frame grid for the self-similar family: longitudinal box
-    [-half_width, half_width] times the strip cross-section, in ``n_cells``
-    cells. ``GeometryInvalid`` is raised for fewer than 2 cells, which leave
-    no interior column, and for a half-width not positive and finite."""
+    [-half_width, half_width], in ``n_cells`` cells, times the half
+    cross-section x2 in [0, a] (``_half_nodes``). Its kept nodes are those off
+    the box ends and off the wall x2 = a; the axis node is kept.
+    ``GeometryInvalid`` is raised for fewer than 2 cells, which leave no
+    interior column, for a half-width not positive and finite, and by
+    ``_half_nodes``."""
     if n_cells < 2:
         raise GeometryInvalid(f"the frame grid needs at least 2 cells, not n_cells = {n_cells}")
     if not 0 < half_width < math.inf:
         raise GeometryInvalid(f"the frame half-width must be positive and finite, not {half_width}")
     y1 = np.linspace(-half_width, half_width, n_cells + 1)
-    return make_grid(y1, metric.x2)
+    x2 = _half_nodes(metric)
+    keep = np.zeros((y1.size, x2.size), dtype=bool)
+    keep[1:-1, :-1] = True
+    return WeightedGrid(x1=y1, x2=x2, keep=keep.ravel())
 
 
 def frame_sweep(metric: MetricField, s_values, half_width: float, n_cells: int) -> list:
@@ -146,10 +186,11 @@ def frame_sweep(metric: MetricField, s_values, half_width: float, n_cells: int) 
 
 
 def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> OperatorPair:
-    """Self-similar frame operator pair at frame time ``s``.
+    """Self-similar frame operator pair at frame time ``s`` on ``grid_y``,
+    the half-section grid of ``make_y_grid``.
 
     Quadratic form, with fs(y) = f(e^{s/2} y1, y2) and the discrete
-    transverse reference energy E1h:
+    transverse reference energy E1h of the metric's full cross-section:
 
         |fs^-1 d1 v|^2_fs + e^s |d2 v|^2_fs - e^s E1h |v|^2_fs
         - 1/4 |v|^2_fs - 1/2 (y1 v, d1 v)_fs
@@ -171,7 +212,7 @@ def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> Operator
     g1, _, FS = _coeff_grid(metric, y1, x2, scale=np.exp(0.5 * s))
     Y = g1.reshape(-1, 1, 3, 1)
     es = math.exp(s)
-    e1h = flat_transverse_ground(x2)
+    e1h = flat_transverse_ground(metric.x2)
 
     terms_S = [
         ("d1d1", 1.0 / FS),

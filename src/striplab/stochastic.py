@@ -173,8 +173,10 @@ def simulate_killed(
     positive and finite, an ``n_paths`` below 1 or a negative ``seed``,
     ``StepTooLarge`` for dt > a^2/100, ``BadCheckpoint`` for a checkpoint
     (by default ``t_max``) that is not a nonnegative finite time, then
-    ``ValueError`` for a ``t_max`` that is not one, and ``BadCheckpoint`` for
-    a checkpoint after ``t_max`` by more than 1e-9 max(1, t_max).
+    ``ValueError`` for a ``t_max`` that is not one, ``CheckpointMissing`` for
+    a ``t_max`` that is not a multiple of ``dt`` to 1e-9 max(1, t_max), and
+    ``BadCheckpoint`` for a checkpoint after ``t_max`` by more than that
+    slack.
     """
     a = sde.a
     x10, x20 = float(x0[0]), float(x0[1])
@@ -197,6 +199,8 @@ def simulate_killed(
         raise ValueError(f"t_max must be nonnegative and finite, not {t_max}")
     slack = 1e-9 * max(1.0, t_max)
     n_steps = int(round(t_max / dt))
+    if abs(n_steps * dt - t_max) > slack:
+        raise CheckpointMissing(f"t_max = {t_max} is not a multiple of dt = {dt}")
     check_steps = []
     for t in checkpoints:
         if t > t_max + slack:

@@ -465,6 +465,8 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
         ("nu-sweep", "frame_cells = 260", "frame_cells = 0", "n_cells = 0"),
         ("nu-sweep", "frame_half_width = 13.0", "frame_half_width = -14", "half-width"),
         ("nu-sweep", "frame_half_width = 13.0", "frame_half_width = nan", "half-width"),
+        ("nu-sweep", "n2 = 24", "n2 = 25", "n2 = 25"),
+        ("hardy", "n2 = 24", "n2 = 25", "n2 = 25"),
         ("evolve", "checkpoint_step = 0.5", "checkpoint_step = 0", "checkpoint_step"),
         ("evolve", "checkpoint_step = 0.5", "checkpoint_step = -0.5", "checkpoint_step"),
         ("evolve", "alpha = 1.0", "alpha = nan", "alpha = nan"),
@@ -481,7 +483,8 @@ def test_experiment_values_of_the_wrong_type_exit_2_at_load(tmp_path, capsys, ki
     ids=["mc-negative-t_lattice", "mc-nan-dt", "mc-negative-dt", "mc-no-paths", "mc-nan-x0",
          "mc-negative-seed", "hardy-no-trials", "hardy-negative-seed",
          "nu-sweep-no-frame_cells", "nu-sweep-negative-half-width",
-         "nu-sweep-nan-half-width", "evolve-zero-checkpoint_step",
+         "nu-sweep-nan-half-width", "nu-sweep-odd-n2", "hardy-odd-n2",
+         "evolve-zero-checkpoint_step",
          "evolve-negative-checkpoint_step", "evolve-nan-alpha", "evolve-reversed-fit_window",
          "evolve-t_end-below-default-window", "evolve-infinite-t_end",
          "evolve-infinite-checkpoint_step", "mu-ruled-strip-too-wide-for-the-thin-strip-bound"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from scipy.interpolate import RegularGridInterpolator
 from striplab import geometry as geo
 from striplab import spectral as sp
 from striplab.errors import (
+    GeometryInvalid,
     GridMisaligned,
     HypothesisFailed,
     LinearSolveFailure,
@@ -164,7 +166,7 @@ def test_frame_operator_flat_matches_direct_assembly():
     gy = sp.make_y_grid(m, 13.0, 130)
     s = 2.0
     pair = sp.assemble_Ls(m, s, gy)
-    e1h = sp.flat_transverse_ground(gy.x2)
+    e1h = sp.flat_transverse_ground(m.x2)  # of the full cross-section
     g1 = sp.gauss_points_1d(gy.x1)
     g2 = sp.gauss_points_1d(gy.x2)
     ones = np.ones((g1.shape[0], g2.shape[0], 3, 3))
@@ -183,6 +185,53 @@ def test_frame_operator_flat_matches_direct_assembly():
     S_direct = S_direct[kept][:, kept]
     diff = abs(pair.S - S_direct).max()
     assert diff < 1e-9 * max(abs(S_direct).max(), 1.0)
+
+
+def _full_section_frame_pair(metric, s, grid_y):
+    """The frame pair on the full cross-section [-a, a], walls Dirichlet: the
+    problem the half-section grid of ``make_y_grid`` replaced."""
+    return sp.assemble_Ls(metric, s, sp.make_grid(grid_y.x1, metric.x2))
+
+
+@pytest.mark.parametrize("s", [0.0, 4.0, 8.0])
+def test_half_section_frame_eigenvalues_match_the_full_section(s, ruled_certified):
+    """The two lowest frame eigenvalues are even in x2 on both sections. The
+    reference runs ARPACK to 1e-13, so that what is compared is the
+    reduction and not the 1e-8 stopping rule of either solve."""
+    m = ruled_certified
+    gy = sp.make_y_grid(m, 14.0, 280)
+    assert gy.x2[0] == 0.0 and gy.x2[-1] == m.x2[-1]
+    half = sp.assemble_Ls(m, s, gy)
+    full = _full_section_frame_pair(m, s, gy)
+    assert 2 * half.n - full.n == gy.x1.size - 2  # one axis node per column
+    nu = sp.lowest_eigenpairs(half, k=2).eigenvalues
+    ref, _ = _splu_eigenvalues(full, k=2, tol=1e-13)
+    assert np.abs(nu / ref - 1.0).max() <= 1e-10
+
+
+_HALF_SECTION_USERS = {
+    "make_y_grid": lambda m: sp.make_y_grid(m, 14.0, 56),
+    "transverse_mu_profile": lambda m: sp.transverse_mu_profile(m, [0.0, 1.0]),
+    "hardy_constant": lambda m: sp.hardy_constant(m, (-2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_HALF_SECTION_USERS))
+def test_half_section_needs_an_axis_node(user):
+    m = geo.ruled_strip(
+        geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=96, n2=41)
+    )
+    with pytest.raises(GeometryInvalid, match="n2 = 41"):
+        _HALF_SECTION_USERS[user](m)
+
+
+@pytest.mark.parametrize("user", sorted(_HALF_SECTION_USERS))
+def test_half_section_needs_a_metric_even_in_x2(user, ruled_certified):
+    m = ruled_certified
+    # odd part 2e-3 x2 f, largest at the wall: 1e-3 sqrt(1 + 0.35^2 0.5^2)
+    tilted = dataclasses.replace(m, f=m.f * (1.0 + 1e-3 * m.x2))
+    with pytest.raises(GeometryInvalid, match=r"not even in x2: .* reaches 1\.015e-03"):
+        _HALF_SECTION_USERS[user](tilted)
 
 
 def test_frame_eigenvalue_flat_quarter():
@@ -600,6 +649,16 @@ def test_stencil_assembly_is_bit_identical_to_coo(n1, n2, h, kinds, mask, extra,
     for a, b in ((new.indptr, ref.indptr), (new.indices, ref.indices), (new.data, ref.data)):
         assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(new.data), np.signbit(ref.data))
+    # the cached transpose permutation: entry k of the structure holds k
+    *_, transpose = core._csr_structure(x1.size, x2.size, keep)
+    numbered = scipy.sparse.csr_matrix(
+        (np.arange(new.nnz, dtype=float), new.indices, new.indptr), shape=new.shape
+    )
+    flipped = numbered.T.tocsr()
+    flipped.sort_indices()
+    for a, b in ((flipped.indptr, new.indptr), (flipped.indices, new.indices)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(flipped.data, numbered.data[transpose])
 
 
 @settings(max_examples=80, deadline=None)
@@ -670,14 +729,34 @@ def test_warm_started_frame_sweep_matches_cold_with_fewer_solves():
 
 @pytest.mark.parametrize(
     "bad, named",
-    [(np.ones(5), "entries"), (np.full(6417, np.nan), "finite"), (np.zeros(6417), "nonzero")],
+    [
+        (lambda n: np.ones(5), "entries"),
+        (lambda n: np.full(n, np.nan), "finite"),
+        (lambda n: np.zeros(n), "nonzero"),
+    ],
     ids=["wrong-length", "nan", "zero"],
 )
 def test_lowest_eigenpairs_rejects_a_bad_start(bad, named):
     pair = PAIRS["curved_frame"]()()
-    assert pair.n == 6417
+    assert pair.n > 400  # the shift-invert path, not the dense one
     with pytest.raises(ValueError, match=named):
-        sp.lowest_eigenpairs(pair, k=1, start=bad)
+        sp.lowest_eigenpairs(pair, k=1, start=bad(pair.n))
+
+
+@pytest.mark.parametrize("matrix", ["S", "M"])
+def test_check_catches_one_perturbed_off_diagonal(matrix, ruled_certified):
+    """``OperatorPair.check`` compares every entry with its mirror: moving
+    one off-diagonal entry by 1e-8 of the largest raises."""
+    pair = sp.assemble_hk(ruled_certified)
+    pair.check()
+    A = getattr(pair, matrix).copy()
+    row = pair.n // 2
+    lo, hi = A.indptr[row], A.indptr[row + 1]
+    entry = lo + np.flatnonzero(A.indices[lo:hi] != row)[0]
+    A.data[entry] += 1e-8 * abs(A.data).max()
+    bad = dataclasses.replace(pair, **{matrix: A})
+    with pytest.raises(ValueError, match="lost symmetry"):
+        bad.check()
 
 
 def test_asymmetric_pair_raises(flat_pair):
@@ -703,7 +782,7 @@ def test_batched_mu_profile_matches_per_column_eigh(kind, ruled_certified):
 def test_batched_mu_profile_splits_long_column_lists(ruled_certified, monkeypatch):
     m = ruled_certified
     whole = sp.transverse_mu_profile(m, m.x1)
-    monkeypatch.setattr(sp.hardy, "_MU_BATCH_ENTRIES", 5 * 39**2)
+    monkeypatch.setattr(sp.hardy, "_MU_BATCH_ENTRIES", 5 * 20**2)  # 5 half-section pencils
     assert np.array_equal(sp.transverse_mu_profile(m, m.x1), whole)
 
 
@@ -751,8 +830,9 @@ def test_potential_matches_grid_interpolator(kind, ruled_certified):
 @pytest.mark.parametrize("free_ends", [False, True], ids=["dirichlet", "free-ends"])
 def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
     """Dense tridiagonal matrices built from a batch of element matrices are
-    the COO 1-D assembly, entry for entry: curved transverse columns with
-    Dirichlet ends, and longitudinal slices with free ends."""
+    the COO 1-D assembly, entry for entry: curved transverse columns of the
+    half cross-section, free on the axis and Dirichlet at the wall, and
+    longitudinal slices with free ends."""
     m = ruled_certified
     if free_ends:  # slices at three transverse levels
         nodes = np.linspace(-6.0, 2.0, 41)
@@ -760,15 +840,15 @@ def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
         f, _ = m.sample(g.ravel(), m.x2[:3])
         c = f.T.reshape(3, *g.shape)
     else:  # three transverse columns
-        nodes = m.x2
+        nodes = operators._half_nodes(m)
         g = sp.gauss_points_1d(nodes)
         f, _ = m.sample([0.0, 1.5, 4.0], g.ravel())
         c = f.reshape(3, *g.shape)
     assert np.ptp(c) > 1e-3  # curved coefficients
     w = 1.0 + g**2
     local = core.element_matrices_1d(nodes, [("dd", 1.0 / c), ("mass", w * c)])
-    dense = sp.hardy._tridiagonal(local, free_ends=free_ends)
-    keep = slice(None) if free_ends else slice(1, -1)
+    dense = sp.hardy._tridiagonal(local, wall=not free_ends)
+    keep = slice(None) if free_ends else slice(None, -1)
     for i in range(3):
         ref = _coo_assemble_1d(nodes, [("dd", 1.0 / c[i]), ("mass", w * c[i])])
         assert np.array_equal(dense[i], ref[keep][:, keep].toarray())

@@ -272,11 +272,15 @@ def test_preconditions(flat_sde):
          "t_max must be nonnegative and finite, not nan"),
         (dict(checkpoints=[0.05, 0.5]), BadCheckpoint, "checkpoint t = 0.5 is after t_max = 0.1"),
         (dict(checkpoints=[0.1 + 2e-9]), BadCheckpoint, "is after t_max = 0.1"),
+        # 0.1 / 0.006 rounds to 17 steps, which would end at t = 0.102
+        (dict(dt=0.006, checkpoints=[0.06]), CheckpointMissing,
+         "t_max = 0.1 is not a multiple of dt = 0.006"),
     ],
     ids=["negative-checkpoint", "negative-t_max", "nan-checkpoint", "nan-dt", "negative-dt",
          "zero-dt", "no-paths", "nan-x0", "infinite-x0", "infinite-t_max",
          "infinite-t_max-with-checkpoints", "negative-t_max-with-checkpoints",
-         "nan-t_max-with-checkpoints", "checkpoint-after-t_max", "checkpoint-past-the-slack"],
+         "nan-t_max-with-checkpoints", "checkpoint-after-t_max", "checkpoint-past-the-slack",
+         "t_max-off-the-dt-lattice"],
 )
 def test_simulate_killed_rejects_bad_inputs_before_any_step(flat_sde, monkeypatch, change, error, named):
     _, sde = flat_sde
