@@ -33,14 +33,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
 from .spectral import assemble_hk, flat_transverse_ground
-from .spectral.core import (
-    OperatorPair,
-    _csr_structure,
-    _diagonals,
-    banded_cholesky,
-    element_matrices_1d,
-    make_grid,
-)
+from .spectral.core import OperatorPair, _kronecker_factors, banded_cholesky
 
 __all__ = [
     "HeatState",
@@ -74,29 +67,6 @@ class Trajectory:
     states: list = field(default_factory=list)
 
 
-def _log_weighted_norm_sq(pair: OperatorPair, u: np.ndarray) -> float:
-    """Gaussian-weighted squared norm by lumped quadrature, in log space.
-
-    Products are formed as exp(log w + 2 log|u| + log weight) so the huge
-    weight values at the far ends never meet the tiny state values directly.
-    """
-    grid = pair.grid
-    lw = np.asarray(pair.M.sum(axis=1)).ravel()
-    x1 = np.repeat(grid.x1, grid.x2.size)[grid.keep]
-    nz = u != 0.0
-    if not nz.any():
-        return -math.inf
-    logs = (
-        np.log(lw[nz])
-        + x1[nz] ** 2 / 4.0
-        + 2.0 * np.log(np.abs(u[nz]))
-    )
-    m = logs.max()
-    if not math.isfinite(m):
-        return math.inf
-    return float(m + math.log(np.exp(logs - m).sum()))
-
-
 def _norm_f(pair: OperatorPair, u: np.ndarray) -> float:
     return float(math.sqrt(max(u @ (pair.M @ u), 0.0)))
 
@@ -120,8 +90,11 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
             raise NotInWeightedSpace(
                 f"alpha = {alpha} is not above 1/2: datum not in the Gaussian-weighted space"
             )
-        u = np.exp(-alpha * x1g**2 / 4.0) * mode_function(1, a, x2g)
-        u = u / math.exp(0.5 * _log_weighted_norm_sq(pair, u))
+        # Gaussian-weighted norm by lumped quadrature; (1 - 2 alpha) x1^2/4 <= 0
+        j1 = mode_function(1, a, x2g)
+        lw = np.asarray(pair.M.sum(axis=1)).ravel()
+        norm = math.sqrt(float(lw @ (np.exp((1.0 - 2.0 * alpha) * x1g**2 / 4.0) * j1**2)))
+        u = np.exp(-alpha * x1g**2 / 4.0) * j1 / norm
     elif kind == "indicator":
         if box is None:
             raise ValueError("'indicator' initial data needs a box")
@@ -134,62 +107,6 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
 
 def _not_positive_definite(detail) -> LinearSolveFailure:
     return LinearSolveFailure(f"implicit step matrix is not positive definite: {detail}")
-
-
-def _matches_stencil(A, structure, stencil) -> bool:
-    """Whether CSR ``A`` has the CSR ``structure`` (``_csr_structure``) and
-    agrees entry by entry, to 1e-12 relative to the largest, with the matrix
-    holding the (3, 3) ``stencil`` value at each entry's offset (di, dj)."""
-    indptr, indices, coupled, _ = structure
-    data = np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
-    return (
-        np.array_equal(A.indptr, indptr)
-        and np.array_equal(A.indices, indices)
-        and bool(np.abs(A.data - data).max() <= 1e-12 * np.abs(data).max())
-    )
-
-
-def _kronecker_factors(pair: OperatorPair):
-    """The sine-basis eigendata (``_sine_eigenpairs``) of the interior 1-D pairs
-    (K1, M1), (K2, M2) of unit weight of the two grid directions if the pair
-    is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes,
-    else None. This is read off the matrices: the kept nodes must be the
-    interior ones, and S and M must match their Kronecker forms entry by
-    entry. As the 1-D matrices are tridiagonal Toeplitz, those forms have the
-    9-point CSR structure of the assembly, with the products of the 1-D
-    stencils (``_interior_stencils``) at the offset of each entry."""
-    grid = pair.grid
-    interior = make_grid(grid.x1, grid.x2).keep
-    if not np.array_equal(grid.keep, interior):
-        return None
-    (k1, m1), (k2, m2) = stencils = [_interior_stencils(x) for x in (grid.x1, grid.x2)]
-    structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
-    if not _matches_stencil(pair.M.tocsr(), structure, np.outer(m1, m2)):
-        return None
-    if not _matches_stencil(pair.S.tocsr(), structure, np.outer(k1, m2) + np.outer(m1, k2)):
-        return None
-    return tuple(_sine_eigenpairs(*st, x.size - 2) for st, x in zip(stencils, (grid.x1, grid.x2)))
-
-
-def _interior_stencils(x: np.ndarray):
-    """Stencils (a_1, a0, a1) of the interior stiffness and mass matrices of
-    unit weight on the nodes x: the first entries of their sub-, main and
-    super-diagonals, 0 where a diagonal is empty. Every cell has the same
-    element matrix, so each matrix is tridiagonal Toeplitz."""
-    ones = np.ones((x.size - 1, 3))
-    return [np.array([d[1:-1][:1].sum() for d in _diagonals(element_matrices_1d(x, [(k, ones)]))])
-            for k in ("dd", "mass")]
-
-
-def _sine_eigenpairs(k: np.ndarray, m: np.ndarray, n: int):
-    """Eigenvalues l, mass eigenvalues m and M-normalising weights d of the sine
-    vectors S[i, j] = sin(i j pi / (n + 1)) for the n x n tridiagonal Toeplitz
-    pair (K, M) of stencils (a_1, a0, a1) ``k`` and ``m``: a0 on the diagonal,
-    a1 above it and, equal to a1 up to the assembly's round-off, a_1 below it."""
-    # a0 + 2 a1 cos(2x) as a0 + 2 a1 - 4 a1 sin(x)^2: no cancellation at small x
-    s2 = np.sin(np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))) ** 2
-    k, m = (a0 + 2.0 * a1 - 4.0 * a1 * s2 for _, a0, a1 in (k, m))
-    return k / m, m, (0.5 * (n + 1) * m) ** -0.5
 
 
 def _sine_transform(X):

@@ -79,7 +79,8 @@ class CurvatureProfile:
     ``evaluate`` must vanish identically for |x1| > support_radius and stay
     below ``sup_norm`` in absolute value; ``axis_infimum`` is the tabulated
     small-width limit of the column-wise essential infimum, used by the
-    thin-strip bounds.
+    thin-strip bounds; |K| is largest on the axis, so its absolute value is
+    the column-wise sup of |K|.
     """
 
     kind: str
@@ -87,7 +88,6 @@ class CurvatureProfile:
     sup_norm: float
     _k_eval: Callable = None
     _axis_inf: Callable = None
-    _col_sup: Callable = None
     theta_dot: Callable = None
 
     def evaluate(self, x1, x2):
@@ -96,10 +96,6 @@ class CurvatureProfile:
 
     def axis_infimum(self, x1):
         return self._axis_inf(np.asarray(x1, float))
-
-    def column_sup(self, x1, a: float):
-        """Column-wise sup of |K| over the cross-section (-a, a)."""
-        return self._col_sup(np.asarray(x1, float), float(a))
 
 
 def _x1_profile(kind, shape, support_radius, sup_norm) -> CurvatureProfile:
@@ -110,7 +106,6 @@ def _x1_profile(kind, shape, support_radius, sup_norm) -> CurvatureProfile:
         sup_norm=sup_norm,
         _k_eval=lambda x1, x2: shape(x1) * np.ones_like(x2),
         _axis_inf=shape,
-        _col_sup=lambda x1, a: np.abs(shape(x1)),
     )
 
 
@@ -189,7 +184,6 @@ def ruled_profile(
         _k_eval=k_eval,
         # |K| is maximal on the axis; K(x1, 0) = -theta_dot^2
         _axis_inf=lambda x1: -theta_dot(x1) ** 2,
-        _col_sup=lambda x1, a: theta_dot(x1) ** 2,
         theta_dot=theta_dot,
     )
 
@@ -323,7 +317,8 @@ def jacobi_columns(profile, x1, x2_levels, base_step):
 
 
 def taylor_envelope(profile: CurvatureProfile, a: float, x1):
-    """Two-sided per-column bounds 1 -/+ Kbar a^2 / (1 - Kbar a^2).
+    """Two-sided per-column bounds 1 -/+ Kbar a^2 / (1 - Kbar a^2), with
+    Kbar = |axis_infimum(x1)| the column-wise sup of |K|.
 
     ``x1`` holds the column coordinates; None or an empty set raises
     GeometryInvalid.
@@ -331,7 +326,7 @@ def taylor_envelope(profile: CurvatureProfile, a: float, x1):
     if x1 is None or np.size(x1) == 0:
         raise GeometryInvalid("taylor_envelope needs at least one column coordinate x1")
     x1 = np.asarray(x1, float)
-    kbar = profile.column_sup(x1, a)
+    kbar = np.abs(profile.axis_infimum(x1))
     q = kbar * a**2
     if np.any(q >= 1.0):
         raise CurvatureDomainError(

@@ -8,10 +8,15 @@ The element matrices are summed into the three diagonals of a 1-D matrix or
 the 9-point stencil of a 2-D one, which is written straight onto the kept
 nodes through the CSR structure of the tensor grid and its mask (a 1-D grid
 is an n x 1 one), computed once per grid and mask.
+
+Only this module reads those diagonals and that layout, so the 1-D pencils
+live here too: the closed-form sine eigendata of the flat Toeplitz pencil,
+the Kronecker-sum test of a 2-D pair, and the batched dense pencils.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +194,87 @@ def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
     return indptr, indices, coupled, transpose
 
 
+def _interior_stencils(x: np.ndarray):
+    """Stencils (a_1, a0, a1) of the interior stiffness and mass matrices of
+    unit weight on the nodes x: the first entries of their sub-, main and
+    super-diagonals, 0 where a diagonal is empty. Every cell has the same
+    element matrix, so each matrix is tridiagonal Toeplitz."""
+    ones = np.ones((x.size - 1, 3))
+    return [np.array([d[1:-1][:1].sum() for d in _diagonals(element_matrices_1d(x, [(k, ones)]))])
+            for k in ("dd", "mass")]
+
+
+def _sine_eigenpairs(k: np.ndarray, m: np.ndarray, n: int):
+    """Eigenvalues l, mass eigenvalues m and M-normalising weights d of the sine
+    vectors S[i, j] = sin(i j pi / (n + 1)) for the n x n tridiagonal Toeplitz
+    pair (K, M) of stencils (a_1, a0, a1) ``k`` and ``m``: a0 on the diagonal,
+    a1 above it and, equal to a1 up to the assembly's round-off, a_1 below it."""
+    # a0 + 2 a1 cos(2x) as a0 + 2 a1 - 4 a1 sin(x)^2: no cancellation at small x
+    s2 = np.sin(np.arange(1, n + 1) * (0.5 * math.pi / (n + 1))) ** 2
+    k, m = (a0 + 2.0 * a1 - 4.0 * a1 * s2 for _, a0, a1 in (k, m))
+    return k / m, m, (0.5 * (n + 1) * m) ** -0.5
+
+
+def _matches_stencil(A, structure, stencil) -> bool:
+    """Whether CSR ``A`` has the CSR ``structure`` (``_csr_structure``) and
+    agrees entry by entry, to 1e-12 relative to the largest, with the matrix
+    holding the (3, 3) ``stencil`` value at each entry's offset (di, dj)."""
+    indptr, indices, coupled, _ = structure
+    data = np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
+    return (
+        np.array_equal(A.indptr, indptr)
+        and np.array_equal(A.indices, indices)
+        and bool(np.abs(A.data - data).max() <= 1e-12 * np.abs(data).max())
+    )
+
+
+def _kronecker_factors(pair: OperatorPair):
+    """The sine-basis eigendata (``_sine_eigenpairs``) of the interior 1-D pairs
+    (K1, M1), (K2, M2) of unit weight of the two grid directions if the pair
+    is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes,
+    else None. This is read off the matrices: the kept nodes must be the
+    interior ones, and S and M must match their Kronecker forms entry by
+    entry. As the 1-D matrices are tridiagonal Toeplitz, those forms have the
+    9-point CSR structure of the assembly, with the products of the 1-D
+    stencils (``_interior_stencils``) at the offset of each entry."""
+    grid = pair.grid
+    interior = make_grid(grid.x1, grid.x2).keep
+    if not np.array_equal(grid.keep, interior):
+        return None
+    (k1, m1), (k2, m2) = stencils = [_interior_stencils(x) for x in (grid.x1, grid.x2)]
+    structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
+    if not _matches_stencil(pair.M.tocsr(), structure, np.outer(m1, m2)):
+        return None
+    if not _matches_stencil(pair.S.tocsr(), structure, np.outer(k1, m2) + np.outer(m1, k2)):
+        return None
+    return tuple(_sine_eigenpairs(*st, x.size - 2) for st, x in zip(stencils, (grid.x1, grid.x2)))
+
+
+def _tridiagonal(local: np.ndarray, wall: bool) -> np.ndarray:
+    """Dense tridiagonal matrices from per-cell 2x2 element matrices shaped
+    (columns, n - 1, 2, 2) on n nodes: (columns, n, n) with free ends, or
+    with a Dirichlet ``wall`` at the last node the (columns, n - 1, n - 1)
+    block of the others. The upper diagonal is mirrored below, so each
+    matrix is exactly symmetric."""
+    _, diag, off = _diagonals(local)
+    if wall:
+        diag, off = diag[:, :-1], off[:, :-1]
+    n = diag.shape[1]
+    out = np.zeros((diag.shape[0], n, n))
+    i = np.arange(n)
+    out[:, i, i] = diag
+    out[:, i[:-1], i[1:]] = off
+    out[:, i[1:], i[:-1]] = off
+    return out
+
+
+def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each stacked dense pencil (S, M): with the
+    Cholesky factor M = L L^T it is that of the symmetric L^-1 S L^-T."""
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    return np.linalg.eigvalsh(Linv @ S @ Linv.transpose(0, 2, 1))[:, 0]
+
+
 @dataclass(eq=False)
 class WeightedGrid:
     """Tensor grid with the mask of its kept (non-Dirichlet) nodes."""
@@ -219,7 +305,8 @@ class OperatorPair:
     A pair carries its matrices and, when it is 2-D, its grid, whose ``keep``
     mask picks its unknowns out of the grid's nodes; nothing else: the metric
     it was assembled from is the caller's, the discrete transverse reference
-    energy is ``flat_transverse_ground(x2)`` and the exact one
+    energy is ``flat_transverse_ground(x2)``, the closed-form eigenvalue of
+    the flat Toeplitz pencil (``_sine_eigenpairs``), and the exact one
     ``oracle.transverse_energy(1, a)``.
     """
 

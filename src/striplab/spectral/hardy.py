@@ -15,7 +15,14 @@ import numpy as np
 from ..errors import HypothesisFailed
 from ..geometry import MetricField, StripGeometry, smooth_cutoff
 from ..oracle import mode_function, transverse_energy
-from .core import OperatorPair, _diagonals, element_matrices_1d, gauss_points_1d, make_grid
+from .core import (
+    OperatorPair,
+    _lowest_eigenvalues,
+    _tridiagonal,
+    element_matrices_1d,
+    gauss_points_1d,
+    make_grid,
+)
 from .operators import _half_nodes, assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
 
@@ -44,18 +51,17 @@ _HARDY_CELLS = 96
 def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     """Column-wise lowest transverse eigenvalue minus the flat reference.
 
-    The reference is the discrete flat transverse ground energy on the
-    metric's cross-section grid, so flat columns give zero to round-off
-    (4.0e-13 on a box profile); only a metric that is flat everywhere
-    returns exact zeros.
+    The reference is ``flat_transverse_ground`` on the metric's cross-section
+    grid, exact to round-off, so a flat column gives the batched pencil
+    solve's own round-off (6.4e-13 on a box profile); only a metric that is
+    flat everywhere returns exact zeros.
 
     Each column's ground state is even in x2, so its eigenvalue is that of
     the half cross-section (``_half_nodes``, which raises ``GeometryInvalid``
     for an odd n2 or a metric not even in x2), free on the axis and Dirichlet
-    at the wall. All columns are done together: the metric is sampled once,
-    the tridiagonal S and M of every column come from one batch of element
-    matrices, and with the batched Cholesky factor M = L L^T the lowest
-    eigenvalue is that of the symmetric L^-1 S L^-T.
+    at the wall. All columns are done together: the metric is sampled once
+    and the tridiagonal S and M of every column come from one batch of
+    element matrices (``core._tridiagonal``, ``core._lowest_eigenvalues``).
     """
     x1 = np.atleast_1d(np.asarray(x1, float))
     x2 = _half_nodes(metric)
@@ -74,31 +80,6 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
         M = _tridiagonal(element_matrices_1d(x2, [("mass", c)]), wall=True)
         out[lo:lo + batch] = _lowest_eigenvalues(S, M) - e1h
     return out
-
-
-def _tridiagonal(local: np.ndarray, wall: bool) -> np.ndarray:
-    """Dense tridiagonal matrices from per-cell 2x2 element matrices shaped
-    (columns, n - 1, 2, 2) on n nodes: (columns, n, n) with free ends, or
-    with a Dirichlet ``wall`` at the last node the (columns, n - 1, n - 1)
-    block of the others. The upper diagonal is mirrored below, so each
-    matrix is exactly symmetric."""
-    _, diag, off = _diagonals(local)
-    if wall:
-        diag, off = diag[:, :-1], off[:, :-1]
-    n = diag.shape[1]
-    out = np.zeros((diag.shape[0], n, n))
-    i = np.arange(n)
-    out[:, i, i] = diag
-    out[:, i[:-1], i[1:]] = off
-    out[:, i[1:], i[:-1]] = off
-    return out
-
-
-def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each stacked dense pencil (S, M): with the
-    Cholesky factor M = L L^T it is that of the symmetric L^-1 S L^-T."""
-    Linv = np.linalg.inv(np.linalg.cholesky(M))
-    return np.linalg.eigvalsh(Linv @ S @ Linv.transpose(0, 2, 1))[:, 0]
 
 
 @dataclass(frozen=True)

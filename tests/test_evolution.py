@@ -19,7 +19,7 @@ from striplab.errors import (
     NotInWeightedSpace,
 )
 from striplab.oracle import mode_function, transverse_energy
-from striplab.spectral.operators import _transverse_matrices
+from striplab.spectral import core
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +259,14 @@ def _eigh_eigenbasis(K, M):
     return np.einsum("ij,ij->j", P, K @ P) / np.einsum("ij,ij->j", P, M @ P), P
 
 
+def _interior_pair(x):
+    """Unit-weight 1-D stiffness and mass on the interior nodes of ``x``."""
+    ones = np.ones((x.size - 1, 3))
+    interior = np.ones(x.size, bool)
+    interior[[0, -1]] = False
+    return tuple(sp.assemble_1d(x, [(k, ones)], interior) for k in ("dd", "mass"))
+
+
 def _sine_basis(n, d):
     j = np.arange(1, n + 1)
     return np.sin(np.outer(j, j) * math.pi / (n + 1)) * d
@@ -271,13 +279,13 @@ def test_interior_pair_is_toeplitz_and_sine_basis_diagonalises_it(n, h):
     matrix is symmetric only to round-off, so the two off-diagonals may differ
     in the last bit."""
     x = h * np.arange(n + 2)
-    K, M = _transverse_matrices(x)
+    K, M = _interior_pair(x)
     for A in (K, M):
         D = A.toarray()
         toeplitz = D[0, 0] * np.eye(n) + D[0, 1] * np.eye(n, k=1) + D[1, 0] * np.eye(n, k=-1)
         assert np.array_equal(D, toeplitz)
         assert abs(D[1, 0] - D[0, 1]) <= 1e-15 * abs(D[0, 1])
-    l, m, d = ev._sine_eigenpairs(*ev._interior_stencils(x), n)
+    l, m, d = core._sine_eigenpairs(*core._interior_stencils(x), n)
     P = _sine_basis(n, d)
     assert np.abs(P.T @ (M @ P) - np.eye(n)).max() <= 1e-12
     KP, MP = K @ P, M @ P
@@ -288,8 +296,8 @@ def test_interior_pair_is_toeplitz_and_sine_basis_diagonalises_it(n, h):
 @pytest.mark.parametrize("x", [np.linspace(-20.0, 20.0, 161), np.linspace(-60.0, 60.0, 601),
                                np.linspace(-math.pi / 2, math.pi / 2, 49)])
 def test_closed_form_eigenvalues_match_dense_rayleigh_quotients(x):
-    K, M = _transverse_matrices(x)
-    l, m, d = ev._sine_eigenpairs(*ev._interior_stencils(x), x.size - 2)
+    K, M = _interior_pair(x)
+    l, m, d = core._sine_eigenpairs(*core._interior_stencils(x), x.size - 2)
     l_ref, P_ref = _eigh_eigenbasis(K, M)
     assert np.abs(l / l_ref - 1.0).max() <= 1e-12
     # same eigenvectors up to sign
@@ -300,7 +308,7 @@ def test_closed_form_eigenvalues_match_dense_rayleigh_quotients(x):
 def _per_k_reference(pair, u0, t_grid, dt, shift):
     """The dense separable propagator with a fresh power r**k at every
     checkpoint, on the eigh eigenbases."""
-    (K1, M1), (K2, M2) = (_transverse_matrices(x) for x in (pair.grid.x1, pair.grid.x2))
+    (K1, M1), (K2, M2) = (_interior_pair(x) for x in (pair.grid.x1, pair.grid.x2))
     (l1, P1), (l2, P2) = _eigh_eigenbasis(K1, M1), _eigh_eigenbasis(K2, M2)
     lam = l1[:, None] + l2[None, :] - shift
     r = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
@@ -329,7 +337,9 @@ def test_running_product_matches_per_k_powers(flat_small, t_grid):
 def test_weighted_initial_mode_normalized(flat_small):
     m, pair = flat_small
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
-    assert math.exp(0.5 * ev._log_weighted_norm_sq(pair, u0.u)) == pytest.approx(1.0, rel=1e-10)
+    lw = np.asarray(pair.M.sum(axis=1)).ravel()
+    x1 = np.repeat(pair.grid.x1, pair.grid.x2.size)[pair.grid.keep]
+    assert math.sqrt(lw @ (np.exp(x1**2 / 4.0) * u0.u**2)) == pytest.approx(1.0, rel=1e-10)
     assert u0.t == 0.0
 
 

@@ -301,7 +301,7 @@ _GEOM_05 = geo.StripGeometry(a=0.5, L=6.0, n1=16, n2=8)
                                           _k_eval=lambda x1, x2: np.where(np.abs(x1) < 1.0, np.nan, 0.0)),
                                   _GEOM_05), NonPositiveMetric),
         (lambda: geo.solve_jacobi(replace(geo.constant_on_box(0.1, 4.0),
-                                          _col_sup=lambda x1, a: np.full_like(x1, np.nan)),
+                                          _axis_inf=lambda x1: np.full_like(x1, np.nan)),
                                   _GEOM_05), EnvelopeViolation),
         (lambda: geo.ruled_strip(replace(geo.ruled_profile(0.3, 4.0),
                                          theta_dot=lambda x1: np.full_like(x1, np.nan)),

@@ -72,13 +72,43 @@ def test_tensor_decomposition(flat_pair):
     assert np.abs(res.eigenvalues - expected).max() < 1e-9
 
 
+def _flat_interior_pair(x):
+    """Unit-weight 1-D stiffness/mass pair on the interior nodes of ``x``."""
+    ones = np.ones((x.size - 1, 3))
+    interior = np.ones(x.size, bool)
+    interior[[0, -1]] = False
+    return sp.OperatorPair(*(sp.assemble_1d(x, [(k, ones)], interior) for k in ("dd", "mass")))
+
+
 def test_transverse_1d_levels():
     a = 1.0
     m = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=a, L=4.0, n1=8, n2=200))
-    pair = sp.OperatorPair(*operators._transverse_matrices(m.x2))
-    res = sp.lowest_eigenpairs(pair, k=3)
+    res = sp.lowest_eigenpairs(_flat_interior_pair(m.x2), k=3)
     exact = np.array([1.0, 4.0, 9.0]) * (math.pi / (2 * a)) ** 2
     assert np.abs(res.eigenvalues / exact - 1.0).max() < 1e-3
+
+
+@pytest.mark.parametrize("a, n2", [(0.5, 40), (0.5, 32), (math.pi / 2, 48), (1.0, 30)])
+def test_flat_transverse_ground_is_exact_to_round_off(a, n2):
+    """E1h lies within 1e-15 relative of a 40-digit eigensolve of the same
+    assembled pencil (its mass matrix symmetrized, which moves no entry by
+    more than one ulp): the frame operator multiplies its error by e^s."""
+    mpmath = pytest.importorskip("mpmath")
+    x2 = np.linspace(-a, a, n2 + 1)
+    pair = _flat_interior_pair(x2)
+    with mpmath.workdps(40):
+        K, M = (mpmath.matrix(A.toarray().tolist()) for A in (pair.S, pair.M))
+        Linv = mpmath.inverse(mpmath.cholesky((M + M.T) / 2))
+        A = Linv * K * Linv.T
+        ref = min(mpmath.eigsy((A + A.T) / 2, eigvals_only=True))
+        assert abs(mpmath.mpf(sp.flat_transverse_ground(x2)) / ref - 1) <= 1e-15
+
+
+def test_flat_transverse_ground_is_the_separable_propagators_lowest_level(flat_pair):
+    m, pair = flat_pair
+    _, (l2, _, _) = core._kronecker_factors(pair)
+    assert l2[0] == l2.min()
+    assert sp.flat_transverse_ground(m.x2) == l2[0]
 
 
 def test_oscillator_spectra_and_pinned_variant():
@@ -847,7 +877,7 @@ def test_element_matrices_match_assemble_1d(free_ends, ruled_certified):
     assert np.ptp(c) > 1e-3  # curved coefficients
     w = 1.0 + g**2
     local = core.element_matrices_1d(nodes, [("dd", 1.0 / c), ("mass", w * c)])
-    dense = sp.hardy._tridiagonal(local, wall=not free_ends)
+    dense = core._tridiagonal(local, wall=not free_ends)
     keep = slice(None) if free_ends else slice(None, -1)
     for i in range(3):
         ref = _coo_assemble_1d(nodes, [("dd", 1.0 / c[i]), ("mass", w * c[i])])
