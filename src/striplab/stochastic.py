@@ -58,27 +58,50 @@ class SdeSpec:
     x2: np.ndarray = None
     table: np.ndarray = None  # (3, n1, n2): b1, b2, 1/f
 
+    def __post_init__(self):
+        if self.flat:
+            return
+        # per axis, for the cell coordinate (p - origin) / h clipped to top
+        self._origin = (self.x1[0], self.x2[0])
+        self._h = (self.x1[1] - self.x1[0], self.x2[1] - self.x2[0])
+        self._top = (self.x1.size - 1.001, self.x2.size - 1.001)
+        # a view, not a copy: take on the flattened grid axis keeps each
+        # field's samples contiguous
+        self._cells = self.table.reshape(3, -1)
+
     def _bilinear(self, p1, p2):
-        """(3, len(p1)) interpolated b1, b2, 1/f."""
-        h1 = self.x1[1] - self.x1[0]
-        h2 = self.x2[1] - self.x2[0]
-        s = np.clip((p1 - self.x1[0]) / h1, 0.0, self.x1.size - 1.001)
-        t = np.clip((p2 - self.x2[0]) / h2, 0.0, self.x2.size - 1.001)
+        """(3, len(p1)) interpolated b1, b2, 1/f, computed in place as
+        ``c00 (1-fs)(1-ft) + c10 fs (1-ft) + c01 (1-fs) ft + c11 fs ft``, each
+        product and sum in that order."""
+        s = p1 - self._origin[0]
+        s /= self._h[0]
+        t = p2 - self._origin[1]
+        t /= self._h[1]
+        for c, top in ((s, self._top[0]), (t, self._top[1])):
+            np.maximum(c, 0.0, out=c)
+            np.minimum(c, top, out=c)
         i = s.astype(np.int64)
         j = t.astype(np.int64)
-        fs = s - i
-        ft = t - j
-        # one gather of all three fields per corner; take on the flattened
-        # grid axis keeps each field's samples contiguous
+        fs, ft = s, t
+        fs -= i
+        ft -= j
+        gs = 1.0 - fs
+        gt = 1.0 - ft
+        # one gather of all three fields per corner
         n2 = self.x2.size
-        flat = self.table.reshape(3, -1)
-        k = i * n2 + j
-        return (
-            flat.take(k, axis=1) * (1 - fs) * (1 - ft)
-            + flat.take(k + n2, axis=1) * fs * (1 - ft)
-            + flat.take(k + 1, axis=1) * (1 - fs) * ft
-            + flat.take(k + n2 + 1, axis=1) * fs * ft
-        )
+        k = i * n2
+        k += j
+        v = self._cells.take(k, axis=1)
+        v *= gs
+        v *= gt
+        # k walks on to the corners (i+1, j), (i, j+1) and (i+1, j+1)
+        for step, ws, wt in ((n2, fs, gt), (1 - n2, gs, ft), (n2, fs, ft)):
+            k += step
+            w = self._cells.take(k, axis=1)
+            w *= ws
+            w *= wt
+            v += w
+        return v
 
     def fields(self, p1, p2):
         """(b1, b2, sigma1) at the given positions; sigma2 is constant."""
@@ -92,7 +115,8 @@ class SdeSpec:
         if outside.any():
             v[0:2, outside] = 0.0
             v[2, outside] = 1.0
-        return v[0], v[1], _SQRT2 * v[2]
+        v[2] *= _SQRT2
+        return v[0], v[1], v[2]
 
 
 def sde_from_metric(metric: MetricField) -> SdeSpec:
@@ -144,6 +168,31 @@ class PathEnsemble:
         return self.kill_time > t + 1e-12
 
 
+# a bridge exponent at or below -_NO_KILL kills no path (see simulate_killed)
+_NO_KILL = 38.0
+
+
+def _bridge_dead(p2, q2, u, a, dt):
+    """Mask of the paths killed by a step from p2 to q2, with uniforms u.
+
+    A path dies when u < pkill: 1 for a step that leaves the strip, else the
+    chance that the bridge crosses either wall. pkill is evaluated only where
+    p2 or q2 lies within sqrt(_NO_KILL dt) of a wall, or where u is 0;
+    everywhere else it is below 2**-53 and kills nobody.
+    """
+    near = np.maximum(np.abs(p2), np.abs(q2)) > a - math.sqrt(_NO_KILL * dt)
+    near |= u == 0.0
+    idx = np.flatnonzero(near)
+    dead = np.zeros(u.size, dtype=bool)
+    if idx.size:
+        p2, q2 = p2[idx], q2[idx]
+        crossed = np.abs(q2) >= a
+        pu = np.exp(-2.0 * (a - p2) * (a - q2) / (2.0 * dt))
+        pl = np.exp(-2.0 * (a + p2) * (a + q2) / (2.0 * dt))
+        dead[idx] = u[idx] < np.where(crossed, 1.0, pu + pl - pu * pl)
+    return dead
+
+
 def simulate_killed(
     sde: SdeSpec,
     x0,
@@ -168,10 +217,24 @@ def simulate_killed(
     uniforms, for the live paths only, in ascending path order, so a chunk's
     stream depends on its deaths but stays a function of (seed, dt, n_paths).
 
+    The kill probability is computed only where a path can die, and that is
+    exact, not an approximation. A path dies when u < pkill, and u, from
+    ``Generator.random()``, is a multiple of 2^-53, so u is 0 or at least
+    2^-53. When p2 and q2 both lie at least sqrt(c dt) from each wall
+    (c = 38), both bridge exponents -d_old d_new / dt are at most -c, and
+    pkill <= 2 e^-c < 2^-53, because 54 ln 2 = 37.43. So only paths with
+    max(|p2|, |q2|) > a - sqrt(c dt), or with u = 0, take the formula; on
+    criterion 8's negative strip that is about one live path-step in ten.
+    Every other path survives, as it does under the formula.
+
+    ``box_limit`` warns when more than 0.1 % of the paths alive at ``t_max``
+    stand beyond |x1| = box_limit there.
+
     The inputs are checked before any step: ``BadStart`` for an ``x0`` that
     is not a finite point of the open strip, ``ValueError`` for a ``dt`` not
     positive and finite, an ``n_paths`` below 1 or a negative ``seed``,
-    ``StepTooLarge`` for dt > a^2/100, ``BadCheckpoint`` for a checkpoint
+    ``StepTooLarge`` for dt > a^2/100, ``BadCheckpoint`` for an empty
+    ``checkpoints`` or for a checkpoint
     (by default ``t_max``) that is not a nonnegative finite time, then
     ``ValueError`` for a ``t_max`` that is not one, ``CheckpointMissing`` for
     a ``t_max`` that is not a multiple of ``dt`` to 1e-9 max(1, t_max), and
@@ -192,6 +255,8 @@ def simulate_killed(
         raise StepTooLarge(f"dt = {dt} exceeds a^2/100 = {a ** 2 / 100.0:.3g}")
     if checkpoints is None:
         checkpoints = [t_max]
+    if len(checkpoints) == 0:
+        raise BadCheckpoint(f"checkpoints = {checkpoints!r} lists no time")
     for t in checkpoints:
         if not 0 <= t < math.inf:
             raise BadCheckpoint(f"checkpoint t = {t} is not a nonnegative finite time")
@@ -214,67 +279,63 @@ def simulate_killed(
 
     positions = np.empty((len(check_steps), n_paths, 2), dtype=np.float32)
     kill_time = np.full(n_paths, np.inf)
+    check_at = {}
+    for ci, k in enumerate(check_steps):
+        check_at.setdefault(int(k), []).append(ci)
+    n_final = n_beyond = 0     # survivors at t_max, and those beyond box_limit
 
     sqdt = math.sqrt(dt)
-    for c0 in range(0, n_paths, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_paths)
-        m = c1 - c0
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(c0 // _CHUNK,)))
-        )
-        # last[k]: where path k died, or where it was at the latest checkpoint
-        last = np.tile((x10, x20), (m, 1))
-        ktime = np.full(m, np.inf)
-        live = np.arange(m)
-        p1 = np.full(m, x10)
-        p2 = np.full(m, x20)
-        for ci in np.flatnonzero(check_steps == 0):
-            positions[ci, c0:c1] = last
-        step = 0
-        while step < n_steps and live.size:
-            step += 1
-            z = rng.standard_normal((live.size, 2))
-            u = rng.random(live.size)
-            b1, b2, s1 = sde.fields(p1, p2)
-            q1 = p1 + b1 * dt + s1 * sqdt * z[:, 0]
-            q2 = p2 + b2 * dt + _SQRT2 * sqdt * z[:, 1]
-            # wall kill: direct exit, then bridge crossing against each wall
-            crossed = np.abs(q2) >= a
-            d0u, d1u = a - p2, a - q2
-            d0l, d1l = a + p2, a + q2
-            with np.errstate(over="ignore"):
-                pu = np.exp(-2.0 * d0u * d1u / (2.0 * dt))
-                pl = np.exp(-2.0 * d0l * d1l / (2.0 * dt))
-            pkill = np.where(crossed, 1.0, pu + pl - pu * pl)
-            dead = u < pkill
-            if dead.any():
-                gone = live[dead]
-                ktime[gone] = step * dt
-                last[gone, 0] = p1[dead]
-                last[gone, 1] = p2[dead]
-                keep = ~dead
-                live, q1, q2 = live[keep], q1[keep], q2[keep]
-            p1, p2 = q1, q2
-            for ci in np.flatnonzero(check_steps == step):
-                last[live, 0] = p1
-                last[live, 1] = p2
-                positions[ci, c0:c1] = last
-        # checkpoints after the last death see every path frozen
-        for ci in np.flatnonzero(check_steps > step):
-            positions[ci, c0:c1] = last
-        kill_time[c0:c1] = ktime
-
-    if box_limit is not None:
-        final_alive = kill_time > t_max
-        if final_alive.any():
-            beyond = float(
-                (np.abs(positions[-1, :, 0][final_alive]) > box_limit).mean()
+    # a bridge exponent overflows for a path far past a wall, where the
+    # direct exit decides the kill
+    with np.errstate(over="ignore"):
+        for c0 in range(0, n_paths, _CHUNK):
+            c1 = min(c0 + _CHUNK, n_paths)
+            m = c1 - c0
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(c0 // _CHUNK,)))
             )
-            if beyond > 1e-3:
-                warnings.warn(
-                    f"{beyond:.2%} of surviving paths left the bookkeeping box",
-                    stacklevel=2,
-                )
+            # last[k]: where path k died, or where it was at the latest checkpoint
+            last = np.tile((x10, x20), (m, 1))
+            ktime = np.full(m, np.inf)
+            live = np.arange(m)
+            p1 = np.full(m, x10)
+            p2 = np.full(m, x20)
+            for ci in check_at.get(0, ()):
+                positions[ci, c0:c1] = last
+            step = 0
+            while step < n_steps and live.size:
+                step += 1
+                z = rng.standard_normal((live.size, 2))
+                u = rng.random(live.size)
+                b1, b2, s1 = sde.fields(p1, p2)
+                q1 = p1 + b1 * dt + s1 * sqdt * z[:, 0]
+                q2 = p2 + b2 * dt + _SQRT2 * sqdt * z[:, 1]
+                dead = _bridge_dead(p2, q2, u, a, dt)
+                if dead.any():
+                    gone = live[dead]
+                    ktime[gone] = step * dt
+                    last[gone, 0] = p1[dead]
+                    last[gone, 1] = p2[dead]
+                    keep = ~dead
+                    live, q1, q2 = live[keep], q1[keep], q2[keep]
+                p1, p2 = q1, q2
+                for ci in check_at.get(step, ()):
+                    last[live, 0] = p1
+                    last[live, 1] = p2
+                    positions[ci, c0:c1] = last
+            # checkpoints after the last death see every path frozen
+            for ci in np.flatnonzero(check_steps > step):
+                positions[ci, c0:c1] = last
+            kill_time[c0:c1] = ktime
+            if step == n_steps and box_limit is not None:
+                n_final += live.size
+                n_beyond += int(np.count_nonzero(np.abs(p1) > box_limit))
+
+    if n_final and n_beyond / n_final > 1e-3:
+        warnings.warn(
+            f"{n_beyond / n_final:.2%} of surviving paths left the bookkeeping box",
+            stacklevel=2,
+        )
     return PathEnsemble(
         n_paths=n_paths,
         x0=(x10, x20),

@@ -202,6 +202,8 @@ def test_fields_bit_identical_to_reference(where, ruled_sde):
         assert np.array_equal(got, want)
 
 
+_FLAT_DT_MAX = (math.pi / 2) ** 2 / 100.0  # the largest dt the flat_sde strip allows
+
 _IDENTITY_CASES = {
     "flat": ("flat", dict(x0=(0.0, 0.0), t_max=0.3, dt=1e-3, n_paths=3000, seed=99,
                           checkpoints=[0.1, 0.3])),
@@ -216,6 +218,13 @@ _IDENTITY_CASES = {
     "all-dead-before-last-checkpoint": ("flat", dict(x0=(0.0, 0.5), t_max=20.0, dt=0.02,
                                                      n_paths=40, seed=1,
                                                      checkpoints=[1.0, 5.0, 20.0])),
+    # starts near a wall, so many path-steps take the bridge formula
+    "ruled-near-a-wall": ("ruled", dict(x0=(0.5, 0.9), t_max=0.25, dt=0.0025, n_paths=3000,
+                                        seed=13, checkpoints=[0.05, 0.25])),
+    "flat-near-a-wall-largest-dt": ("flat", dict(x0=(0.0, 1.4), t_max=30 * _FLAT_DT_MAX,
+                                                 dt=_FLAT_DT_MAX, n_paths=3000, seed=14,
+                                                 checkpoints=[5 * _FLAT_DT_MAX,
+                                                              30 * _FLAT_DT_MAX])),
 }
 
 
@@ -230,6 +239,62 @@ def test_live_set_loop_bit_identical_to_reference(case, flat_sde, ruled_sde):
     if case == "all-dead-before-last-checkpoint":
         # the chunk ends early, so the last checkpoints come from frozen positions
         assert ens.kill_time.max() < kw["checkpoints"][-2]
+
+
+def _full_kill(p2, q2, u, a, dt):
+    """The bridge kill evaluated on every path."""
+    crossed = np.abs(q2) >= a
+    with np.errstate(over="ignore"):
+        pu = np.exp(-2.0 * (a - p2) * (a - q2) / (2.0 * dt))
+        pl = np.exp(-2.0 * (a + p2) * (a + q2) / (2.0 * dt))
+    return u < np.where(crossed, 1.0, pu + pl - pu * pl)
+
+
+@pytest.mark.parametrize("a, dt", [(1.0, 1.0 / 100.0), (1.0, 0.0025), (math.pi / 2, 0.005),
+                                   (math.pi / 2, (math.pi / 2) ** 2 / 100.0)])
+def test_bridge_kill_only_where_a_path_can_die_matches_the_full_formula(a, dt):
+    edge = a - math.sqrt(st._NO_KILL * dt)
+    # exactly at distance sqrt(c dt) from a wall, one ulp either side, well
+    # inside, on a wall and past it
+    levels = [0.0, 0.3 * edge, np.nextafter(edge, 0.0), edge, np.nextafter(edge, a),
+              0.5 * (edge + a), np.nextafter(a, 0.0), a, a + 1e-3, a + 0.5]
+    levels = np.array(levels + [-x for x in levels])
+    uniforms = np.array([0.0, 2.0**-53, 2.0**-52, 1e-12, 1e-3, 0.5, 1.0 - 2.0**-53])
+    p2, q2, u = (g.ravel() for g in np.meshgrid(levels[np.abs(levels) < a], levels, uniforms))
+    dead = st._bridge_dead(p2, q2, u, a, dt)
+    assert np.array_equal(dead, _full_kill(p2, q2, u, a, dt))
+    # a step that leaves the strip always kills; u = 0 kills wherever the
+    # bridge probability is positive, and 2**-53 no path that stays far
+    # from both walls
+    assert dead[np.abs(q2) >= a].all()
+    far = (np.abs(p2) <= edge) & (np.abs(q2) <= edge)
+    assert dead[(u == 0.0) & far].any()
+    assert not dead[(u > 0.0) & far].any()
+
+
+def test_uniform_draws_are_multiples_of_2_to_the_minus_53():
+    """The bridge kill's cut rests on this: a nonzero uniform is at least 2**-53."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=78, spawn_key=(0,)))
+    )
+    u = rng.random(10**5) * 2**53
+    assert np.array_equal(u, np.floor(u))
+
+
+@pytest.mark.parametrize("checkpoints", [[0.0, 2.0], [2.0, 0.0], [2.0]])
+def test_box_warning_reads_the_survivors_at_t_max(flat_sde, checkpoints):
+    """The share of survivors beyond box_limit is taken at t_max, whatever
+    order the checkpoints come in."""
+    _, sde = flat_sde
+    kw = dict(x0=(0.0, 0.0), t_max=2.0, dt=0.01, n_paths=2000, seed=3)
+    with pytest.warns(UserWarning) as record:
+        ens = st.simulate_killed(sde, checkpoints=checkpoints, box_limit=0.5, **kw)
+    alive = ens.alive_at(2.0)
+    x1 = ens.positions[ens.checkpoint_index(2.0), alive, 0].astype(float)
+    share = np.count_nonzero(np.abs(x1) > 0.5) / alive.sum()
+    assert [str(w.message) for w in record] == [
+        f"{share:.2%} of surviving paths left the bookkeeping box"
+    ]
 
 
 def test_zero_horizon_ensemble(flat_sde):
@@ -275,12 +340,13 @@ def test_preconditions(flat_sde):
         # 0.1 / 0.006 rounds to 17 steps, which would end at t = 0.102
         (dict(dt=0.006, checkpoints=[0.06]), CheckpointMissing,
          "t_max = 0.1 is not a multiple of dt = 0.006"),
+        (dict(checkpoints=[]), BadCheckpoint, r"checkpoints = \[\] lists no time"),
     ],
     ids=["negative-checkpoint", "negative-t_max", "nan-checkpoint", "nan-dt", "negative-dt",
          "zero-dt", "no-paths", "nan-x0", "infinite-x0", "infinite-t_max",
          "infinite-t_max-with-checkpoints", "negative-t_max-with-checkpoints",
          "nan-t_max-with-checkpoints", "checkpoint-after-t_max", "checkpoint-past-the-slack",
-         "t_max-off-the-dt-lattice"],
+         "t_max-off-the-dt-lattice", "no-checkpoints"],
 )
 def test_simulate_killed_rejects_bad_inputs_before_any_step(flat_sde, monkeypatch, change, error, named):
     _, sde = flat_sde

@@ -12,7 +12,13 @@ and the `repr` of one `perturbed_threshold` value on the flat and the
 ruled certified strips of `tests/test_spectral.py`. Last come the lines
 that `strip-lab oracle` prints for a fixed set of `survival` (with and
 without a box), `kernel`, `p0` and `modes` queries, run through
-`cli.main`. So
+`cli.main`, and one `sha256` of `kill_time.tobytes() + positions.tobytes()`
+for each of criterion 8's two Monte Carlo ensembles (its negative and its
+flat strip, with its `dt`, lattice and seed) at 65 636 paths, so that two
+chunks and their streams are covered; criterion 8's aggregates alone would
+not show a moved path. These two lines add about 1 s to the run (0.8 s for
+the negative strip, 0.15 s for the flat one, on one core of an AMD EPYC
+virtual machine). So
 
     python tools/output_digest.py > after.txt
 
@@ -37,6 +43,7 @@ import numpy as np  # noqa: E402
 from striplab import cli  # noqa: E402
 from striplab import geometry as geo  # noqa: E402
 from striplab import spectral as sp  # noqa: E402
+from striplab import stochastic as st  # noqa: E402
 from striplab.acceptance import run_criterion  # noqa: E402
 
 CRITERIA = (1, 2, 3, 4, 5, 6, 7, 9, 10)
@@ -52,6 +59,8 @@ ORACLE_QUERIES = (
     "modes a=1.0",
     "modes a=0.5 n=5",
 )
+
+MC_PATHS = 65_636  # one full chunk of 65 536 paths and 100 paths of a second
 
 
 def _threshold_lines():
@@ -84,6 +93,26 @@ def _oracle_lines():
             yield f"oracle {query} -> {code} {line}"
 
 
+def _mc_lines():
+    """One digest line per ensemble of criterion 8, at MC_PATHS paths."""
+    a = math.pi / 2
+    flat = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=a, L=40.0, n1=80, n2=16))
+    negative = geo.ruled_strip(
+        geo.ruled_profile(0.85, 8.0, plateau_fraction=0.75),
+        geo.StripGeometry(a=a, L=40.0, n1=400, n2=32),
+    )
+    for name, m, lattice, dt, seed in (
+        ("negative", negative, [5.0, 5.5, 6.0, 6.5, 7.0, 7.5], 0.005, 78),
+        ("flat", flat, [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 0.02, 77),
+    ):
+        ens = st.simulate_killed(
+            st.sde_from_metric(m), (0.0, 0.0), t_max=lattice[-1], dt=dt, n_paths=MC_PATHS,
+            seed=seed, checkpoints=lattice,
+        )
+        digest = hashlib.sha256(ens.kill_time.tobytes() + ens.positions.tobytes()).hexdigest()
+        yield f"{digest}  mc/criterion-8-{name}"
+
+
 def main() -> int:
     configs = sorted(ROOT.glob("configs/*.ini")) + sorted(ROOT.glob("perfbench/inputs/*.ini"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,6 +130,8 @@ def main() -> int:
         r = run_criterion(number)
         print(f"{r.number} {r.passed} {r.detail}", flush=True)
     for line in _oracle_lines():
+        print(line, flush=True)
+    for line in _mc_lines():
         print(line, flush=True)
     return 0
 
