@@ -82,8 +82,8 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     plain norm of the datum.
     """
     grid = pair.grid
-    x1g = np.repeat(grid.x1, grid.x2.size)[grid.keep]
-    x2g = np.tile(grid.x2, grid.x1.size)[grid.keep]
+    x1g = grid.restrict(grid.x1[:, None])
+    x2g = grid.restrict(grid.x2)
     a = float(grid.x2[-1])
     if kind == "mode":
         if not alpha > 0.5:  # NaN included
@@ -326,13 +326,10 @@ def project_mode1(state: HeatState, pair: OperatorPair) -> float:
     j1 = mode_function(1, float(x2[-1]), x2)
     w2 = np.full(x2.size, h2)
     w2[0] = w2[-1] = h2 / 2.0
-    n1, n2 = pair.grid.shape
-    full = np.zeros(n1 * n2)
-    full[pair.grid.keep] = state.u
-    U = full.reshape(n1, n2)
+    U = pair.grid.extend(state.u)
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
-    return _norm_f(pair, R.ravel()[pair.grid.keep])
+    return _norm_f(pair, pair.grid.restrict(R))
 
 
 @dataclass(frozen=True)

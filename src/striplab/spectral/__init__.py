@@ -12,8 +12,6 @@ from .core import (
 from .hardy import (
     HardyConstants,
     ThinStripBound,
-    ThresholdProbe,
-    essential_threshold_probe,
     hardy_constant,
     hardy_verify,
     hardy_weight,
@@ -52,8 +50,6 @@ __all__ = [
     "lowest_eigenpairs",
     "HardyConstants",
     "ThinStripBound",
-    "ThresholdProbe",
-    "essential_threshold_probe",
     "hardy_constant",
     "hardy_verify",
     "hardy_weight",

@@ -277,7 +277,9 @@ def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class WeightedGrid:
-    """Tensor grid with the mask of its kept (non-Dirichlet) nodes."""
+    """Tensor grid with the mask of its kept (non-Dirichlet) nodes, the
+    unknowns of its pairs in x1-major order; ``restrict`` and ``extend`` are
+    the one map between nodal arrays of its ``shape`` and kept-node vectors."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -286,6 +288,17 @@ class WeightedGrid:
     @property
     def shape(self):
         return (self.x1.size, self.x2.size)
+
+    def restrict(self, values) -> np.ndarray:
+        """The kept-node vector of a nodal array of the grid's shape, or of
+        one that broadcasts to it, such as ``x1[:, None]``."""
+        return np.broadcast_to(values, self.shape)[self.keep.reshape(self.shape)]
+
+    def extend(self, u) -> np.ndarray:
+        """The nodal array of the kept-node vector ``u``, zero on masked nodes."""
+        full = np.zeros(self.shape)
+        full[self.keep.reshape(self.shape)] = u
+        return full
 
 
 def make_grid(x1, x2) -> WeightedGrid:

@@ -1,9 +1,10 @@
-"""Transverse gaps, Hardy constants and threshold probes.
+"""Transverse gaps, Hardy constants and the perturbed threshold.
 
 The quantities here certify (or falsify) the positivity of the shifted
 operator: the column-wise transverse gap mu, the explicit Hardy constants
 of the weighted strip, the thin-strip lower bound, randomized verification
-of the operator inequality, and stability probes of the spectral threshold.
+of the operator inequality, and the lowest eigenvalue under an attractive
+potential.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import HypothesisFailed
-from ..geometry import MetricField, StripGeometry, smooth_cutoff
+from ..geometry import MetricField, smooth_cutoff
 from ..oracle import mode_function, transverse_energy
 from .core import (
     OperatorPair,
@@ -21,7 +22,6 @@ from .core import (
     _tridiagonal,
     element_matrices_1d,
     gauss_points_1d,
-    make_grid,
 )
 from .operators import _half_nodes, assemble_hk, assemble_potential, flat_transverse_ground
 from .solve import lowest_eigenpairs
@@ -37,8 +37,6 @@ __all__ = [
     "hardy_weight",
     "hardy_verify",
     "perturbed_threshold",
-    "ThresholdProbe",
-    "essential_threshold_probe",
 ]
 
 _MU_BATCH_ENTRIES = 1 << 21
@@ -229,7 +227,7 @@ def thin_strip_bound(profile, a: float, x1) -> ThinStripBound:
 
 def _trial_vectors(grid, a: float, trials: int, seed: int):
     """Deterministic compactly supported trial family on the full grid,
-    yielded one flattened vector at a time.
+    yielded one nodal array of the grid's shape at a time.
 
     Mixes three shapes: pure first-mode envelopes (including the widest one,
     the canonical near-critical witness), mode-mixed envelopes, and mildly
@@ -254,7 +252,7 @@ def _trial_vectors(grid, a: float, trials: int, seed: int):
         if i % 3 == 2:
             bubble = (a**2 - x2**2) / a**2
             psi = psi + 0.05 * rng.standard_normal(psi.shape) * env[:, None] * bubble[None, :]
-        yield psi.ravel()
+        yield psi
 
 
 def hardy_weight(metric: MetricField, cert: HardyConstants) -> np.ndarray:
@@ -265,6 +263,21 @@ def hardy_weight(metric: MetricField, cert: HardyConstants) -> np.ndarray:
     return (cert.c_K / (1.0 + (metric.x1 - x10) ** 2))[:, None] * np.ones_like(metric.x2)[None, :]
 
 
+def _nodal_field(metric: MetricField, values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` naming what it got unless it
+    is finite and of the metric's nodal shape: a NaN would pass any later sign
+    check, since comparisons with it are false."""
+    values = np.asarray(values, float)
+    shape = (metric.x1.size, metric.x2.size)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if values.shape != shape or bad:
+        raise ValueError(
+            f"{name} must be a finite nodal array of shape {shape}, not one of shape "
+            f"{values.shape} with {bad} of its {values.size} entries non-finite"
+        )
+    return values
+
+
 def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -> float:
     """Minimum randomized margin of  S - E1 M - M_rho  over ``trials`` trial
     vectors, with (S, M) = ``assemble_hk(metric)`` on the metric's own grid,
@@ -273,14 +286,14 @@ def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -
 
     A negative return is a valid falsification, not an error. The trial
     family mixes narrow, wide and mildly rough compactly supported shapes.
-    ``ValueError`` is raised for fewer than one trial, a negative ``seed``
-    and a weight with a negative value.
+    ``ValueError`` is raised, before assembly, for fewer than one trial, a
+    negative ``seed``, and a weight that ``_nodal_field`` refuses or that is negative.
     """
     if trials < 1:
         raise ValueError(f"hardy_verify needs at least one trial, not trials = {trials}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, not {seed}")
-    rho = np.asarray(rho, float)
+    rho = _nodal_field(metric, rho, "the candidate weight")
     if rho.min() < 0:
         raise ValueError("the candidate weight must be nonnegative")
     pair = assemble_hk(metric)
@@ -290,7 +303,7 @@ def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -
     e1 = transverse_energy(1, a)
     margins = np.empty(trials)
     for i, psi in enumerate(_trial_vectors(grid, a, trials, seed)):
-        v = psi[grid.keep]
+        v = grid.restrict(psi)
         denom = float(v @ (pair.M @ v))
         margins[i] = (float(v @ (pair.S @ v)) - e1 * denom - float(v @ (M_rho @ v))) / denom
     return float(margins.min())
@@ -298,9 +311,10 @@ def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -
 
 def perturbed_threshold(metric: MetricField, v_nodal: np.ndarray) -> float:
     """Lowest eigenvalue of ``assemble_hk(metric)``, on the metric's own grid,
-    with the attractive potential of nodal values ``v_nodal`` (nonpositive,
-    else ``ValueError``) added to its stiffness matrix."""
-    v_nodal = np.asarray(v_nodal, float)
+    with the attractive potential of nodal values ``v_nodal`` (nonpositive and
+    accepted by ``_nodal_field``, else ``ValueError`` before assembly) added to
+    its stiffness matrix."""
+    v_nodal = _nodal_field(metric, v_nodal, "the perturbation")
     if v_nodal.max() > 0:
         raise ValueError("perturbation must be nonpositive")
     pair = assemble_hk(metric)
@@ -308,52 +322,3 @@ def perturbed_threshold(metric: MetricField, v_nodal: np.ndarray) -> float:
     perturbed = OperatorPair(S=(pair.S + M_v).tocsr(), M=pair.M, grid=pair.grid)
     res = lowest_eigenpairs(perturbed, k=1)
     return float(res.eigenvalues[0])
-
-
-@dataclass(frozen=True)
-class ThresholdProbe:
-    limit: float
-    slope: float
-    table: np.ndarray          # (len(L_values), k) eigenvalues per truncation, L ascending
-    discrete_limits: np.ndarray
-
-
-def essential_threshold_probe(metric: MetricField, L_values, k: int = 5) -> ThresholdProbe:
-    """Track the lowest eigenvalues over growing truncation boxes and
-    extrapolate the continuum edge in 1/L^2.
-
-    Branches whose 1/L^2 slope stays below 1/2 in magnitude are classified as
-    discrete states; the reported limit is the smallest extrapolated value
-    among the remaining (box-dominated) branches.
-    """
-    L_values = np.asarray(sorted(L_values), float)
-    if L_values.size < 2:
-        raise ValueError("need at least two truncation lengths")
-    h1 = float(metric.x1[1] - metric.x1[0])
-    x2 = metric.x2
-    a = float(x2[-1])
-    n2 = x2.size - 1
-    table = np.empty((L_values.size, k))
-    for i, L in enumerate(L_values):
-        n1 = int(round(2 * L / h1))
-        geom = StripGeometry(a=a, L=float(L), n1=n1, n2=n2)
-        # assembly reads the metric only through its sampler
-        pair = assemble_hk(metric, make_grid(geom.x1, x2))
-        table[i] = lowest_eigenpairs(pair, k=k).eigenvalues
-
-    design = np.column_stack([np.ones_like(L_values), 1.0 / L_values**2])
-    limits = np.empty(k)
-    slopes = np.empty(k)
-    for j in range(k):
-        coef, *_ = np.linalg.lstsq(design, table[:, j], rcond=None)
-        limits[j], slopes[j] = coef
-    continuum = np.abs(slopes) >= 0.5
-    if not continuum.any():
-        raise ValueError("no box-dominated branch found; increase k")
-    jstar = int(np.flatnonzero(continuum)[0])
-    return ThresholdProbe(
-        limit=float(limits[jstar]),
-        slope=float(slopes[jstar]),
-        table=table,
-        discrete_limits=limits[~continuum],
-    )

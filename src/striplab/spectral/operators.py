@@ -87,9 +87,8 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
 def _checked_pair(grid: WeightedGrid, terms_S, F) -> OperatorPair:
     """The checked pair of stiffness ``terms_S`` and mass weight ``F`` on the
     grid's kept nodes."""
-    keep = grid.keep
-    S = assemble_2d(grid.x1, grid.x2, terms_S, keep)
-    M = assemble_2d(grid.x1, grid.x2, [("mass", F)], keep)
+    S = assemble_2d(grid.x1, grid.x2, terms_S, grid.keep)
+    M = assemble_2d(grid.x1, grid.x2, [("mass", F)], grid.keep)
     pair = OperatorPair(S, M, grid=grid)
     pair.check()
     return pair
@@ -170,7 +169,7 @@ def frame_sweep(metric: MetricField, s_values, half_width: float, n_cells: int) 
     eigenvector."""
     grid_y = make_y_grid(metric, half_width, n_cells)
     x2 = grid_y.x2
-    start = np.outer(np.exp(-grid_y.x1**2 / 8.0), mode_function(1, x2[-1], x2)).ravel()[grid_y.keep]
+    start = grid_y.restrict(np.outer(np.exp(-grid_y.x1**2 / 8.0), mode_function(1, x2[-1], x2)))
     results = []
     for s in s_values:
         res = lowest_eigenpairs(assemble_Ls(metric, s, grid_y), k=1, start=start)

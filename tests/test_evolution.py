@@ -88,6 +88,30 @@ def flat_open_ends(flat_small):
     return m, sp.assemble_hk(m, sp.WeightedGrid(m.x1, m.x2, keep.ravel()))
 
 
+@pytest.mark.parametrize("name", ["interior", "half-frame", "open-ends"])
+def test_extend_and_restrict_are_the_kept_node_layout(flat_small, flat_open_ends, name):
+    """``restrict`` inverts ``extend`` bit for bit, ``extend`` leaves exact
+    zeros on the masked nodes, and both agree with the x1-major flattening
+    through the mask they replaced."""
+    m, _ = flat_small
+    grid = {
+        "interior": sp.make_grid(m.x1, m.x2),
+        "half-frame": sp.make_y_grid(m, 14.0, 112),
+        "open-ends": flat_open_ends[1].grid,
+    }[name]
+    n1, n2 = grid.shape
+    u = np.random.default_rng(5).standard_normal(np.count_nonzero(grid.keep))
+    u[::7] = -0.0
+    full = grid.extend(u)
+    assert full.shape == grid.shape
+    assert grid.restrict(full).tobytes() == u.tobytes()
+    assert full.ravel()[grid.keep].tobytes() == u.tobytes()
+    masked = full.ravel()[~grid.keep]
+    assert masked.size > 0 and np.all(masked == 0.0) and not np.signbit(masked).any()
+    assert np.array_equal(grid.restrict(grid.x1[:, None]), np.repeat(grid.x1, n2)[grid.keep])
+    assert np.array_equal(grid.restrict(grid.x2), np.tile(grid.x2, n1)[grid.keep])
+
+
 @pytest.mark.parametrize(
     "case, t_grid, shift",
     [
@@ -440,8 +464,8 @@ def test_flat_norm_matches_closed_form_series():
     geom = geo.StripGeometry(a=a, L=25.0, n1=625, n2=112)
     m = geo.solve_jacobi(geo.zero_profile(), geom)
     pair = sp.assemble_hk(m)
-    x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
-    x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
+    x1g = pair.grid.restrict(m.x1[:, None])
+    x2g = pair.grid.restrict(m.x2)
     sig = 2.0
     u0v = np.exp(-(x1g**2) / (2 * sig**2)) * mode_function(1, a, x2g)
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=0.0)
@@ -454,8 +478,8 @@ def test_flat_norm_matches_closed_form_series():
 def test_project_mode1_pure_and_orthogonal(flat_small):
     m, pair = flat_small
     a = math.pi / 2
-    x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
-    x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
+    x1g = pair.grid.restrict(m.x1[:, None])
+    x2g = pair.grid.restrict(m.x2)
     g = np.exp(-(x1g**2) / 4.0)
     u1 = ev.HeatState(u=g * mode_function(1, a, x2g), t=0.0, norm_f=1.0)
     assert ev.project_mode1(u1, pair) < 2e-3
@@ -468,8 +492,8 @@ def test_project_mode1_pure_and_orthogonal(flat_small):
 def test_mode1_dominance_rate(flat_small):
     m, pair = flat_small
     a = math.pi / 2
-    x1g = np.repeat(m.x1, m.x2.size)[pair.grid.keep]
-    x2g = np.tile(m.x2, m.x1.size)[pair.grid.keep]
+    x1g = pair.grid.restrict(m.x1[:, None])
+    x2g = pair.grid.restrict(m.x2)
     g = np.exp(-(x1g**2) / 4.0)
     u0v = g * (mode_function(1, a, x2g) + mode_function(2, a, x2g))
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0)

@@ -1,0 +1,51 @@
+"""Only ``spectral.core`` knows how the unknowns sit among a grid's nodes:
+everywhere else maps between nodal arrays and kept-node vectors through
+``WeightedGrid.restrict`` and ``WeightedGrid.extend``."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import striplab
+
+_SRC = Path(striplab.__file__).parent
+_OWNER = _SRC / "spectral" / "core.py"
+
+
+def _is_keep(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "keep"
+
+
+def _mask_subscripts(source: str) -> list:
+    """Line numbers of the subscripts that index with a ``.keep`` attribute,
+    as ``u[grid.keep]`` and ``full[grid.keep] = u`` do, or index, and so
+    assign, through one, as ``grid.keep[0] = False`` does."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript)
+        and (_is_keep(node.value) or any(_is_keep(n) for n in ast.walk(node.slice)))
+    ]
+
+
+def test_the_check_finds_every_form_of_mask_indexing():
+    source = "\n".join([
+        "v = psi[grid.keep]",
+        "full[pair.grid.keep] = u",
+        "r = R.ravel()[pair.grid.keep]",
+        "grid.keep[0] = False",
+        "x = np.repeat(x1, n2)[(grid.keep)]",
+        "S = assemble_2d(grid.x1, grid.x2, terms, grid.keep)",
+        "keep[1:-1, 1:-1] = True",
+        "live = live[keep]",
+    ])
+    assert _mask_subscripts(source) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in _SRC.rglob("*.py") if p != _OWNER),
+    ids=lambda p: str(p.relative_to(_SRC)),
+)
+def test_no_module_but_core_indexes_with_the_mask(path):
+    assert _mask_subscripts(path.read_text()) == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -442,31 +443,45 @@ def test_shift_inside_spectrum_detected(flat_pair):
         sp.lowest_eigenpairs(pair, k=2, sigma=1.005)
 
 
-def test_essential_threshold_probe_flat():
-    m = geo.solve_jacobi(
-        geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=16.0, n1=128, n2=40)
-    )
-    probe = sp.essential_threshold_probe(m, [16.0, 24.0, 32.0], k=4)
-    assert abs(probe.limit - 1.0) < 1e-3
-    assert probe.discrete_limits.size == 0
-    assert probe.slope > 1.0
+def _poisoned(v, value):
+    """A copy of the nodal array ``v`` with ``value`` at one interior node."""
+    v = v.copy()
+    v[v.shape[0] // 2, v.shape[1] // 2] = value
+    return v
 
 
-def test_essential_threshold_probe_positive_bump_keeps_bound_state():
-    prof = geo.gaussian_bump(amplitude=0.45, width=2.0, support_radius=8.0)
-    m = geo.solve_jacobi(prof, geo.StripGeometry(a=1.0, L=16.0, n1=128, n2=24))
-    probe = sp.essential_threshold_probe(m, [16.0, 24.0, 32.0], k=4)
-    e1 = (math.pi / 2.0) ** 2
-    assert probe.discrete_limits.size >= 1
-    assert probe.discrete_limits.min() < e1 - 0.05
-    assert probe.limit == pytest.approx(e1, abs=0.02)
-
-
-def test_essential_threshold_probe_negative_no_bound_state(ruled_certified):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, field: sp.hardy_verify(m, field, trials=10, seed=3),
+        lambda m, field: sp.perturbed_threshold(m, -np.abs(field)),
+    ],
+    ids=["hardy_verify", "perturbed_threshold"],
+)
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (lambda v: _poisoned(v, np.nan), "(193, 41) with 1 of its 7913"),
+        (lambda v: _poisoned(v, np.inf), "(193, 41) with 1 of its 7913"),
+        (lambda v: v.ravel(), "(7913,) with 0 of its 7913"),
+        (lambda v: v[:, :-1], "(193, 40) with 0 of its 7720"),
+    ],
+    ids=["nan", "inf", "flattened", "one-column-short"],
+)
+def test_nodal_inputs_that_are_not_finite_or_not_nodal_are_refused(
+    ruled_certified, monkeypatch, call, bad, named
+):
+    """A NaN passes every sign check, since comparisons with it are false, so
+    both functions check that their nodal input is finite and of the metric's
+    shape, and name what they got, before anything is assembled."""
     m = ruled_certified
-    probe = sp.essential_threshold_probe(m, [12.0, 18.0, 24.0], k=4)
-    assert probe.discrete_limits.size == 0
-    assert probe.limit == pytest.approx(math.pi**2, abs=0.02)
+    field = 0.01 * np.exp(-m.x1[:, None] ** 2) * np.ones(m.x2.size)[None, :]
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the input was checked")
+    monkeypatch.setattr(sp.hardy, "assemble_hk", no_assembly)
+    with pytest.raises(ValueError, match=re.escape("of shape (193, 41), not one of shape " + named)):
+        call(m, bad(field))
 
 
 # ---------------------------------------------------------------------------

@@ -564,8 +564,8 @@ def test_occupation_measure_matches_pde_on_curved_strip():
         s = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
         return np.sin(math.pi * s) ** 2
 
-    x1g = np.repeat(pair.grid.x1, pair.grid.x2.size)[pair.grid.keep]
-    x2g = np.tile(pair.grid.x2, pair.grid.x1.size)[pair.grid.keep]
+    x1g = pair.grid.restrict(pair.grid.x1[:, None])
+    x2g = pair.grid.restrict(pair.grid.x2)
     u0v = smooth_bump(x1g, 0.0, 2.0) * smooth_bump(x2g, -0.4, 0.5)
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=1.0)
     t_star = 0.75

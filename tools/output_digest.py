@@ -5,11 +5,10 @@ Runs every shipped `configs/*.ini` and every benchmark input
 `perfbench/inputs/*.ini` (read only) into a temporary directory, then the
 acceptance criteria 1-7, 9 and 10 (criterion 8 is the long Monte Carlo
 one). Prints one `sha256  relative/path` line per CSV or JSON output and one
-`number passed detail` line per criterion, without its seconds. For the
-threshold probe and the perturbed threshold, which no config or criterion
-writes out, it prints the `sha256` of `essential_threshold_probe(...).table`
-and the `repr` of one `perturbed_threshold` value on the flat and the
-ruled certified strips of `tests/test_spectral.py`. Last come the lines
+`number passed detail` line per criterion, without its seconds. Criterion 10
+prints `perturbed_threshold` only to five digits, so the `repr` of one value
+of it on each of the flat and the ruled certified strips of
+`tests/test_spectral.py` follows the configs. Last come the lines
 that `strip-lab oracle` prints for a fixed set of `survival` (with and
 without a box), `kernel`, `p0` and `modes` queries, run through
 `cli.main`, and one `sha256` of `kill_time.tobytes() + positions.tobytes()`
@@ -64,21 +63,15 @@ MC_PATHS = 65_636  # one full chunk of 65 536 paths and 100 paths of a second
 
 
 def _threshold_lines():
-    """One probe-table digest line and one perturbed-threshold line per
-    strip; each strip comes with its truncation lengths and the depth of the
-    Gaussian well added to it."""
+    """One perturbed-threshold line per strip; each strip comes with the
+    depth of the Gaussian well added to it."""
     flat = geo.solve_jacobi(
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=16.0, n1=128, n2=40)
     )
     ruled = geo.ruled_strip(
         geo.ruled_profile(0.35, 6.0), geo.StripGeometry(a=0.5, L=12.0, n1=192, n2=40)
     )
-    for name, m, lengths, depth in (
-        ("flat", flat, [16.0, 24.0, 32.0], 0.1),
-        ("ruled-certified", ruled, [12.0, 18.0, 24.0], 0.002),
-    ):
-        table = sp.essential_threshold_probe(m, lengths, k=4).table
-        yield f"{hashlib.sha256(table.tobytes()).hexdigest()}  threshold-probe/{name}"
+    for name, m, depth in (("flat", flat, 0.1), ("ruled-certified", ruled, 0.002)):
         V = -depth * np.exp(-m.x1[:, None] ** 2 / 2.0) * np.ones(m.x2.size)[None, :]
         yield f"perturbed-threshold/{name} {sp.perturbed_threshold(m, V)!r}"
 
