@@ -9,11 +9,14 @@ e-foldings over the fit windows used here and would underflow.
 The scheme has two propagators, chosen from the matrices themselves:
 
 - When the pair is verified to be a Kronecker sum, S = K1 (x) M2 + M1 (x) K2
-  and M = M1 (x) M2, of tridiagonal Toeplitz interior 1-D pairs (a flat strip
-  with Dirichlet conditions on all four sides), the step is diagonal in the
-  product of the two closed-form sine bases. Each checkpoint is two fast sine
-  transforms of the coefficients times a power of the step's amplification
-  factors: the cost grows with the number of checkpoints, not of steps.
+  and M = M1 (x) M2, of tridiagonal Toeplitz interior 1-D pairs on a
+  cross-section symmetric about the axis (a flat strip with Dirichlet
+  conditions on all four sides, which ``assemble_hk`` builds as that sum),
+  the step is diagonal in the product of the two closed-form sine bases. The
+  state stays in that basis: each checkpoint multiplies the coefficients by
+  a power of the step's amplification factors and reads both recorded norms
+  off them. Nodal values, two fast sine transforms, are formed only for the
+  returned states. The cost grows with the number of checkpoints, not steps.
 - Otherwise the implicit matrix M + dt/2 (S - shift M), symmetric positive
   definite for the shifts and steps used here, is factored once per run as a
   banded Cholesky, and every step is one banded solve. Its band is read off
@@ -77,9 +80,10 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     kind 'mode': w^-alpha times the first transverse mode, divided once by
     its Gaussian-weighted norm (requires alpha > 1/2, else
     ``NotInWeightedSpace``); 'indicator': nodal indicator of the rectangle
-    ``box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi)). Any other kind, and
-    'indicator' without a box, raise ``ValueError``. The state carries the
-    plain norm of the datum.
+    ``box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi)). Any other kind, 'indicator'
+    without a box, and a box with a low edge not at or below its high edge
+    (NaN included), raise ``ValueError``. The state carries the plain norm of
+    the datum.
     """
     grid = pair.grid
     x1g = grid.restrict(grid.x1[:, None])
@@ -99,6 +103,8 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
         if box is None:
             raise ValueError("'indicator' initial data needs a box")
         (bx0, bx1), (by0, by1) = box
+        if not (bx0 <= bx1 and by0 <= by1):  # NaN included
+            raise ValueError(f"box {box} has a low edge above its high edge")
         u = ((x1g >= bx0) & (x1g <= bx1) & (x2g >= by0) & (x2g <= by1)).astype(float)
     else:
         raise ValueError(f"unknown initial kind {kind!r}")
@@ -109,6 +115,11 @@ def _not_positive_definite(detail) -> LinearSolveFailure:
     return LinearSolveFailure(f"implicit step matrix is not positive definite: {detail}")
 
 
+def _require_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveFailure("implicit step produced non-finite values")
+
+
 def _sine_transform(X):
     """S1 X S2 for the sine matrices S: per axis, -1/2 Im FFT of the odd extension."""
     for _ in range(2):
@@ -117,39 +128,57 @@ def _sine_transform(X):
     return X
 
 
+def _sine_coefficients(factors, u: np.ndarray) -> np.ndarray:
+    """Coefficients C of the kept-node vector ``u`` = vec(P1 C P2^T) in the
+    M-orthonormal eigenvectors P = S diag(d) of the 1-D pairs: as M P =
+    P diag(m), C = P1^T M1 U M2 P2 = diag(d1 m1) S1 U S2 diag(d2 m2)."""
+    (l1, m1, d1), (l2, m2, d2) = factors
+    return (d1 * m1)[:, None] * _sine_transform(u.reshape(l1.size, l2.size)) * (d2 * m2)
+
+
+def _coefficient_norms(C: np.ndarray):
+    """The M-norm of the state of coefficients C, its Frobenius norm since P is
+    M-orthonormal, and ``project_mode1``'s remainder: on a cross-section
+    symmetric about the axis the sampled first mode is the first transverse
+    sine vector, so the remainder drops the first column of C."""
+    rem2 = float(np.einsum("ij,ij->", C[:, 1:], C[:, 1:]))
+    return math.sqrt(float(C[:, 0] @ C[:, 0]) + rem2), math.sqrt(rem2)
+
+
 def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
     """Map taking the trapezoidal scheme ``gap`` steps further, for a
-    Kronecker-sum pair; only the first call may have gap 0.
+    Kronecker-sum pair, to the new state's norm, its mode-1 remainder and a
+    function forming its nodal values; only the first call may have gap 0.
 
-    With the M-orthonormal eigenvectors P = S diag(d) of the 1-D pairs, the
-    state is u = vec(P1 C P2^T) and one step multiplies C entrywise by
-    r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift. As M P = P
-    diag(m), C starts at P1^T M1 U0 M2 P2 = diag(d1 m1) S1 U0 S2 diag(d2 m2).
+    One step multiplies the coefficients C (``_sine_coefficients``) entrywise
+    by r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift.
     """
-    (l1, m1, d1), (l2, m2, d2) = factors
+    (l1, _, d1), (l2, _, d2) = factors
     lam = l1[:, None] + l2[None, :] - shift
     plus = 1.0 + 0.5 * dt * lam
     if not plus.min() > 0.0:
         raise _not_positive_definite(f"its smallest eigenvalue factor is {plus.min():.3e}")
     r = (1.0 - 0.5 * dt * lam) / plus
-    C = (d1 * m1)[:, None] * _sine_transform(u0.reshape(l1.size, l2.size)) * (d2 * m2)
+    C = _sine_coefficients(factors, u0)
     last_gap, r_gap = 0, None
 
-    def advance(gap: int) -> np.ndarray:
+    def advance(gap: int):
         nonlocal C, last_gap, r_gap
-        if gap == 0:
-            return u0.copy()
-        if gap != last_gap:
-            last_gap, r_gap = gap, r**gap
-        C = C * r_gap
-        return _sine_transform(d1[:, None] * C * d2).ravel()
+        if gap:
+            if gap != last_gap:
+                last_gap, r_gap = gap, r**gap
+            C = C * r_gap
+        _require_finite(C)
+        nodal = u0.copy if gap == 0 else lambda C=C: _sine_transform(d1[:, None] * C * d2).ravel()
+        return (*_coefficient_norms(C), nodal)
 
     return advance
 
 
 def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: float):
     """Map taking the trapezoidal scheme ``gap`` steps further by banded
-    Cholesky solves."""
+    Cholesky solves, to the new state's norm, its mode-1 remainder
+    (``project_mode1``) and a function returning its nodal values."""
     B = pair.S - shift * pair.M
     try:
         factor = banded_cholesky(pair.M + 0.5 * dt * B)
@@ -158,11 +187,12 @@ def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: flo
     A_minus = (pair.M - 0.5 * dt * B).tocsr()
     u = u0.copy()
 
-    def advance(gap: int) -> np.ndarray:
+    def advance(gap: int):
         nonlocal u
         for _ in range(gap):
             u = cho_solve_banded((factor, False), A_minus @ u, check_finite=False)
-        return u
+        _require_finite(u)
+        return _norm_f(pair, u), _mode1_remainder(pair, u), lambda u=u: u
 
     return advance
 
@@ -185,12 +215,14 @@ def evolve(
     ``dt`` not positive and finite raises ``ValueError``. With ``shift``
     nonzero the gauged variable exp(shift t) u(t) is evolved and recorded.
 
-    A pair verified to be a Kronecker sum of Toeplitz 1-D pairs is propagated
-    exactly in their product sine basis, at a cost per checkpoint; any other
-    pair is stepped with the implicit matrix M + dt/2 (S - shift M) factored
-    once as a banded Cholesky, at a cost per step (see the module docstring).
-    ``LinearSolveFailure`` is raised when that matrix is not symmetric
-    positive definite, and when a checkpoint holds non-finite values.
+    A pair verified to be a Kronecker sum of Toeplitz 1-D pairs on a
+    symmetric cross-section is propagated exactly in their product sine
+    basis, at a cost per checkpoint, and forms nodal values only for the
+    returned states; any other pair is stepped with the implicit matrix
+    M + dt/2 (S - shift M) factored once as a banded Cholesky, at a cost per
+    step (see the module docstring). ``LinearSolveFailure`` is raised when
+    that matrix is not symmetric positive definite, and when a checkpoint
+    holds non-finite values (on the separable path, coefficients).
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, not {dt}")
@@ -217,25 +249,24 @@ def evolve(
 
     times, nf, m1 = [], [], []
     states = []
-    last = None
+    nodal = None
     for k, gap in zip(targets.tolist(), np.diff(targets, prepend=0).tolist()):
-        u = advance(gap)
-        if not np.all(np.isfinite(u)):
-            raise LinearSolveFailure("implicit step produced non-finite values")
-        last = HeatState(u=u, t=t0 + k * dt, norm_f=_norm_f(pair, u))
-        times.append(last.t)
-        nf.append(last.norm_f)
-        rem = project_mode1(last, pair)
-        m1.append(rem / last.norm_f if last.norm_f > 0 else 0.0)
+        norm, rem, nodal = advance(gap)
+        times.append(t0 + k * dt)
+        nf.append(norm)
+        m1.append(rem / norm if norm > 0 else 0.0)
         if keep_states:
-            states.append(last)
+            states.append(HeatState(u=nodal(), t=times[-1], norm_f=norm))
+    final = None
+    if times:
+        final = states[-1] if keep_states else HeatState(u=nodal(), t=times[-1], norm_f=nf[-1])
 
     return Trajectory(
         times=np.asarray(times),
         norm_f=np.asarray(nf),
         mode1_fraction=np.asarray(m1),
         shift=shift,
-        final=last,
+        final=final,
         states=states,
     )
 
@@ -321,12 +352,16 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
 def project_mode1(state: HeatState, pair: OperatorPair) -> float:
     """Weighted norm of the state minus its transverse-mode-1 projection,
     column by column."""
+    return _mode1_remainder(pair, state.u)
+
+
+def _mode1_remainder(pair: OperatorPair, u: np.ndarray) -> float:
     x2 = pair.grid.x2
     h2 = x2[1] - x2[0]
     j1 = mode_function(1, float(x2[-1]), x2)
     w2 = np.full(x2.size, h2)
     w2[0] = w2[-1] = h2 / 2.0
-    U = pair.grid.extend(state.u)
+    U = pair.grid.extend(u)
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
     return _norm_f(pair, pair.grid.restrict(R))

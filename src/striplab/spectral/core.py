@@ -11,7 +11,8 @@ is an n x 1 one), computed once per grid and mask.
 
 Only this module reads those diagonals and that layout, so the 1-D pencils
 live here too: the closed-form sine eigendata of the flat Toeplitz pencil,
-the Kronecker-sum test of a 2-D pair, and the batched dense pencils.
+the flat 2-D pair written as the Kronecker sum of its 1-D stencils, the test
+of a 2-D pair for that form, and the batched dense pencils.
 """
 from __future__ import annotations
 
@@ -180,7 +181,7 @@ def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
     position[1:-1, 1:-1][keep] = np.arange(np.count_nonzero(keep), dtype=np.int32)
     column = np.stack([position[d // 3:d // 3 + n1, d % 3:d % 3 + n2] for d in range(9)], -1)
     coupled = (column >= 0) & keep[:, :, None]
-    ends = np.cumsum(coupled, dtype=np.int32).reshape(-1, 9)[keep.ravel(), 8]
+    ends = np.cumsum(coupled.sum(-1, dtype=np.int32)[keep], dtype=np.int32)
     indptr = np.concatenate([np.zeros(1, np.int32), ends])
     indices = column[coupled]
     # the transpose of entry (p, d) is entry (p + (di, dj), 8 - d)
@@ -215,31 +216,62 @@ def _sine_eigenpairs(k: np.ndarray, m: np.ndarray, n: int):
     return k / m, m, (0.5 * (n + 1) * m) ** -0.5
 
 
+def _stencil_data(structure, stencil) -> np.ndarray:
+    """CSR data, row by row, of the matrix of the CSR ``structure``
+    (``_csr_structure``) holding the (3, 3) ``stencil`` value at each entry's
+    offset (di, dj)."""
+    coupled = structure[2]
+    return np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
+
+
+def _largest_difference(a: np.ndarray, scratch: np.ndarray) -> float:
+    """max |a - scratch|, computed in ``scratch``: every fresh array the size
+    of a 2-D pair's data costs its first-touch page faults."""
+    return float(np.abs(np.subtract(a, scratch, out=scratch), out=scratch).max())
+
+
 def _matches_stencil(A, structure, stencil) -> bool:
-    """Whether CSR ``A`` has the CSR ``structure`` (``_csr_structure``) and
-    agrees entry by entry, to 1e-12 relative to the largest, with the matrix
-    holding the (3, 3) ``stencil`` value at each entry's offset (di, dj)."""
-    indptr, indices, coupled, _ = structure
-    data = np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
-    return (
-        np.array_equal(A.indptr, indptr)
-        and np.array_equal(A.indices, indices)
-        and bool(np.abs(A.data - data).max() <= 1e-12 * np.abs(data).max())
-    )
+    """Whether CSR ``A`` has the CSR ``structure`` and agrees entry by entry,
+    to 1e-12 relative to the largest, with ``_stencil_data(structure, stencil)``."""
+    indptr, indices, _, _ = structure
+    if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
+        return False
+    data = _stencil_data(structure, stencil)
+    scale = float(max(data.max(), -data.min()))
+    return _largest_difference(A.data, data) <= 1e-12 * scale
+
+
+def _kronecker_pair(grid: WeightedGrid) -> OperatorPair:
+    """The flat pair S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 of the interior
+    1-D pairs (K1, M1), (K2, M2) of unit weight (``_interior_stencils``),
+    written onto the CSR structure of ``grid``'s kept nodes, which must be its
+    interior ones: the element assembly of unit weight without the elements.
+    Each stencil's upper off-diagonal is mirrored below, so the pair is
+    exactly symmetric."""
+    (k1, m1), (k2, m2) = ([a[[2, 1, 2]] for a in _interior_stencils(x)] for x in (grid.x1, grid.x2))
+    structure = _csr_structure(*grid.shape, grid.keep)
+    indptr, indices, _, _ = structure
+    n = indptr.size - 1
+    S, M = (sp.csr_matrix((_stencil_data(structure, st), indices, indptr), shape=(n, n))
+            for st in (np.outer(k1, m2) + np.outer(m1, k2), np.outer(m1, m2)))
+    return OperatorPair(S, M, grid=grid)
 
 
 def _kronecker_factors(pair: OperatorPair):
     """The sine-basis eigendata (``_sine_eigenpairs``) of the interior 1-D pairs
     (K1, M1), (K2, M2) of unit weight of the two grid directions if the pair
-    is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes,
-    else None. This is read off the matrices: the kept nodes must be the
-    interior ones, and S and M must match their Kronecker forms entry by
-    entry. As the 1-D matrices are tridiagonal Toeplitz, those forms have the
-    9-point CSR structure of the assembly, with the products of the 1-D
-    stencils (``_interior_stencils``) at the offset of each entry."""
+    is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes
+    of a cross-section symmetric about the axis, x2[0] = -x2[-1], else None.
+    This is read off the matrices: the kept nodes must be the interior ones,
+    and S and M must match their Kronecker forms entry by entry. As the 1-D
+    matrices are tridiagonal Toeplitz, those forms have the 9-point CSR
+    structure of the assembly, with the products of the 1-D stencils
+    (``_interior_stencils``) at the offset of each entry. On the symmetric
+    cross-section the sampled first transverse mode is the first sine vector,
+    which the separable propagator's mode-1 remainder relies on."""
     grid = pair.grid
     interior = make_grid(grid.x1, grid.x2).keep
-    if not np.array_equal(grid.keep, interior):
+    if grid.x2[0] != -grid.x2[-1] or not np.array_equal(grid.keep, interior):
         return None
     (k1, m1), (k2, m2) = stencils = [_interior_stencils(x) for x in (grid.x1, grid.x2)]
     structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
@@ -346,9 +378,8 @@ class OperatorPair:
         for A in (self.S, self.M):
             if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
                 raise ValueError("the pair does not have its grid's stencil structure")
-        asym_s = abs(self.S.data - self.S.data[transpose]).max()
-        asym_m = abs(self.M.data - self.M.data[transpose]).max()
-        scale = max(abs(self.S.data).max(), 1.0)
+        asym_s, asym_m = (_largest_difference(A.data, A.data[transpose]) for A in (self.S, self.M))
+        scale = max(self.S.data.max(), -self.S.data.min(), 1.0)
         if asym_s > 1e-12 * scale or asym_m > 1e-12:
             raise ValueError("assembled pair lost symmetry")
 

@@ -23,7 +23,13 @@ from .core import (
     element_matrices_1d,
     gauss_points_1d,
 )
-from .operators import _half_nodes, assemble_hk, assemble_potential, flat_transverse_ground
+from .operators import (
+    _half_nodes,
+    _nodal_field,
+    assemble_hk,
+    assemble_potential,
+    flat_transverse_ground,
+)
 from .solve import lowest_eigenpairs
 
 __all__ = [
@@ -261,21 +267,6 @@ def hardy_weight(metric: MetricField, cert: HardyConstants) -> np.ndarray:
     weight ``hardy_verify`` is run on."""
     x10 = 0.5 * (cert.J[0] + cert.J[1])
     return (cert.c_K / (1.0 + (metric.x1 - x10) ** 2))[:, None] * np.ones_like(metric.x2)[None, :]
-
-
-def _nodal_field(metric: MetricField, values, name: str) -> np.ndarray:
-    """``values`` as a float array; ``ValueError`` naming what it got unless it
-    is finite and of the metric's nodal shape: a NaN would pass any later sign
-    check, since comparisons with it are false."""
-    values = np.asarray(values, float)
-    shape = (metric.x1.size, metric.x2.size)
-    bad = np.count_nonzero(~np.isfinite(values))
-    if values.shape != shape or bad:
-        raise ValueError(
-            f"{name} must be a finite nodal array of shape {shape}, not one of shape "
-            f"{values.shape} with {bad} of its {values.size} entries non-finite"
-        )
-    return values
 
 
 def hardy_verify(metric: MetricField, rho: np.ndarray, trials: int, seed: int) -> float:

@@ -34,6 +34,7 @@ from .core import (
     OperatorPair,
     WeightedGrid,
     _interior_stencils,
+    _kronecker_pair,
     _sine_eigenpairs,
     assemble_1d,
     assemble_2d,
@@ -76,10 +77,18 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
     """Stiffness/mass pair of the weighted Dirichlet form on the strip.
 
     S[u] = int( f^-1 |d1 u|^2 + f |d2 u|^2 ),  M[u] = int( f |u|^2 ),
-    assembled element-wise onto the nodes off the Dirichlet mask.
+    assembled element-wise onto the nodes off the Dirichlet mask. On a flat
+    metric (f = 1) whose kept nodes are ``make_grid``'s interior ones, the
+    pair is the Kronecker sum of the interior 1-D pairs and is written from
+    their stencils instead (``core._kronecker_pair``), exactly symmetric and
+    equal to the element assembly to round-off. Either pair is checked.
     """
     if grid is None:
         grid = make_grid(metric.x1, metric.x2)
+    if metric.flat and np.array_equal(grid.keep, make_grid(grid.x1, grid.x2).keep):
+        pair = _kronecker_pair(grid)
+        pair.check()
+        return pair
     _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
     return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F)
 
@@ -94,16 +103,32 @@ def _checked_pair(grid: WeightedGrid, terms_S, F) -> OperatorPair:
     return pair
 
 
+def _nodal_field(grid, values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` naming what it got unless it
+    is finite and of the nodal shape of ``grid`` (a metric or a grid): a NaN
+    would pass any later sign check, since comparisons with it are false."""
+    values = np.asarray(values, float)
+    shape = (grid.x1.size, grid.x2.size)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if values.shape != shape or bad:
+        raise ValueError(
+            f"{name} must be a finite nodal array of shape {shape}, not one of shape "
+            f"{values.shape} with {bad} of its {values.size} entries non-finite"
+        )
+    return values
+
+
 def assemble_potential(metric: MetricField, grid: WeightedGrid, v_nodal: np.ndarray):
-    """Mass-weighted potential matrix int( V u v f dx ) for nodal V.
+    """Mass-weighted potential matrix int( V u v f dx ) for nodal V, which
+    ``_nodal_field`` checks against the grid (else ``ValueError``).
 
     V is interpolated bilinearly onto the Gauss points. Each Gauss point lies
     in its own cell at the fixed reference offsets, so the interpolation is
     V[e1, e2, a, b] = sum_ik w[a, i] w[b, k] v[e1 + i, e2 + k] with
     w = [1 - gp, gp].
     """
+    v_nodal = _nodal_field(grid, v_nodal, "the potential")
     _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
-    v_nodal = np.asarray(v_nodal, float).reshape(grid.shape)
     w = np.stack([1.0 - _GP, _GP], axis=1)
     corners = np.lib.stride_tricks.sliding_window_view(v_nodal, (2, 2))
     V = np.einsum("ai,bk,xyik->xyab", w, w, corners)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,102 @@ def test_decay_run_rejects_bad_times_before_assembly(flat_small, monkeypatch, t_
         ev.decay_run(flat_small[0], t_end=t_end, window=window)
 
 
+def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypatch):
+    """A flat pair on x2 shifted off the axis is still a Kronecker sum, but its
+    sampled first mode is not the first sine vector, so the coefficient
+    remainder would be wrong there: the pair is stepped by banded solves."""
+    m, _ = flat_small
+    pair = sp.assemble_hk(m, sp.make_grid(m.x1, m.x2 + 0.25))
+    assert core._kronecker_factors(pair) is None
+    calls = []
+
+    def spy(A):
+        calls.append(A.shape)
+        return sp.core.banded_cholesky(A)
+
+    monkeypatch.setattr(ev, "banded_cholesky", spy)
+    shift = sp.flat_transverse_ground(m.x2)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    tr = ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=shift, keep_states=True)
+    assert calls == [(pair.n, pair.n)]
+    for st, (_, u_ref) in zip(tr.states, _splu_reference(pair, u0, [0.0, 0.2], 0.01, shift)):
+        assert np.abs(st.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
+    assert tr.mode1_fraction.tolist() == [
+        ev.project_mode1(st, pair) / st.norm_f for st in tr.states
+    ]
+
+
+def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_states(
+    flat_small, monkeypatch
+):
+    m, _ = flat_small
+
+    def no_elements(*args, **kwargs):
+        raise AssertionError("a flat pair went through the element assembly")
+
+    monkeypatch.setattr(sp.operators, "assemble_2d", no_elements)
+    transforms = []
+    sine_transform = ev._sine_transform
+    monkeypatch.setattr(ev, "_sine_transform", lambda X: transforms.append(X) or sine_transform(X))
+    tr, _, _ = ev.decay_run(m, t_end=20.0)
+    assert tr.times.size == 41
+    assert len(transforms) == 2  # the datum's coefficients, then the final state
+    # with keep_states: one more per kept state after the start, which is the datum itself
+    pair = sp.assemble_hk(m)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    transforms.clear()
+    tr = ev.evolve(pair, u0, [0.0, 0.1, 0.25, 0.6], dt=0.01, keep_states=True)
+    assert len(transforms) == 1 + 3
+    assert tr.final is tr.states[-1] and np.array_equal(tr.states[0].u, u0.u)
+
+
+@pytest.mark.parametrize("case", ["flat_small", "curved_small"])
+def test_a_non_finite_state_raises_on_both_propagators(request, case):
+    m, pair = request.getfixturevalue(case)
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0.u[u0.u.size // 2] = math.nan
+    with pytest.raises(LinearSolveFailure, match="non-finite values"):
+        ev.evolve(pair, u0, [0.0, 0.1], dt=0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n1=hst.integers(2, 40),
+    n2=hst.integers(2, 24),
+    h1=hst.floats(1e-2, 10.0),
+    a=hst.floats(1e-2, 10.0),
+    offset=hst.floats(0.0, 1.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_kronecker_pair_is_the_flat_assembly_and_its_coefficients_hold_the_norms(
+    n1, n2, h1, a, offset, seed
+):
+    """The exact tensor factorisation on random uniform flat grids: the pair
+    written from the 1-D stencils is the element assembly of the flat terms,
+    exactly symmetric and accepted as a Kronecker sum, and the norm and
+    mode-1 remainder read off the sine coefficients of a random state are
+    those of ``_norm_f`` and ``project_mode1``."""
+    x1 = h1 * (np.arange(n1 + 1) - round(offset * n1))
+    x2 = np.linspace(-a, a, n2 + 1)
+    grid = sp.make_grid(x1, x2)
+    pair = core._kronecker_pair(grid)
+    ones = np.ones((n1, n2, 3, 3))
+    S = sp.assemble_2d(x1, x2, [("d1d1", ones), ("d2d2", ones)], grid.keep)
+    M = sp.assemble_2d(x1, x2, [("mass", ones)], grid.keep)
+    for A, B in ((pair.S, S), (pair.M, M)):
+        assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+        assert np.abs(A.data - B.data).max() <= 1e-12 * np.abs(B.data).max()
+        assert (A != A.T).nnz == 0
+    pair.check()
+    factors = core._kronecker_factors(pair)
+    assert factors is not None
+    u = np.random.default_rng(seed).standard_normal(pair.n)
+    norm, rem = ev._coefficient_norms(ev._sine_coefficients(factors, u))
+    ref = ev._norm_f(pair, u)
+    assert abs(norm - ref) <= 1e-12 * ref
+    assert abs(rem - ev.project_mode1(ev.HeatState(u=u, t=0.0, norm_f=ref), pair)) <= 1e-12 * ref
+
+
 def test_mode1_fraction_matches_inline_projection(curved_small):
     m, pair = curved_small
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
@@ -384,6 +481,19 @@ def test_weighted_initial_rejects_shallow_decay(flat_small):
     m, pair = flat_small
     with pytest.raises(NotInWeightedSpace):
         ev.weighted_initial(pair, "mode", alpha=0.4)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [((math.nan, 1.0), (0.0, 1.0)), ((5.0, -5.0), (0.0, 1.0)),
+     ((-1.0, 1.0), (0.0, math.nan)), ((-1.0, 1.0), (0.5, -0.5))],
+    ids=["nan-x1", "reversed-x1", "nan-x2", "reversed-x2"],
+)
+def test_weighted_initial_refuses_a_nan_or_reversed_box(flat_small, box):
+    """Such a box used to give an all-zero datum of norm 0 and no error."""
+    m, pair = flat_small
+    with pytest.raises(ValueError, match=re.escape(f"box {box} has a low edge above its high edge")):
+        ev.weighted_initial(pair, "indicator", box=box)
 
 
 def test_weighted_initial_indicator_quadrature_identity(flat_small):

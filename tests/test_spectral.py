@@ -455,8 +455,9 @@ def _poisoned(v, value):
     [
         lambda m, field: sp.hardy_verify(m, field, trials=10, seed=3),
         lambda m, field: sp.perturbed_threshold(m, -np.abs(field)),
+        lambda m, field: sp.assemble_potential(m, sp.make_grid(m.x1, m.x2), field),
     ],
-    ids=["hardy_verify", "perturbed_threshold"],
+    ids=["hardy_verify", "perturbed_threshold", "assemble_potential"],
 )
 @pytest.mark.parametrize(
     "bad, named",
@@ -472,7 +473,7 @@ def test_nodal_inputs_that_are_not_finite_or_not_nodal_are_refused(
     ruled_certified, monkeypatch, call, bad, named
 ):
     """A NaN passes every sign check, since comparisons with it are false, so
-    both functions check that their nodal input is finite and of the metric's
+    these functions check that their nodal input is finite and of the metric's
     shape, and name what they got, before anything is assembled."""
     m = ruled_certified
     field = 0.01 * np.exp(-m.x1[:, None] ** 2) * np.ones(m.x2.size)[None, :]
@@ -480,6 +481,7 @@ def test_nodal_inputs_that_are_not_finite_or_not_nodal_are_refused(
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled before the input was checked")
     monkeypatch.setattr(sp.hardy, "assemble_hk", no_assembly)
+    monkeypatch.setattr(operators, "assemble_2d", no_assembly)
     with pytest.raises(ValueError, match=re.escape("of shape (193, 41), not one of shape " + named)):
         call(m, bad(field))
 
@@ -644,15 +646,27 @@ PAIRS = {"flat_hk": _flat_hk, "curved_hk": _curved_hk, "curved_frame": _curved_f
 @pytest.mark.parametrize("case", sorted(PAIRS))
 def test_gemm_assembly_matches_einsum(case, monkeypatch):
     """The operators' own terms, assembled by einsum on every node and then
-    restricted, against the stencil assembly onto the kept nodes."""
+    restricted, against the stencil assembly onto the kept nodes. The flat
+    pair is written from its 1-D stencils without ``assemble_2d``, so its
+    reference is the einsum assembly of the flat terms, F = 1."""
     build = PAIRS[case]()
     new = build()
     calls = []
     monkeypatch.setattr(
         operators, "assemble_2d", lambda *args: calls.append(args) or _einsum_restricted(*args)
     )
-    ref = build()
-    assert len(calls) == 2  # S and M, both from the einsum reference
+    if case == "flat_hk":
+        g = new.grid
+        ones = np.ones((g.x1.size - 1, g.x2.size - 1, 3, 3))
+        ref = sp.OperatorPair(
+            S=_einsum_restricted(g.x1, g.x2, [("d1d1", ones), ("d2d2", ones)], g.keep),
+            M=_einsum_restricted(g.x1, g.x2, [("mass", ones)], g.keep),
+        )
+        build()
+        assert not calls
+    else:
+        ref = build()
+        assert len(calls) == 2  # S and M, both from the einsum reference
     for A, B in ((new.S, ref.S), (new.M, ref.M)):
         assert abs(A - B).max() <= 1e-12 * abs(B).max()
 
