@@ -24,6 +24,12 @@ The scheme has two propagators, chosen from the matrices themselves:
   of kept nodes plus one.
 
 Both take the same steps and agree to round-off.
+
+``decay_run`` on a flat metric does not build the 2-D pair: the sine
+eigendata come straight from the interior 1-D stencils, the datum is formed
+on the interior nodes with the lumped mass of M1 (x) M2, and the separable
+propagator runs through ``evolve``'s own checkpoint loop and checks. It is
+``evolve`` on ``assemble_hk``'s pair up to round-off.
 """
 from __future__ import annotations
 
@@ -36,7 +42,14 @@ from scipy.linalg import LinAlgError, cho_solve_banded
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
 from .spectral import assemble_hk, flat_transverse_ground
-from .spectral.core import OperatorPair, _kronecker_factors, banded_cholesky
+from .spectral.core import (
+    OperatorPair,
+    _kronecker_factors,
+    _lumped_rows,
+    _sine_factors,
+    banded_cholesky,
+    make_grid,
+)
 
 __all__ = [
     "HeatState",
@@ -88,17 +101,9 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     grid = pair.grid
     x1g = grid.restrict(grid.x1[:, None])
     x2g = grid.restrict(grid.x2)
-    a = float(grid.x2[-1])
     if kind == "mode":
-        if not alpha > 0.5:  # NaN included
-            raise NotInWeightedSpace(
-                f"alpha = {alpha} is not above 1/2: datum not in the Gaussian-weighted space"
-            )
-        # Gaussian-weighted norm by lumped quadrature; (1 - 2 alpha) x1^2/4 <= 0
-        j1 = mode_function(1, a, x2g)
-        lw = np.asarray(pair.M.sum(axis=1)).ravel()
-        norm = math.sqrt(float(lw @ (np.exp((1.0 - 2.0 * alpha) * x1g**2 / 4.0) * j1**2)))
-        u = np.exp(-alpha * x1g**2 / 4.0) * j1 / norm
+        lumped = np.asarray(pair.M.sum(axis=1)).ravel()
+        u = _mode_datum(alpha, float(grid.x2[-1]), x1g, x2g, lumped)
     elif kind == "indicator":
         if box is None:
             raise ValueError("'indicator' initial data needs a box")
@@ -109,6 +114,23 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     else:
         raise ValueError(f"unknown initial kind {kind!r}")
     return HeatState(u=u, t=0.0, norm_f=_norm_f(pair, u))
+
+
+def _mode_datum(alpha: float, a: float, x1, x2, lumped: np.ndarray) -> np.ndarray:
+    """w^-alpha times the first transverse mode of the section of half-width
+    ``a`` at the nodes (x1, x2), arrays that broadcast together, divided once
+    by its Gaussian-weighted norm in the lumped quadrature ``lumped`` (node
+    weights of the broadcast shape); ``NotInWeightedSpace`` unless
+    alpha > 1/2, before anything is computed."""
+    if not alpha > 0.5:  # NaN included
+        raise NotInWeightedSpace(
+            f"alpha = {alpha} is not above 1/2: datum not in the Gaussian-weighted space"
+        )
+    # Gaussian-weighted norm by lumped quadrature; (1 - 2 alpha) x1^2/4 <= 0
+    j1 = mode_function(1, a, x2)
+    weight = np.exp((1.0 - 2.0 * alpha) * x1**2 / 4.0) * j1**2
+    norm = math.sqrt(float(lumped.ravel() @ weight.ravel()))
+    return np.exp(-alpha * x1**2 / 4.0) * j1 / norm
 
 
 def _not_positive_definite(detail) -> LinearSolveFailure:
@@ -224,9 +246,23 @@ def evolve(
     that matrix is not symmetric positive definite, and when a checkpoint
     holds non-finite values (on the separable path, coefficients).
     """
+
+    def start():
+        factors = _kronecker_factors(pair)
+        if factors is not None:
+            return _separable_propagator(factors, u0.u, dt, shift)
+        return _banded_propagator(pair, u0.u, dt, shift)
+
+    return _checkpoint_loop(start, u0.t, t_grid, dt, shift, keep_states)
+
+
+def _checkpoint_loop(start, t0, t_grid, dt: float, shift: float, keep_states: bool) -> Trajectory:
+    """``evolve``'s checks of ``dt`` and of the checkpoints after ``t0``, then
+    its recording loop over the advance map that ``start()`` returns (a
+    propagator's, built only once the checks pass)."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, not {dt}")
-    t0 = float(u0.t)
+    t0 = float(t0)
     t_grid = np.asarray(sorted(set(float(tk) for tk in t_grid)))
     steps = (t_grid - t0) / dt
     if not (np.abs(steps) <= 2.0**53).all():  # NaN, inf, or past exact integer steps
@@ -241,11 +277,7 @@ def evolve(
             f"checkpoints t = {t_grid[i]} and {t_grid[i + 1]} snap to the same "
             f"step of dt = {dt}"
         )
-    factors = _kronecker_factors(pair)
-    if factors is not None:
-        advance = _separable_propagator(factors, u0.u, dt, shift)
-    else:
-        advance = _banded_propagator(pair, u0.u, dt, shift)
+    advance = start()
 
     times, nf, m1 = [], [], []
     states = []
@@ -323,14 +355,20 @@ def fit_decay(trajectory: Trajectory, E1: float, window: tuple) -> DecayFit:
 
 def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, dt=None):
     """``(trajectory, fit, E1h)`` of the mode datum of decay ``alpha`` on the
-    metric's default-grid pair, evolved in the gauge of E1h =
+    metric's default grid (``make_grid``), evolved in the gauge of E1h =
     ``flat_transverse_ground(metric.x2)`` to checkpoints every positive and
     finite ``checkpoint_step`` (else ``BadCheckpoint``) up to ``t_end`` and
     fitted on ``window``, by default (5, min(100, t_end)). ``dt`` defaults to
     the largest step at most min(0.01, window length / 2000) that divides
     ``checkpoint_step``, so every checkpoint lands on its lattice point. A
     ``t_end`` not positive and finite, and a window whose low end is not
-    below its high end, raise ``ValueError`` before anything is assembled."""
+    below its high end, raise ``ValueError`` before anything is assembled.
+
+    A flat metric on a cross-section symmetric about the axis is run from
+    the 1-D stencils in the sine basis (``_sine_factors``), with no 2-D pair
+    built, checked or matched; any other metric is assembled
+    (``assemble_hk``) and evolved with ``evolve``. Both take the same checks
+    and agree to round-off."""
     if not 0 < checkpoint_step < math.inf:
         raise BadCheckpoint(f"checkpoint_step must be positive and finite, not {checkpoint_step}")
     if not 0 < t_end < math.inf:
@@ -341,11 +379,24 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
     if dt is None:
         dt = min(0.01, (window[1] - window[0]) / 2000.0)
         dt = checkpoint_step / math.ceil(checkpoint_step / dt)
-    pair = assemble_hk(metric)
     e1h = flat_transverse_ground(metric.x2)
-    u0 = weighted_initial(pair, "mode", alpha=alpha)
     t_grid = np.arange(0.0, t_end + 1e-9, checkpoint_step)
-    trajectory = evolve(pair, u0, t_grid, dt=dt, shift=e1h)
+    grid = make_grid(metric.x1, metric.x2)
+    sine = _sine_factors(grid) if metric.flat else None
+    if sine is None:
+        pair = assemble_hk(metric)
+        u0 = weighted_initial(pair, "mode", alpha=alpha)
+        trajectory = evolve(pair, u0, t_grid, dt=dt, shift=e1h)
+    else:
+        # the flat pair's interior nodes are a full (n1 - 1) x (n2 - 1) block,
+        # and the lumped mass of M1 (x) M2 the outer product of the 1-D ones
+        ((_, m1), (_, m2)), factors = sine
+        x1, x2 = grid.x1[1:-1], grid.x2[1:-1]
+        lumped = np.outer(_lumped_rows(m1, x1.size), _lumped_rows(m2, x2.size))
+        v0 = _mode_datum(alpha, float(grid.x2[-1]), x1[:, None], x2, lumped).ravel()
+        trajectory = _checkpoint_loop(
+            lambda: _separable_propagator(factors, v0, dt, e1h), 0.0, t_grid, dt, e1h, False
+        )
     return trajectory, fit_decay(trajectory, e1h, window), e1h
 
 

@@ -257,29 +257,50 @@ def _kronecker_pair(grid: WeightedGrid) -> OperatorPair:
     return OperatorPair(S, M, grid=grid)
 
 
-def _kronecker_factors(pair: OperatorPair):
-    """The sine-basis eigendata (``_sine_eigenpairs``) of the interior 1-D pairs
-    (K1, M1), (K2, M2) of unit weight of the two grid directions if the pair
-    is exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 on the interior nodes
-    of a cross-section symmetric about the axis, x2[0] = -x2[-1], else None.
-    This is read off the matrices: the kept nodes must be the interior ones,
-    and S and M must match their Kronecker forms entry by entry. As the 1-D
-    matrices are tridiagonal Toeplitz, those forms have the 9-point CSR
-    structure of the assembly, with the products of the 1-D stencils
-    (``_interior_stencils``) at the offset of each entry. On the symmetric
-    cross-section the sampled first transverse mode is the first sine vector,
-    which the separable propagator's mode-1 remainder relies on."""
-    grid = pair.grid
-    interior = make_grid(grid.x1, grid.x2).keep
-    if grid.x2[0] != -grid.x2[-1] or not np.array_equal(grid.keep, interior):
+def _sine_factors(grid: WeightedGrid):
+    """The interior 1-D stencils [(k1, m1), (k2, m2)] of unit weight of the two
+    grid directions (``_interior_stencils``) and their sine-basis eigendata
+    (``_sine_eigenpairs``), if the grid's kept nodes are its interior ones
+    (``make_grid``'s) on a cross-section symmetric about the axis,
+    x2[0] = -x2[-1], else None. Only on such a grid is a flat pair the
+    Kronecker sum of these 1-D pairs, and only on the symmetric cross-section
+    is the sampled first transverse mode the first sine vector, which the
+    separable propagator's mode-1 remainder relies on."""
+    x1, x2 = grid.x1, grid.x2
+    if x2[0] != -x2[-1] or not np.array_equal(grid.keep, make_grid(x1, x2).keep):
         return None
-    (k1, m1), (k2, m2) = stencils = [_interior_stencils(x) for x in (grid.x1, grid.x2)]
-    structure = _csr_structure(grid.x1.size, grid.x2.size, interior)
+    stencils = [_interior_stencils(x) for x in (x1, x2)]
+    return stencils, tuple(_sine_eigenpairs(*st, x.size - 2) for st, x in zip(stencils, (x1, x2)))
+
+
+def _lumped_rows(stencil: np.ndarray, n: int) -> np.ndarray:
+    """Row sums of the n x n tridiagonal Toeplitz matrix of ``stencil``
+    (a_1, a0, a1), its upper off-diagonal mirrored below as in
+    ``_kronecker_pair``: the lumped mass of an interior 1-D mass matrix."""
+    _, a0, a1 = stencil
+    i = np.arange(n)
+    return a0 + a1 * (i > 0) + a1 * (i < n - 1)
+
+
+def _kronecker_factors(pair: OperatorPair):
+    """The sine-basis eigendata of ``_sine_factors(pair.grid)`` if the pair is
+    exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 of those interior 1-D
+    pairs, else None. This is read off the matrices: S and M must match
+    their Kronecker forms entry by entry. As the 1-D matrices are
+    tridiagonal Toeplitz, those forms have the 9-point CSR structure of the
+    assembly, with the products of the 1-D stencils at the offset of each
+    entry."""
+    grid = pair.grid
+    sine = _sine_factors(grid)
+    if sine is None:
+        return None
+    ((k1, m1), (k2, m2)), factors = sine
+    structure = _csr_structure(*grid.shape, grid.keep)
     if not _matches_stencil(pair.M.tocsr(), structure, np.outer(m1, m2)):
         return None
     if not _matches_stencil(pair.S.tocsr(), structure, np.outer(k1, m2) + np.outer(m1, k2)):
         return None
-    return tuple(_sine_eigenpairs(*st, x.size - 2) for st, x in zip(stencils, (grid.x1, grid.x2)))
+    return factors
 
 
 def _tridiagonal(local: np.ndarray, wall: bool) -> np.ndarray:
@@ -364,14 +385,15 @@ class OperatorPair:
         return self.S.shape[0]
 
     def check(self) -> None:
-        """``SingularMass`` for a non-positive lumped mass, ``ValueError`` for
-        a pair not symmetric to round-off: each entry is compared with its
-        mirror through the transpose permutation of the grid's structure."""
+        """``SingularMass`` for a lumped mass not positive and finite,
+        ``ValueError`` for a pair not symmetric to round-off or holding
+        non-finite entries: each entry is compared with its mirror through
+        the transpose permutation of the grid's structure."""
         lumped = np.asarray(self.M.sum(axis=1)).ravel()
-        if np.any(lumped <= 0.0):
+        bad = np.count_nonzero(~((lumped > 0.0) & (lumped < math.inf)))  # NaN included
+        if bad:
             raise SingularMass(
-                f"{np.count_nonzero(lumped <= 0)} retained nodes have "
-                "non-positive lumped mass"
+                f"{bad} retained nodes have non-positive or non-finite lumped mass"
             )
         grid = self.grid
         indptr, indices, _, transpose = _csr_structure(*grid.shape, grid.keep)
@@ -380,8 +402,9 @@ class OperatorPair:
                 raise ValueError("the pair does not have its grid's stencil structure")
         asym_s, asym_m = (_largest_difference(A.data, A.data[transpose]) for A in (self.S, self.M))
         scale = max(self.S.data.max(), -self.S.data.min(), 1.0)
-        if asym_s > 1e-12 * scale or asym_m > 1e-12:
-            raise ValueError("assembled pair lost symmetry")
+        # the chained bound also fails for a NaN or an inf anywhere in S or M
+        if not (asym_s <= 1e-12 * scale < math.inf and asym_m <= 1e-12):
+            raise ValueError("assembled pair lost symmetry or holds non-finite entries")
 
 
 def banded_cholesky(A) -> np.ndarray:

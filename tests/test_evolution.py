@@ -197,22 +197,27 @@ def test_decay_run_rejects_a_zero_checkpoint_step(flat_small):
 
 
 @pytest.mark.parametrize(
-    "t_end, window, named",
+    "case, t_end, window, named",
     [
-        (3.0, None, r"fit window \(5.0, 3.0\)"),
-        (math.inf, None, "t_end must be positive and finite, not inf"),
-        (0.0, None, "t_end must be positive and finite, not 0.0"),
-        (20.0, (12.0, 2.0), r"fit window \(12.0, 2.0\)"),
+        ("flat_small", 3.0, None, r"fit window \(5.0, 3.0\)"),
+        ("flat_small", math.inf, None, "t_end must be positive and finite, not inf"),
+        ("flat_small", 0.0, None, "t_end must be positive and finite, not 0.0"),
+        ("flat_small", 20.0, (12.0, 2.0), r"fit window \(12.0, 2.0\)"),
+        ("curved_small", 20.0, (12.0, 2.0), r"fit window \(12.0, 2.0\)"),
     ],
-    ids=["default-window-reversed", "infinite-t_end", "zero-t_end", "reversed-window"],
+    ids=["default-window-reversed", "infinite-t_end", "zero-t_end", "reversed-window",
+         "curved-reversed-window"],
 )
-def test_decay_run_rejects_bad_times_before_assembly(flat_small, monkeypatch, t_end, window, named):
-    def no_assembly(metric):
+def test_decay_run_rejects_bad_times_before_assembly(request, monkeypatch, case, t_end, window, named):
+    """Neither the element assembly (curved metrics) nor the 1-D stencils and
+    their sine eigendata (flat ones) are reached."""
+    def no_assembly(*args):
         raise AssertionError("assembled before the times were checked")
 
     monkeypatch.setattr(ev, "assemble_hk", no_assembly)
+    monkeypatch.setattr(ev, "_sine_factors", no_assembly)
     with pytest.raises(ValueError, match=named):
-        ev.decay_run(flat_small[0], t_end=t_end, window=window)
+        ev.decay_run(request.getfixturevalue(case)[0], t_end=t_end, window=window)
 
 
 def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypatch):
@@ -243,12 +248,17 @@ def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypa
 def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_states(
     flat_small, monkeypatch
 ):
-    m, _ = flat_small
+    m, pair = flat_small
 
     def no_elements(*args, **kwargs):
-        raise AssertionError("a flat pair went through the element assembly")
+        raise AssertionError("a flat decay run built or checked a 2-D pair")
 
+    # the run goes from the 1-D stencils to the sine basis: no 2-D pair at all
     monkeypatch.setattr(sp.operators, "assemble_2d", no_elements)
+    monkeypatch.setattr(ev, "assemble_hk", no_elements)
+    monkeypatch.setattr(sp.operators, "_kronecker_pair", no_elements)
+    monkeypatch.setattr(core, "_kronecker_pair", no_elements)
+    monkeypatch.setattr(core.OperatorPair, "check", no_elements)
     transforms = []
     sine_transform = ev._sine_transform
     monkeypatch.setattr(ev, "_sine_transform", lambda X: transforms.append(X) or sine_transform(X))
@@ -256,12 +266,58 @@ def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_state
     assert tr.times.size == 41
     assert len(transforms) == 2  # the datum's coefficients, then the final state
     # with keep_states: one more per kept state after the start, which is the datum itself
-    pair = sp.assemble_hk(m)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     transforms.clear()
     tr = ev.evolve(pair, u0, [0.0, 0.1, 0.25, 0.6], dt=0.01, keep_states=True)
     assert len(transforms) == 1 + 3
     assert tr.final is tr.states[-1] and np.array_equal(tr.states[0].u, u0.u)
+
+
+@pytest.fixture(scope="module")
+def flat_narrow():
+    m = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=1.0, L=12.0, n1=96, n2=16))
+    return m, sp.assemble_hk(m)
+
+
+@pytest.mark.parametrize("case, alpha", [("flat_small", 1.0), ("flat_narrow", 0.8)])
+def test_flat_decay_run_matches_evolve_on_the_assembled_pair(request, case, alpha):
+    """The flat decay run, which goes from the 1-D stencils straight to the
+    sine basis, is the decay run of ``evolve`` on ``assemble_hk``'s pair,
+    which the matrices select for the same separable propagator."""
+    m, pair = request.getfixturevalue(case)
+    tr, fit, e1h = ev.decay_run(m, alpha=alpha, t_end=20.0, dt=0.01)
+    assert core._kronecker_factors(pair) is not None
+    u0 = ev.weighted_initial(pair, "mode", alpha=alpha)
+    ref = ev.evolve(pair, u0, np.arange(0.0, 20.0 + 1e-9, 0.5), dt=0.01, shift=e1h)
+    ref_fit = ev.fit_decay(ref, e1h, (5.0, 20.0))
+    assert tr.times.tolist() == ref.times.tolist() and tr.shift == ref.shift
+    assert np.all(np.abs(tr.norm_f - ref.norm_f) <= 1e-12 * ref.norm_f)
+    assert np.abs(tr.mode1_fraction - ref.mode1_fraction).max() <= 1e-12
+    assert abs(fit.gamma_hat - ref_fit.gamma_hat) <= 1e-12
+    assert abs(fit.lambda_hat - ref_fit.lambda_hat) <= 1e-12
+    assert tr.final.t == ref.final.t and tr.final.u.shape == ref.final.u.shape
+    assert np.abs(tr.final.u - ref.final.u).max() <= 1e-12 * np.abs(ref.final.u).max()
+
+
+@pytest.mark.parametrize(
+    "bad, error, named",
+    [
+        ({"alpha": 0.5}, NotInWeightedSpace, "not above 1/2"),
+        ({"alpha": math.nan}, NotInWeightedSpace, "not above 1/2"),
+        ({"dt": math.nan}, ValueError, "dt must be positive and finite"),
+        ({"dt": -0.01}, ValueError, "dt must be positive and finite"),
+    ],
+    ids=["alpha-half", "alpha-nan", "dt-nan", "dt-negative"],
+)
+def test_flat_decay_run_refuses_bad_input_before_propagating(flat_small, monkeypatch, bad, error, named):
+    """The flat run takes ``weighted_initial``'s and ``evolve``'s checks: a bad
+    ``dt`` is a ``ValueError``, not the propagator's indefinite step."""
+    def no_propagation(*args):
+        raise AssertionError("built a propagator for bad input")
+
+    monkeypatch.setattr(ev, "_separable_propagator", no_propagation)
+    with pytest.raises(error, match=named):
+        ev.decay_run(flat_small[0], t_end=20.0, **bad)
 
 
 @pytest.mark.parametrize("case", ["flat_small", "curved_small"])

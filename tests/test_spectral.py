@@ -20,6 +20,7 @@ from striplab.errors import (
     HypothesisFailed,
     LinearSolveFailure,
     ShiftInsideSpectrum,
+    SingularMass,
     TruncationWarning,
 )
 from striplab.oracle import transverse_energy
@@ -815,6 +816,28 @@ def test_check_catches_one_perturbed_off_diagonal(matrix, ruled_certified):
     A.data[entry] += 1e-8 * abs(A.data).max()
     bad = dataclasses.replace(pair, **{matrix: A})
     with pytest.raises(ValueError, match="lost symmetry"):
+        bad.check()
+
+
+@pytest.mark.parametrize(
+    "matrix, value, error",
+    [
+        ("S", math.nan, ValueError),
+        ("M", math.nan, SingularMass),
+        ("S", math.inf, ValueError),
+        ("M", math.inf, SingularMass),
+    ],
+    ids=["nan-in-S", "nan-in-M", "inf-in-S", "inf-in-M"],
+)
+def test_check_refuses_non_finite_entries(flat_pair, matrix, value, error):
+    """A NaN fails every comparison, so gates written as ``x > tol`` let it
+    through."""
+    _, pair = flat_pair
+    A = getattr(pair, matrix).copy()
+    A.data[5] = value
+    bad = dataclasses.replace(pair, **{matrix: A})
+    # inf - inf in the mirror comparison is NaN, which the check refuses
+    with pytest.raises(error, match="non-finite"), np.errstate(invalid="ignore"):
         bad.check()
 
 
