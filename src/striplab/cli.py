@@ -139,9 +139,7 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         raise ConfigInvalid(f"missing required key {exc}")
     if kind not in _KINDS:
         raise ConfigInvalid(f"unknown experiment kind {kind!r}")
-    _, layers, keys = _KINDS[kind]
-    for name in layers:
-        importlib.import_module(f".{name}", __package__)
+    _, modules, keys = _KINDS[kind]
     for section, known in {"geometry": _GEOMETRY, "output": ("dir",), "experiment": ("kind", *keys)}.items():
         unknown = sorted(set(cp[section]) - set(known)) if section in cp else []
         if unknown:
@@ -167,6 +165,8 @@ def load_config(path, out_override=None, seed_override=None) -> ExperimentConfig
         geo.check_compatible(prof, geom)
     except StripLabError as exc:
         raise ConfigInvalid(str(exc))
+    for name in modules(prof) if callable(modules) else modules:
+        importlib.import_module(name)
     return cfg
 
 
@@ -353,26 +353,40 @@ def _exp_report(cfg, outdir):
     return [p.name]
 
 
-# experiment kind -> (runner, the striplab modules it runs on besides geometry
-# and stochastic, which load_config imports so that run imports nothing, and
-# its [experiment] keys besides kind as {key: (type for _typed, default)})
+# scipy's modules that the eigensolves, assembly and banded solves import
+# where they call them
+_SCIPY = ("scipy.linalg", "scipy.sparse.linalg")
+_SPECTRAL = ("striplab.spectral", *_SCIPY)
+
+
+def _evolve_modules(profile) -> tuple:
+    """A flat strip's decay run works in the sine basis with numpy alone
+    (``MetricField.flat``: ``sup_norm == 0``); a curved one assembles its
+    pair and factors it."""
+    return ("striplab.evolution", *(() if profile.sup_norm == 0.0 else _SCIPY))
+
+
+# experiment kind -> (runner, every module it imports besides striplab.cli's
+# own, scipy's included, by absolute name, or a function of the curvature
+# profile giving them, which load_config imports so that run imports nothing,
+# and its [experiment] keys besides kind as {key: (type for _typed, default)})
 _KINDS = {
     "jacobi": (_exp_jacobi, (), {}),
-    "spectrum": (_exp_spectrum, ("spectral",), {"k": (int, 4)}),
-    "mu": (_exp_mu, ("spectral",), {}),
-    "nu-sweep": (_exp_nu_sweep, ("spectral",), {
+    "spectrum": (_exp_spectrum, _SPECTRAL, {"k": (int, 4)}),
+    "mu": (_exp_mu, _SPECTRAL, {}),
+    "nu-sweep": (_exp_nu_sweep, _SPECTRAL, {
         "s_lattice": (list, [0.0, 1.0, 2.0, 4.0, 8.0]), "frame_half_width": (float, 16.0),
         "frame_cells": (int, 640)}),
-    "hardy": (_exp_hardy, ("spectral",), {"trials": (int, 100), "seed": (int, 0)}),
+    "hardy": (_exp_hardy, _SPECTRAL, {"trials": (int, 100), "seed": (int, 0)}),
     # None: the default depends on other keys, and decay_run works it out
-    "evolve": (_exp_evolve, ("spectral", "evolution"), {
+    "evolve": (_exp_evolve, _evolve_modules, {
         "alpha": (float, 1.0), "t_end": (float, 100.0), "checkpoint_step": (float, 0.5),
         "fit_window": (tuple, None), "dt": (float, None)}),
     "mc": (_exp_mc, (), {
         "x0": (tuple, (0.0, 0.0)), "t_lattice": (list, [1.0]), "dt": (float, 1e-3),
         "n_paths": (int, 10000), "seed": (int, 0), "box": (_box, None),
         "dump_paths": (bool, False)}),
-    "report": (_exp_report, ("acceptance",), {"include_slow": (bool, True)}),
+    "report": (_exp_report, ("striplab.acceptance", *_SCIPY), {"include_slow": (bool, True)}),
 }
 
 

@@ -29,7 +29,8 @@ Both take the same steps and agree to round-off.
 eigendata come straight from the interior 1-D stencils, the datum is formed
 on the interior nodes with the lumped mass of M1 (x) M2, and the separable
 propagator runs through ``evolve``'s own checkpoint loop and checks. It is
-``evolve`` on ``assemble_hk``'s pair up to round-off.
+``evolve`` on ``assemble_hk``'s pair up to round-off, and it loads no scipy:
+the banded propagator imports its solver where it factors.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded
+import numpy.fft  # numpy loads it lazily, on the first np.fft lookup
 
 from .errors import BadCheckpoint, DegenerateFit, LinearSolveFailure, NotInWeightedSpace
 from .oracle import mode_function
@@ -201,6 +202,8 @@ def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: flo
     """Map taking the trapezoidal scheme ``gap`` steps further by banded
     Cholesky solves, to the new state's norm, its mode-1 remainder
     (``project_mode1``) and a function returning its nodal values."""
+    from scipy.linalg import LinAlgError, cho_solve_banded
+
     B = pair.S - shift * pair.M
     try:
         factor = banded_cholesky(pair.M + 0.5 * dt * B)

@@ -13,6 +13,11 @@ Only this module reads those diagonals and that layout, so the 1-D pencils
 live here too: the closed-form sine eigendata of the flat Toeplitz pencil,
 the flat 2-D pair written as the Kronecker sum of its 1-D stencils, the test
 of a 2-D pair for that form, and the batched dense pencils.
+
+scipy is imported where it is called, not with this module: ``scipy.sparse``
+by ``_csr``, which writes every assembled matrix, and ``scipy.linalg`` by
+``banded_cholesky``. A flat decay run, which works from the 1-D stencils in
+the sine basis with numpy alone, never loads it.
 """
 from __future__ import annotations
 
@@ -21,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
 
 from ..errors import LinearSolveFailure, SingularMass
 
@@ -102,7 +105,7 @@ def _diagonals(local: np.ndarray):
     return local[..., 1, 0], diag, local[..., 0, 1]
 
 
-def assemble_1d(nodes: np.ndarray, terms, keep=None) -> sp.csr_matrix:
+def assemble_1d(nodes: np.ndarray, terms, keep=None):
     """Assemble sum of 1D terms on the nodes where the boolean mask ``keep``
     is set, or on every node when it is None; each term is (kind, coeff) with
     coeff of shape (n_cells, 3) holding the coefficient at the Gauss points.
@@ -112,11 +115,10 @@ def assemble_1d(nodes: np.ndarray, terms, keep=None) -> sp.csr_matrix:
     lower, diag, upper = _diagonals(element_matrices_1d(nodes, terms))
     stencil = np.stack([np.r_[0.0, lower], diag, np.r_[upper, 0.0]], -1)
     indptr, indices, coupled, _ = _csr_structure(nodes.size, 1, keep)
-    n = indptr.size - 1
-    return sp.csr_matrix((stencil[coupled[:, 1::3]], indices, indptr), shape=(n, n))
+    return _csr(stencil[coupled[:, 1::3]], indices, indptr)
 
 
-def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None) -> sp.csr_matrix:
+def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None):
     """Assemble sum of bilinear-element terms on the tensor grid x1 (x) x2,
     on the nodes where the boolean mask ``keep`` (over all nodes, x1-major)
     is set, or on every node when it is None.
@@ -153,9 +155,8 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None) -> sp.csr_matr
     for r1, r2 in ((1, 1), (1, 0), (0, 1), (0, 0)):
         stencil[1 - r1:3 - r1, 1 - r2:3 - r2, r1:r1 + n1, r2:r2 + n2] += block[r1, r2]
     indptr, indices, coupled, _ = _csr_structure(n1 + 1, n2 + 1, keep)
-    n = indptr.size - 1
     data = stencil.reshape(9, -1).T[coupled]  # row by row, in column order
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return _csr(data, indices, indptr)
 
 
 def _csr_structure(n1: int, n2: int, keep):
@@ -163,6 +164,15 @@ def _csr_structure(n1: int, n2: int, keep):
     every node)."""
     keep = np.ones(n1 * n2, bool) if keep is None else np.asarray(keep, bool).ravel()
     return _stencil_structure(n1, n2, keep.tobytes())
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """The n x n ``scipy.sparse.csr_matrix`` of this CSR data and structure,
+    with n = ``indptr.size - 1`` rows."""
+    import scipy.sparse
+
+    n = indptr.size - 1
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @functools.lru_cache(maxsize=4)
@@ -251,8 +261,7 @@ def _kronecker_pair(grid: WeightedGrid) -> OperatorPair:
     (k1, m1), (k2, m2) = ([a[[2, 1, 2]] for a in _interior_stencils(x)] for x in (grid.x1, grid.x2))
     structure = _csr_structure(*grid.shape, grid.keep)
     indptr, indices, _, _ = structure
-    n = indptr.size - 1
-    S, M = (sp.csr_matrix((_stencil_data(structure, st), indices, indptr), shape=(n, n))
+    S, M = (_csr(_stencil_data(structure, st), indices, indptr)
             for st in (np.outer(k1, m2) + np.outer(m1, k2), np.outer(m1, m2)))
     return OperatorPair(S, M, grid=grid)
 
@@ -368,16 +377,17 @@ def make_grid(x1, x2) -> WeightedGrid:
 class OperatorPair:
     """Symmetric stiffness/mass pair restricted to unmasked nodes.
 
-    A pair carries its matrices and, when it is 2-D, its grid, whose ``keep``
-    mask picks its unknowns out of the grid's nodes; nothing else: the metric
-    it was assembled from is the caller's, the discrete transverse reference
-    energy is ``flat_transverse_ground(x2)``, the closed-form eigenvalue of
-    the flat Toeplitz pencil (``_sine_eigenpairs``), and the exact one
+    A pair carries its matrices, both ``scipy.sparse.csr_matrix``, and, when
+    it is 2-D, its grid, whose ``keep`` mask picks its unknowns out of the
+    grid's nodes; nothing else: the metric it was assembled from is the
+    caller's, the discrete transverse reference energy is
+    ``flat_transverse_ground(x2)``, the closed-form eigenvalue of the flat
+    Toeplitz pencil (``_sine_eigenpairs``), and the exact one
     ``oracle.transverse_energy(1, a)``.
     """
 
-    S: sp.csr_matrix
-    M: sp.csr_matrix
+    S: object
+    M: object
     grid: WeightedGrid = None
 
     @property
@@ -424,6 +434,8 @@ def banded_cholesky(A) -> np.ndarray:
         raise LinearSolveFailure(
             f"matrix is not symmetric: |A - A^T| = {asym:.3e}, |A| = {scale:.3e}"
         )
+    from scipy.linalg import cholesky_banded
+
     coo = A.tocoo()
     coo.sum_duplicates()
     upper = coo.row <= coo.col

@@ -5,13 +5,14 @@ lies strictly below the spectrum, so it is factored once as a banded
 Cholesky whose band is read off the matrix: every caller numbers its nodes
 x1-major, so the band is one transverse column of kept nodes plus one. A
 shift inside the spectrum shows up as a failed factorization.
+
+``scipy.linalg`` and ``scipy.sparse.linalg`` are imported by
+``lowest_eigenpairs`` when it is called, not with this module, so that the
+runs that solve no eigenproblem do not load them.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cho_solve_banded
 
 from ..errors import NoConvergence, ShiftInsideSpectrum
 from .core import EigenResult, OperatorPair, banded_cholesky
@@ -58,6 +59,9 @@ def lowest_eigenpairs(
     to a dense solve with the same contract, which ignores ``start``. ARPACK
     runs to the relative accuracy 1e-8, which also scales the residual gate.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg as spla
+
     S, M = pair.S, pair.M
     n = S.shape[0]
     if not 1 <= k <= n:
@@ -81,7 +85,7 @@ def lowest_eigenpairs(
             v0, ncv = start, min(max(2 * k + 1, _WARM_NCV), n - 1)
         try:
             factor = banded_cholesky(S - sigma * M)
-        except LinAlgError as exc:
+        except scipy.linalg.LinAlgError as exc:
             raise ShiftInsideSpectrum(
                 f"(S - sigma M) is not positive definite for sigma = {sigma}: {exc}"
             ) from exc
@@ -89,7 +93,7 @@ def lowest_eigenpairs(
         def op(x):
             nonlocal solves
             solves += 1
-            return cho_solve_banded((factor, False), x, check_finite=False)
+            return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
 
         op_inv = spla.LinearOperator((n, n), matvec=op, dtype=float)
         try:

@@ -353,15 +353,31 @@ def _fresh_python(code: str) -> str:
 
 
 def test_monte_carlo_jacobi_and_oracle_commands_never_load_scipy(tmp_path):
-    """Only the PDE kinds pay for importing scipy."""
+    """Only the kinds that assemble or solve with scipy pay for importing it:
+    a flat decay run works in the sine basis with numpy alone."""
     mc, jacobi = _write(tmp_path, FLAT_MC, "mc.ini"), _write(tmp_path, BUMP_JACOBI, "jacobi.ini")
+    evolve = _write(tmp_path, FLAT_EVOLVE, "evolve.ini")
     code = (
         "import sys; from striplab import cli; "
         f"cli.run(cli.load_config({str(mc)!r})); cli.run(cli.load_config({str(jacobi)!r})); "
+        f"cli.run(cli.load_config({str(evolve)!r})); "
         "cli.main(['oracle', 'p0', 't=1.0', 'x=1.0', 'y=1.0']); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert _fresh_python(code) == "[]"
+    assert (tmp_path / "out" / "evolve" / "trajectory.csv").exists()
+
+
+def test_load_config_of_a_report_loads_the_scipy_solvers(tmp_path):
+    """The acceptance suite's eigensolves import scipy where they run, so
+    load_config loads it for them, as it does for every kind that calls it."""
+    report = _write(tmp_path, BUMP_JACOBI.replace("kind = jacobi", "kind = report"))
+    code = (
+        "import sys; from striplab import cli; "
+        f"cli.load_config({str(report)!r}); "
+        "print(sorted({'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)))"
+    )
+    assert _fresh_python(code) == "['scipy.linalg', 'scipy.sparse.linalg']"
 
 
 # a small config of each kind that `strip-lab run` runs on its own
@@ -377,20 +393,24 @@ _SMALL = {
     "evolve": FLAT_EVOLVE,
     "mc": FLAT_MC,
 }
+# a curved decay run takes the banded path, which calls scipy
+CURVED_EVOLVE = BUMP_JACOBI.replace(
+    "kind = jacobi", "kind = evolve\nt_end = 6.0\ndt = 0.05\nfit_window = 1.0, 6.0"
+)
 
 
-@pytest.mark.parametrize("kind", sorted(set(cli._KINDS) - {"report"}))
+@pytest.mark.parametrize("kind", sorted(set(cli._KINDS) - {"report"}) + ["evolve-curved"])
 def test_run_imports_no_module_that_load_config_did_not(tmp_path, kind):
-    """load_config loads every layer its kind runs on, so no import lands in a
-    run's wall time."""
-    p = _write(tmp_path, _SMALL[kind])
+    """load_config loads every module its kind runs on, scipy's included, so
+    no import lands in a run's wall time."""
+    p = _write(tmp_path, CURVED_EVOLVE if kind == "evolve-curved" else _SMALL[kind])
     code = (
         "import sys; from striplab import cli; "
         f"cfg = cli.load_config({str(p)!r}); before = set(sys.modules); cli.run(cfg); "
         "print(sorted(set(sys.modules) - before))"
     )
     assert _fresh_python(code) == "[]"
-    assert (tmp_path / "out" / kind / "manifest.txt").exists()
+    assert (tmp_path / "out" / kind.removesuffix("-curved") / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Only ``spectral.core`` knows how the unknowns sit among a grid's nodes:
 everywhere else maps between nodal arrays and kept-node vectors through
-``WeightedGrid.restrict`` and ``WeightedGrid.extend``."""
+``WeightedGrid.restrict`` and ``WeightedGrid.extend``. And no module imports
+scipy when it is imported: each function that calls scipy imports it."""
 import ast
 from pathlib import Path
 
@@ -49,3 +50,47 @@ def test_the_check_finds_every_form_of_mask_indexing():
 )
 def test_no_module_but_core_indexes_with_the_mask(path):
     assert _mask_subscripts(path.read_text()) == []
+
+
+def _module_level_scipy_imports(source: str) -> list:
+    """Line numbers of the imports of scipy or of a scipy submodule that run
+    when the module is imported: every one outside a function body."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_every_module_level_scipy_import():
+    source = "\n".join([
+        "import scipy",
+        "import scipy.sparse as sp",
+        "from scipy.linalg import cholesky_banded",
+        "import numpy, scipy.sparse.linalg",
+        "if True:",
+        "    from scipy import linalg",
+        "def f():",
+        "    import scipy.linalg",
+        "    from scipy.linalg import LinAlgError",
+        "from .scipy import x",
+        "import scipyx",
+    ])
+    assert _module_level_scipy_imports(source) == [1, 2, 3, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(_SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(_SRC))
+)
+def test_no_module_imports_scipy_when_it_is_imported(path):
+    assert _module_level_scipy_imports(path.read_text()) == []
