@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from . import geometry as geo
 from . import oracle
-from . import stochastic as st
 from .errors import (
     AcceptanceFailure,
     ConfigInvalid,
@@ -296,6 +295,8 @@ def _exp_evolve(cfg, outdir):
 
 
 def _exp_mc(cfg, outdir):
+    from . import stochastic as st
+
     metric = cfg.build_metric()
     sde = st.sde_from_metric(metric)
     ctr = cfg.controls
@@ -354,9 +355,11 @@ def _exp_report(cfg, outdir):
 
 
 # scipy's modules that the eigensolves, assembly and banded solves import
-# where they call them
+# where they call them; the spectral kinds and the report also preload
+# numpy's lazily loaded random module, which cold eigensolves, Hardy trials
+# and the report's Monte Carlo draw from
 _SCIPY = ("scipy.linalg", "scipy.sparse.linalg")
-_SPECTRAL = ("striplab.spectral", *_SCIPY)
+_SPECTRAL = ("striplab.spectral", "numpy.random", *_SCIPY)
 
 
 def _evolve_modules(profile) -> tuple:
@@ -382,11 +385,12 @@ _KINDS = {
     "evolve": (_exp_evolve, _evolve_modules, {
         "alpha": (float, 1.0), "t_end": (float, 100.0), "checkpoint_step": (float, 0.5),
         "fit_window": (tuple, None), "dt": (float, None)}),
-    "mc": (_exp_mc, (), {
+    "mc": (_exp_mc, ("striplab.stochastic",), {
         "x0": (tuple, (0.0, 0.0)), "t_lattice": (list, [1.0]), "dt": (float, 1e-3),
         "n_paths": (int, 10000), "seed": (int, 0), "box": (_box, None),
         "dump_paths": (bool, False)}),
-    "report": (_exp_report, ("striplab.acceptance", *_SCIPY), {"include_slow": (bool, True)}),
+    "report": (_exp_report, ("striplab.acceptance", "numpy.random", *_SCIPY),
+               {"include_slow": (bool, True)}),
 }
 
 

@@ -15,8 +15,9 @@ The scheme has two propagators, chosen from the matrices themselves:
   the step is diagonal in the product of the two closed-form sine bases. The
   state stays in that basis: each checkpoint multiplies the coefficients by
   a power of the step's amplification factors and reads both recorded norms
-  off them. Nodal values, two fast sine transforms, are formed only for the
-  returned states. The cost grows with the number of checkpoints, not steps.
+  off them. Nodal values, two fast sine transforms, are formed only when a
+  returned state is read. The cost grows with the number of checkpoints,
+  not steps.
 - Otherwise the implicit matrix M + dt/2 (S - shift M), symmetric positive
   definite for the shifts and steps used here, is factored once per run as a
   banded Cholesky, and every step is one banded solve. Its band is read off
@@ -25,17 +26,20 @@ The scheme has two propagators, chosen from the matrices themselves:
 
 Both take the same steps and agree to round-off.
 
-``decay_run`` on a flat metric does not build the 2-D pair: the sine
-eigendata come straight from the interior 1-D stencils, the datum is formed
-on the interior nodes with the lumped mass of M1 (x) M2, and the separable
-propagator runs through ``evolve``'s own checkpoint loop and checks. It is
-``evolve`` on ``assemble_hk``'s pair up to round-off, and it loads no scipy:
-the banded propagator imports its solver where it factors.
+``decay_run`` on a flat metric forms no 2-D nodal array: the sine eigendata
+come straight from the interior 1-D stencils, the mode datum is a product of
+an x1 and an x2 profile, so its coefficients are the outer product of their
+two 1-D sine transforms, normalised with the lumped mass of M1 (x) M2, and
+the separable propagator runs through ``evolve``'s own checkpoint loop and
+checks. It is ``evolve`` on ``assemble_hk``'s pair up to round-off, and it
+loads no scipy: the banded propagator imports its solver where it factors.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import numpy.fft  # numpy loads it lazily, on the first np.fft lookup
@@ -75,13 +79,21 @@ class HeatState:
 
 @dataclass(eq=False)
 class Trajectory:
+    """Norms and mode-1 fractions at the checkpoints, the kept states, and
+    ``final``, the state at the last checkpoint (None without one), which
+    ``_final`` forms on its first read: on the separable path its nodal
+    values cost a 2-D sine transform, and a decay fit never reads them."""
     times: np.ndarray
     norm_f: np.ndarray
     mode1_fraction: np.ndarray
     shift: float           # evolved generator is (S - shift M); norms are of
                            # the gauged variable exp(shift t) u(t)
-    final: HeatState
     states: list = field(default_factory=list)
+    _final: Callable[[], HeatState | None] = field(default=lambda: None, repr=False)
+
+    @cached_property
+    def final(self) -> HeatState | None:
+        return self._final()
 
 
 def _norm_f(pair: OperatorPair, u: np.ndarray) -> float:
@@ -104,7 +116,10 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     x2g = grid.restrict(grid.x2)
     if kind == "mode":
         lumped = np.asarray(pair.M.sum(axis=1)).ravel()
-        u = _mode_datum(alpha, float(grid.x2[-1]), x1g, x2g, lumped)
+        g, j1, norm = _mode_datum(
+            alpha, float(grid.x2[-1]), x1g, x2g, lambda w1, w2: lumped @ (w1 * w2)
+        )
+        u = g * j1 / norm
     elif kind == "indicator":
         if box is None:
             raise ValueError("'indicator' initial data needs a box")
@@ -117,21 +132,21 @@ def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None
     return HeatState(u=u, t=0.0, norm_f=_norm_f(pair, u))
 
 
-def _mode_datum(alpha: float, a: float, x1, x2, lumped: np.ndarray) -> np.ndarray:
-    """w^-alpha times the first transverse mode of the section of half-width
-    ``a`` at the nodes (x1, x2), arrays that broadcast together, divided once
-    by its Gaussian-weighted norm in the lumped quadrature ``lumped`` (node
-    weights of the broadcast shape); ``NotInWeightedSpace`` unless
-    alpha > 1/2, before anything is computed."""
+def _mode_datum(alpha: float, a: float, x1, x2, quadrature):
+    """Factors (g, j1, norm) of the mode datum g j1 / norm: g = w^-alpha =
+    exp(-alpha x1^2/4) at ``x1``, j1 the first transverse mode of the section
+    of half-width ``a`` at ``x2``, and norm the datum's Gaussian-weighted
+    norm, sqrt(quadrature(w1, w2)), where ``quadrature`` sums the lumped mass
+    times w1(x1) w2(x2) for w1 = exp((1 - 2 alpha) x1^2/4) and w2 = j1^2;
+    ``NotInWeightedSpace`` unless alpha > 1/2, before anything is computed."""
     if not alpha > 0.5:  # NaN included
         raise NotInWeightedSpace(
             f"alpha = {alpha} is not above 1/2: datum not in the Gaussian-weighted space"
         )
-    # Gaussian-weighted norm by lumped quadrature; (1 - 2 alpha) x1^2/4 <= 0
+    # (1 - 2 alpha) x1^2/4 <= 0
     j1 = mode_function(1, a, x2)
-    weight = np.exp((1.0 - 2.0 * alpha) * x1**2 / 4.0) * j1**2
-    norm = math.sqrt(float(lumped.ravel() @ weight.ravel()))
-    return np.exp(-alpha * x1**2 / 4.0) * j1 / norm
+    norm = math.sqrt(float(quadrature(np.exp((1.0 - 2.0 * alpha) * x1**2 / 4.0), j1**2)))
+    return np.exp(-alpha * x1**2 / 4.0), j1, norm
 
 
 def _not_positive_definite(detail) -> LinearSolveFailure:
@@ -143,12 +158,17 @@ def _require_finite(x: np.ndarray) -> None:
         raise LinearSolveFailure("implicit step produced non-finite values")
 
 
+def _dst(X):
+    """X S along the last axis for the sine matrix S: -1/2 Im FFT of the odd
+    extension."""
+    zero = np.zeros((*X.shape[:-1], 1))
+    odd = np.concatenate([zero, X, zero, -X[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(odd).imag[..., 1:-1]
+
+
 def _sine_transform(X):
-    """S1 X S2 for the sine matrices S: per axis, -1/2 Im FFT of the odd extension."""
-    for _ in range(2):
-        zero = np.zeros((X.shape[0], 1))
-        X = -0.5 * np.fft.rfft(np.hstack([zero, X, zero, -X[:, ::-1]])).imag[:, 1:-1].T
-    return X
+    """S1 X S2 for the sine matrices S: ``_dst`` along each axis."""
+    return _dst(_dst(X).T).T
 
 
 def _sine_coefficients(factors, u: np.ndarray) -> np.ndarray:
@@ -157,6 +177,13 @@ def _sine_coefficients(factors, u: np.ndarray) -> np.ndarray:
     P diag(m), C = P1^T M1 U M2 P2 = diag(d1 m1) S1 U S2 diag(d2 m2)."""
     (l1, m1, d1), (l2, m2, d2) = factors
     return (d1 * m1)[:, None] * _sine_transform(u.reshape(l1.size, l2.size)) * (d2 * m2)
+
+
+def _product_coefficients(factors, g: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``_sine_coefficients`` of the product state g(x1) j(x2): as S1 (g j^T) S2
+    = (S1 g)(S2 j)^T, the outer product of one 1-D sine transform per factor."""
+    (_, m1, d1), (_, m2, d2) = factors
+    return np.outer(d1 * m1 * _dst(g), d2 * m2 * _dst(j))
 
 
 def _coefficient_norms(C: np.ndarray):
@@ -168,13 +195,24 @@ def _coefficient_norms(C: np.ndarray):
     return math.sqrt(float(C[:, 0] @ C[:, 0]) + rem2), math.sqrt(rem2)
 
 
-def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
-    """Map taking the trapezoidal scheme ``gap`` steps further, for a
-    Kronecker-sum pair, to the new state's norm, its mode-1 remainder and a
-    function forming its nodal values; only the first call may have gap 0.
+def _power(r: np.ndarray, gap: int) -> np.ndarray:
+    """r**gap as |r|**gap with the sign of r restored when gap is odd: equal in
+    real arithmetic, within about 1 ulp in floating point, and much faster
+    on negative bases."""
+    p = np.abs(r) ** gap
+    return np.copysign(p, r, out=p) if gap % 2 else p
 
-    One step multiplies the coefficients C (``_sine_coefficients``) entrywise
-    by r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift.
+
+def _separable_propagator(factors, C: np.ndarray, dt: float, shift: float, u0=None):
+    """Map taking the trapezoidal scheme ``gap`` steps further, for a
+    Kronecker-sum pair, from the start state of coefficients C
+    (``_sine_coefficients``) to the new state's norm, its mode-1 remainder and
+    a function forming its nodal values; only the first call may have gap 0,
+    and returns ``u0``, the start's nodal values, if given.
+
+    One step multiplies the coefficients entrywise by
+    r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift; ``gap`` steps
+    by its power (``_power``).
     """
     (l1, _, d1), (l2, _, d2) = factors
     lam = l1[:, None] + l2[None, :] - shift
@@ -182,18 +220,18 @@ def _separable_propagator(factors, u0: np.ndarray, dt: float, shift: float):
     if not plus.min() > 0.0:
         raise _not_positive_definite(f"its smallest eigenvalue factor is {plus.min():.3e}")
     r = (1.0 - 0.5 * dt * lam) / plus
-    C = _sine_coefficients(factors, u0)
     last_gap, r_gap = 0, None
 
     def advance(gap: int):
         nonlocal C, last_gap, r_gap
         if gap:
             if gap != last_gap:
-                last_gap, r_gap = gap, r**gap
+                last_gap, r_gap = gap, _power(r, gap)
             C = C * r_gap
         _require_finite(C)
-        nodal = u0.copy if gap == 0 else lambda C=C: _sine_transform(d1[:, None] * C * d2).ravel()
-        return (*_coefficient_norms(C), nodal)
+        if gap == 0 and u0 is not None:
+            return (*_coefficient_norms(C), u0.copy)
+        return (*_coefficient_norms(C), lambda C=C: _sine_transform(d1[:, None] * C * d2).ravel())
 
     return advance
 
@@ -242,8 +280,9 @@ def evolve(
 
     A pair verified to be a Kronecker sum of Toeplitz 1-D pairs on a
     symmetric cross-section is propagated exactly in their product sine
-    basis, at a cost per checkpoint, and forms nodal values only for the
-    returned states; any other pair is stepped with the implicit matrix
+    basis, at a cost per checkpoint, and forms nodal values only when a
+    returned state is read (each kept state at once, ``final`` on its first
+    read); any other pair is stepped with the implicit matrix
     M + dt/2 (S - shift M) factored once as a banded Cholesky, at a cost per
     step (see the module docstring). ``LinearSolveFailure`` is raised when
     that matrix is not symmetric positive definite, and when a checkpoint
@@ -253,7 +292,8 @@ def evolve(
     def start():
         factors = _kronecker_factors(pair)
         if factors is not None:
-            return _separable_propagator(factors, u0.u, dt, shift)
+            C0 = _sine_coefficients(factors, u0.u)
+            return _separable_propagator(factors, C0, dt, shift, u0.u)
         return _banded_propagator(pair, u0.u, dt, shift)
 
     return _checkpoint_loop(start, u0.t, t_grid, dt, shift, keep_states)
@@ -292,17 +332,19 @@ def _checkpoint_loop(start, t0, t_grid, dt: float, shift: float, keep_states: bo
         m1.append(rem / norm if norm > 0 else 0.0)
         if keep_states:
             states.append(HeatState(u=nodal(), t=times[-1], norm_f=norm))
-    final = None
-    if times:
-        final = states[-1] if keep_states else HeatState(u=nodal(), t=times[-1], norm_f=nf[-1])
+
+    def final():
+        if not times:
+            return None
+        return states[-1] if keep_states else HeatState(u=nodal(), t=times[-1], norm_f=nf[-1])
 
     return Trajectory(
         times=np.asarray(times),
         norm_f=np.asarray(nf),
         mode1_fraction=np.asarray(m1),
         shift=shift,
-        final=final,
         states=states,
+        _final=final,
     )
 
 
@@ -369,7 +411,8 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
 
     A flat metric on a cross-section symmetric about the axis is run from
     the 1-D stencils in the sine basis (``_sine_factors``), with no 2-D pair
-    built, checked or matched; any other metric is assembled
+    built, checked or matched and no 2-D nodal array formed unless
+    ``trajectory.final`` is read; any other metric is assembled
     (``assemble_hk``) and evolved with ``evolve``. Both take the same checks
     and agree to round-off."""
     if not 0 < checkpoint_step < math.inf:
@@ -392,13 +435,17 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
         trajectory = evolve(pair, u0, t_grid, dt=dt, shift=e1h)
     else:
         # the flat pair's interior nodes are a full (n1 - 1) x (n2 - 1) block,
-        # and the lumped mass of M1 (x) M2 the outer product of the 1-D ones
+        # and the lumped mass of M1 (x) M2 the outer product of the 1-D ones,
+        # so its quadrature of a product w1(x1) w2(x2) is a product of 1-D sums
         ((_, m1), (_, m2)), factors = sine
         x1, x2 = grid.x1[1:-1], grid.x2[1:-1]
-        lumped = np.outer(_lumped_rows(m1, x1.size), _lumped_rows(m2, x2.size))
-        v0 = _mode_datum(alpha, float(grid.x2[-1]), x1[:, None], x2, lumped).ravel()
+        l1, l2 = _lumped_rows(m1, x1.size), _lumped_rows(m2, x2.size)
+        g, j1, norm = _mode_datum(
+            alpha, float(grid.x2[-1]), x1, x2, lambda w1, w2: (l1 @ w1) * (l2 @ w2)
+        )
+        C0 = _product_coefficients(factors, g, j1) / norm
         trajectory = _checkpoint_loop(
-            lambda: _separable_propagator(factors, v0, dt, e1h), 0.0, t_grid, dt, e1h, False
+            lambda: _separable_propagator(factors, C0, dt, e1h), 0.0, t_grid, dt, e1h, False
         )
     return trajectory, fit_decay(trajectory, e1h, window), e1h
 

@@ -368,6 +368,19 @@ def test_monte_carlo_jacobi_and_oracle_commands_never_load_scipy(tmp_path):
     assert (tmp_path / "out" / "evolve" / "trajectory.csv").exists()
 
 
+def test_a_flat_decay_run_never_loads_numpy_random(tmp_path):
+    """Only Monte Carlo runs load ``stochastic``, and with it numpy's random
+    module: a flat decay run, which draws nothing, loads neither."""
+    evolve = _write(tmp_path, FLAT_EVOLVE)
+    code = (
+        "import sys; from striplab import cli; "
+        f"cli.run(cli.load_config({str(evolve)!r})); "
+        "print(sorted({'numpy.random', 'striplab.stochastic'} & set(sys.modules)))"
+    )
+    assert _fresh_python(code) == "[]"
+    assert (tmp_path / "out" / "evolve" / "trajectory.csv").exists()
+
+
 def test_load_config_of_a_report_loads_the_scipy_solvers(tmp_path):
     """The acceptance suite's eigensolves import scipy where they run, so
     load_config loads it for them, as it does for every kind that calls it."""

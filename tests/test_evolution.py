@@ -264,7 +264,11 @@ def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_state
     monkeypatch.setattr(ev, "_sine_transform", lambda X: transforms.append(X) or sine_transform(X))
     tr, _, _ = ev.decay_run(m, t_end=20.0)
     assert tr.times.size == 41
-    assert len(transforms) == 2  # the datum's coefficients, then the final state
+    # the datum's coefficients come from two 1-D transforms; the final state
+    # is formed on its first read, and only then
+    assert len(transforms) == 0
+    assert tr.final is tr.final and tr.final.t == 20.0
+    assert len(transforms) == 1
     # with keep_states: one more per kept state after the start, which is the datum itself
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     transforms.clear()
@@ -297,6 +301,44 @@ def test_flat_decay_run_matches_evolve_on_the_assembled_pair(request, case, alph
     assert abs(fit.lambda_hat - ref_fit.lambda_hat) <= 1e-12
     assert tr.final.t == ref.final.t and tr.final.u.shape == ref.final.u.shape
     assert np.abs(tr.final.u - ref.final.u).max() <= 1e-12 * np.abs(ref.final.u).max()
+
+
+@pytest.mark.parametrize("case", ["flat_small", "flat_narrow"])
+@pytest.mark.parametrize("alpha", [1.0, 0.8])
+def test_flat_decay_datum_coefficients_are_those_of_the_nodal_datum(
+    request, monkeypatch, case, alpha
+):
+    """The flat decay run's datum coefficients, the outer product of two 1-D
+    sine transforms, are the 2-D transform of ``weighted_initial``'s datum."""
+    m, pair = request.getfixturevalue(case)
+    starts = []
+    propagator = ev._separable_propagator
+    monkeypatch.setattr(
+        ev, "_separable_propagator", lambda *args: starts.append(args[1]) or propagator(*args)
+    )
+    ev.decay_run(m, alpha=alpha, t_end=10.0, dt=0.01)
+    (C0,) = starts
+    ref = ev._sine_coefficients(
+        core._kronecker_factors(pair), ev.weighted_initial(pair, "mode", alpha=alpha).u
+    )
+    assert C0.shape == ref.shape
+    assert np.abs(C0 - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# at gaps 999 and 1000 about a tenth of the powers underflow to signed zeros
+@pytest.mark.parametrize("gap", [49, 50, 999, 1000])
+def test_the_step_power_is_r_to_the_gap_within_2_ulp_and_of_its_sign(flat_small, gap):
+    """``_power`` takes |r|**gap and restores the sign by parity: the same
+    number as r**gap up to rounding, on factors that are mostly negative."""
+    _, pair = flat_small
+    (l1, _, _), (l2, _, _) = core._kronecker_factors(pair)
+    lam = l1[:, None] + l2[None, :] - sp.flat_transverse_ground(pair.grid.x2)
+    dt = 0.1
+    r = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
+    assert (r < 0).mean() > 0.8
+    p, ref = ev._power(r, gap), r**gap
+    np.testing.assert_array_max_ulp(p, ref, maxulp=2)
+    assert np.array_equal(np.signbit(p), np.signbit(ref))
 
 
 @pytest.mark.parametrize(
@@ -679,7 +721,6 @@ def test_fit_decay_recovers_synthetic_law():
         norm_f=norm,
         mode1_fraction=np.full_like(t, math.nan),
         shift=0.0,
-        final=None,
     )
     fit = ev.fit_decay(tr, lam, (2.0, 80.0))
     assert fit.gamma_hat == pytest.approx(gam, abs=1e-9)
