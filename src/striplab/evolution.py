@@ -6,32 +6,23 @@ second order in the step. Long runs are always shifted by the discrete
 transverse ground energy: the unshifted semigroup decays through hundreds of
 e-foldings over the fit windows used here and would underflow.
 
-The scheme has two propagators, chosen from the matrices themselves:
+The implicit matrix M + dt/2 (S - shift M), symmetric positive definite for
+the shifts and steps used here, is factored once per run as a banded
+Cholesky, and every step is one banded solve. Its band is read off the
+matrix: nodes are numbered x1-major, so it spans one transverse column of
+kept nodes plus one.
 
-- When the pair is verified to be a Kronecker sum, S = K1 (x) M2 + M1 (x) K2
-  and M = M1 (x) M2, of tridiagonal Toeplitz interior 1-D pairs on a
-  cross-section symmetric about the axis (a flat strip with Dirichlet
-  conditions on all four sides, which ``assemble_hk`` builds as that sum),
-  the step is diagonal in the product of the two closed-form sine bases. The
-  state stays in that basis: each checkpoint multiplies the coefficients by
-  a power of the step's amplification factors and reads both recorded norms
-  off them. Nodal values, two fast sine transforms, are formed only when a
-  returned state is read. The cost grows with the number of checkpoints,
-  not steps.
-- Otherwise the implicit matrix M + dt/2 (S - shift M), symmetric positive
-  definite for the shifts and steps used here, is factored once per run as a
-  banded Cholesky, and every step is one banded solve. Its band is read off
-  the matrix: nodes are numbered x1-major, so it spans one transverse column
-  of kept nodes plus one.
-
-Both take the same steps and agree to round-off.
-
-``decay_run`` on a flat metric forms no 2-D nodal array: the sine eigendata
-come straight from the interior 1-D stencils, the mode datum is a product of
-an x1 and an x2 profile, so its coefficients are the outer product of their
-two 1-D sine transforms, normalised with the lumped mass of M1 (x) M2, and
-the separable propagator runs through ``evolve``'s own checkpoint loop and
-checks. It is ``evolve`` on ``assemble_hk``'s pair up to round-off, and it
+``decay_run`` on a flat metric builds no 2-D pair and forms no 2-D nodal
+array. On a Dirichlet flat strip the step is diagonal in the product of the
+two closed-form sine bases of the interior 1-D stencils, so the state stays
+in that basis: the mode datum is a product of an x1 and an x2 profile, so
+its coefficients are the outer product of their two 1-D sine transforms,
+normalised with the lumped mass of M1 (x) M2; each checkpoint multiplies
+them by a power of the step's amplification factors and reads both recorded
+norms off them, and nodal values, two fast sine transforms, are formed only
+when the final state is read. This separable propagator runs through
+``evolve``'s own checkpoint loop and checks, costs per checkpoint, not per
+step, agrees with ``evolve`` on ``assemble_hk``'s pair to round-off, and
 loads no scipy: the banded propagator imports its solver where it factors.
 """
 from __future__ import annotations
@@ -49,7 +40,6 @@ from .oracle import mode_function
 from .spectral import assemble_hk, flat_transverse_ground
 from .spectral.core import (
     OperatorPair,
-    _kronecker_factors,
     _lumped_rows,
     _sine_factors,
     banded_cholesky,
@@ -65,8 +55,6 @@ __all__ = [
     "fit_decay",
     "decay_run",
     "project_mode1",
-    "seminorm_decay_bound",
-    "SeminormPrediction",
 ]
 
 
@@ -81,7 +69,7 @@ class HeatState:
 class Trajectory:
     """Norms and mode-1 fractions at the checkpoints, the kept states, and
     ``final``, the state at the last checkpoint (None without one), which
-    ``_final`` forms on its first read: on the separable path its nodal
+    ``_final`` forms on its first read: on a flat decay run its nodal
     values cost a 2-D sine transform, and a decay fit never reads them."""
     times: np.ndarray
     norm_f: np.ndarray
@@ -171,17 +159,11 @@ def _sine_transform(X):
     return _dst(_dst(X).T).T
 
 
-def _sine_coefficients(factors, u: np.ndarray) -> np.ndarray:
-    """Coefficients C of the kept-node vector ``u`` = vec(P1 C P2^T) in the
-    M-orthonormal eigenvectors P = S diag(d) of the 1-D pairs: as M P =
-    P diag(m), C = P1^T M1 U M2 P2 = diag(d1 m1) S1 U S2 diag(d2 m2)."""
-    (l1, m1, d1), (l2, m2, d2) = factors
-    return (d1 * m1)[:, None] * _sine_transform(u.reshape(l1.size, l2.size)) * (d2 * m2)
-
-
 def _product_coefficients(factors, g: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``_sine_coefficients`` of the product state g(x1) j(x2): as S1 (g j^T) S2
-    = (S1 g)(S2 j)^T, the outer product of one 1-D sine transform per factor."""
+    """Coefficients C of the product state g(x1) j(x2) = vec(P1 C P2^T) in the
+    M-orthonormal eigenvectors P = S diag(d) of the 1-D pairs: as M P =
+    P diag(m), C = P1^T M1 (g j^T) M2 P2 = diag(d1 m1) (S1 g)(S2 j)^T diag(d2 m2),
+    the outer product of one 1-D sine transform per factor."""
     (_, m1, d1), (_, m2, d2) = factors
     return np.outer(d1 * m1 * _dst(g), d2 * m2 * _dst(j))
 
@@ -203,12 +185,11 @@ def _power(r: np.ndarray, gap: int) -> np.ndarray:
     return np.copysign(p, r, out=p) if gap % 2 else p
 
 
-def _separable_propagator(factors, C: np.ndarray, dt: float, shift: float, u0=None):
+def _separable_propagator(factors, C: np.ndarray, dt: float, shift: float):
     """Map taking the trapezoidal scheme ``gap`` steps further, for a
     Kronecker-sum pair, from the start state of coefficients C
-    (``_sine_coefficients``) to the new state's norm, its mode-1 remainder and
-    a function forming its nodal values; only the first call may have gap 0,
-    and returns ``u0``, the start's nodal values, if given.
+    (``_product_coefficients``) to the new state's norm, its mode-1 remainder
+    and a function forming its nodal values.
 
     One step multiplies the coefficients entrywise by
     r = (1 - dt/2 l) / (1 + dt/2 l), l = l1_i + l2_j - shift; ``gap`` steps
@@ -229,8 +210,6 @@ def _separable_propagator(factors, C: np.ndarray, dt: float, shift: float, u0=No
                 last_gap, r_gap = gap, _power(r, gap)
             C = C * r_gap
         _require_finite(C)
-        if gap == 0 and u0 is not None:
-            return (*_coefficient_norms(C), u0.copy)
         return (*_coefficient_norms(C), lambda C=C: _sine_transform(d1[:, None] * C * d2).ravel())
 
     return advance
@@ -278,25 +257,14 @@ def evolve(
     ``dt`` not positive and finite raises ``ValueError``. With ``shift``
     nonzero the gauged variable exp(shift t) u(t) is evolved and recorded.
 
-    A pair verified to be a Kronecker sum of Toeplitz 1-D pairs on a
-    symmetric cross-section is propagated exactly in their product sine
-    basis, at a cost per checkpoint, and forms nodal values only when a
-    returned state is read (each kept state at once, ``final`` on its first
-    read); any other pair is stepped with the implicit matrix
-    M + dt/2 (S - shift M) factored once as a banded Cholesky, at a cost per
-    step (see the module docstring). ``LinearSolveFailure`` is raised when
-    that matrix is not symmetric positive definite, and when a checkpoint
-    holds non-finite values (on the separable path, coefficients).
+    The implicit matrix M + dt/2 (S - shift M) is factored once as a banded
+    Cholesky and every step is one banded solve (see the module docstring).
+    ``LinearSolveFailure`` is raised when that matrix is not symmetric
+    positive definite, and when a checkpoint holds non-finite values.
     """
-
-    def start():
-        factors = _kronecker_factors(pair)
-        if factors is not None:
-            C0 = _sine_coefficients(factors, u0.u)
-            return _separable_propagator(factors, C0, dt, shift, u0.u)
-        return _banded_propagator(pair, u0.u, dt, shift)
-
-    return _checkpoint_loop(start, u0.t, t_grid, dt, shift, keep_states)
+    return _checkpoint_loop(
+        lambda: _banded_propagator(pair, u0.u, dt, shift), u0.t, t_grid, dt, shift, keep_states
+    )
 
 
 def _checkpoint_loop(start, t0, t_grid, dt: float, shift: float, keep_states: bool) -> Trajectory:
@@ -411,7 +379,7 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
 
     A flat metric on a cross-section symmetric about the axis is run from
     the 1-D stencils in the sine basis (``_sine_factors``), with no 2-D pair
-    built, checked or matched and no 2-D nodal array formed unless
+    built or checked and no 2-D nodal array formed unless
     ``trajectory.final`` is read; any other metric is assembled
     (``assemble_hk``) and evolved with ``evolve``. Both take the same checks
     and agree to round-off."""
@@ -428,7 +396,7 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
     e1h = flat_transverse_ground(metric.x2)
     t_grid = np.arange(0.0, t_end + 1e-9, checkpoint_step)
     grid = make_grid(metric.x1, metric.x2)
-    sine = _sine_factors(grid) if metric.flat else None
+    sine = _sine_factors(grid.x1, grid.x2) if metric.flat else None
     if sine is None:
         pair = assemble_hk(metric)
         u0 = weighted_initial(pair, "mode", alpha=alpha)
@@ -466,32 +434,3 @@ def _mode1_remainder(pair: OperatorPair, u: np.ndarray) -> float:
     phi = (U * (w2 * j1)[None, :]).sum(axis=1)
     R = U - phi[:, None] * j1[None, :]
     return _norm_f(pair, pair.grid.restrict(R))
-
-
-@dataclass(frozen=True)
-class SeminormPrediction:
-    average: float      # (1/s_max) integral of nu over the lattice
-    tail: float         # last lattice value, the limit estimate
-    predicted_exponent: float
-
-
-def seminorm_decay_bound(s_values, nu_values) -> SeminormPrediction:
-    """Predicted polynomial exponent from frame-eigenvalue samples.
-
-    The running average reconstructs the integral bound; the tail value
-    estimates the limiting frame eigenvalue, which lower-bounds the decay
-    exponent.
-    """
-    s = np.atleast_1d(np.asarray(s_values, float))
-    nu = np.atleast_1d(np.asarray(nu_values, float))
-    if s.size != nu.size or s.size == 0:
-        raise ValueError("need matching, nonempty lattices")
-    if s.size == 1:
-        v = float(nu[0])
-        return SeminormPrediction(average=v, tail=v, predicted_exponent=v)
-    order = np.argsort(s)
-    s, nu = s[order], nu[order]
-    total = np.trapezoid(nu, s) + nu[0] * s[0]  # constant continuation to 0
-    avg = float(total / s[-1])
-    tail = float(nu[-1])
-    return SeminormPrediction(average=avg, tail=tail, predicted_exponent=tail)

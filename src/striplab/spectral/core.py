@@ -11,8 +11,8 @@ is an n x 1 one), computed once per grid and mask.
 
 Only this module reads those diagonals and that layout, so the 1-D pencils
 live here too: the closed-form sine eigendata of the flat Toeplitz pencil,
-the flat 2-D pair written as the Kronecker sum of its 1-D stencils, the test
-of a 2-D pair for that form, and the batched dense pencils.
+the flat 2-D pair written as the Kronecker sum of its 1-D stencils, and the
+batched dense pencils.
 
 scipy is imported where it is called, not with this module: ``scipy.sparse``
 by ``_csr``, which writes every assembled matrix, and ``scipy.linalg`` by
@@ -240,17 +240,6 @@ def _largest_difference(a: np.ndarray, scratch: np.ndarray) -> float:
     return float(np.abs(np.subtract(a, scratch, out=scratch), out=scratch).max())
 
 
-def _matches_stencil(A, structure, stencil) -> bool:
-    """Whether CSR ``A`` has the CSR ``structure`` and agrees entry by entry,
-    to 1e-12 relative to the largest, with ``_stencil_data(structure, stencil)``."""
-    indptr, indices, _, _ = structure
-    if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
-        return False
-    data = _stencil_data(structure, stencil)
-    scale = float(max(data.max(), -data.min()))
-    return _largest_difference(A.data, data) <= 1e-12 * scale
-
-
 def _kronecker_pair(grid: WeightedGrid) -> OperatorPair:
     """The flat pair S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 of the interior
     1-D pairs (K1, M1), (K2, M2) of unit weight (``_interior_stencils``),
@@ -266,17 +255,16 @@ def _kronecker_pair(grid: WeightedGrid) -> OperatorPair:
     return OperatorPair(S, M, grid=grid)
 
 
-def _sine_factors(grid: WeightedGrid):
-    """The interior 1-D stencils [(k1, m1), (k2, m2)] of unit weight of the two
-    grid directions (``_interior_stencils``) and their sine-basis eigendata
-    (``_sine_eigenpairs``), if the grid's kept nodes are its interior ones
-    (``make_grid``'s) on a cross-section symmetric about the axis,
-    x2[0] = -x2[-1], else None. Only on such a grid is a flat pair the
-    Kronecker sum of these 1-D pairs, and only on the symmetric cross-section
-    is the sampled first transverse mode the first sine vector, which the
-    separable propagator's mode-1 remainder relies on."""
-    x1, x2 = grid.x1, grid.x2
-    if x2[0] != -x2[-1] or not np.array_equal(grid.keep, make_grid(x1, x2).keep):
+def _sine_factors(x1: np.ndarray, x2: np.ndarray):
+    """The interior 1-D stencils [(k1, m1), (k2, m2)] of unit weight on the
+    nodes x1 and x2 (``_interior_stencils``) and their sine-basis eigendata
+    (``_sine_eigenpairs``), if the cross-section is symmetric about the axis,
+    x2[0] = -x2[-1], else None. On the interior nodes of x1 (x) x2
+    (``make_grid``'s) a flat pair is the Kronecker sum of these 1-D pairs, and
+    only on the symmetric cross-section is the sampled first transverse mode
+    the first sine vector, which the separable propagator's mode-1 remainder
+    relies on."""
+    if x2[0] != -x2[-1]:
         return None
     stencils = [_interior_stencils(x) for x in (x1, x2)]
     return stencils, tuple(_sine_eigenpairs(*st, x.size - 2) for st, x in zip(stencils, (x1, x2)))
@@ -289,27 +277,6 @@ def _lumped_rows(stencil: np.ndarray, n: int) -> np.ndarray:
     _, a0, a1 = stencil
     i = np.arange(n)
     return a0 + a1 * (i > 0) + a1 * (i < n - 1)
-
-
-def _kronecker_factors(pair: OperatorPair):
-    """The sine-basis eigendata of ``_sine_factors(pair.grid)`` if the pair is
-    exactly S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 of those interior 1-D
-    pairs, else None. This is read off the matrices: S and M must match
-    their Kronecker forms entry by entry. As the 1-D matrices are
-    tridiagonal Toeplitz, those forms have the 9-point CSR structure of the
-    assembly, with the products of the 1-D stencils at the offset of each
-    entry."""
-    grid = pair.grid
-    sine = _sine_factors(grid)
-    if sine is None:
-        return None
-    ((k1, m1), (k2, m2)), factors = sine
-    structure = _csr_structure(*grid.shape, grid.keep)
-    if not _matches_stencil(pair.M.tocsr(), structure, np.outer(m1, m2)):
-        return None
-    if not _matches_stencil(pair.S.tocsr(), structure, np.outer(k1, m2) + np.outer(m1, k2)):
-        return None
-    return factors
 
 
 def _tridiagonal(local: np.ndarray, wall: bool) -> np.ndarray:

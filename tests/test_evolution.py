@@ -59,6 +59,24 @@ def _splu_reference(pair, u0, t_grid, dt, shift=0.0):
     return out
 
 
+def _sine_coefficients(factors, u):
+    """Coefficients C of the kept-node vector ``u`` = vec(P1 C P2^T) in the
+    M-orthonormal sine eigenvectors P = S diag(d) of the 1-D pairs, by dense
+    products: as M P = P diag(m), C = P1^T M1 U M2 P2 = diag(m1) P1^T U P2 diag(m2)."""
+    (l1, m1, d1), (l2, m2, d2) = factors
+    P1, P2 = _sine_basis(l1.size, d1), _sine_basis(l2.size, d2)
+    return m1[:, None] * (P1.T @ u.reshape(l1.size, l2.size) @ P2) * m2
+
+
+def _separable_evolve(grid, u0, t_grid, dt, shift=0.0, keep_states=False):
+    """``evolve`` of the state ``u0`` on the flat pair of ``grid`` (``make_grid``'s),
+    run on the separable propagator that only a flat ``decay_run`` takes."""
+    factors = core._sine_factors(grid.x1, grid.x2)[1]
+    C0 = _sine_coefficients(factors, u0.u)
+    start = lambda: ev._separable_propagator(factors, C0, dt, shift)
+    return ev._checkpoint_loop(start, u0.t, t_grid, dt, shift, keep_states)
+
+
 def _mode1_fraction_reference(pair, u):
     """The inline remainder fraction ``evolve`` used to compute before it
     called ``project_mode1``."""
@@ -126,8 +144,8 @@ def test_extend_and_restrict_are_the_kept_node_layout(flat_small, flat_open_ends
     ids=["flat", "curved", "shifted", "checkpoints", "flat-checkpoints", "flat-open-ends"],
 )
 def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
-    """Both propagators against sparse LU: flat_small takes the separable
-    one, the curved and open-ended pairs the banded Cholesky."""
+    """``evolve``'s banded Cholesky against sparse LU, on flat, curved and
+    open-ended pairs."""
     m, pair = request.getfixturevalue(case)
     if shift == "e1":
         shift = sp.flat_transverse_ground(m.x2)
@@ -142,11 +160,10 @@ def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
         assert abs(nf - nf_ref) <= 1e-11 * nf_ref
 
 
-@pytest.mark.parametrize(
-    "case, banded",
-    [("flat_small", False), ("curved_small", True), ("flat_open_ends", True)],
-)
-def test_propagator_follows_the_kronecker_structure(request, monkeypatch, case, banded):
+@pytest.mark.parametrize("case", ["flat_small", "curved_small", "flat_open_ends"])
+def test_evolve_factors_one_banded_cholesky_on_every_pair(request, monkeypatch, case):
+    """``evolve`` has one propagator: a flat pair is stepped by banded solves
+    like any other, from one n x n factorisation."""
     m, pair = request.getfixturevalue(case)
     calls = []
 
@@ -157,7 +174,7 @@ def test_propagator_follows_the_kronecker_structure(request, monkeypatch, case, 
     monkeypatch.setattr(ev, "banded_cholesky", spy)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=sp.flat_transverse_ground(m.x2))
-    assert calls == ([(pair.n, pair.n)] if banded else [])
+    assert calls == [(pair.n, pair.n)]
 
 
 @pytest.mark.parametrize("case", ["flat_small", "curved_small"])
@@ -166,11 +183,11 @@ def test_checkpoints_at_the_fit_window_ends_are_kept(request, case):
     ends of criterion 5's fit window [5, 100] take part in the fit: widening
     the window by half a step changes nothing. Times accumulated step by step
     drift to 4.999999999999938 and 100.00000000001425 and fall outside."""
-    m, pair = request.getfixturevalue(case)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    m, _ = request.getfixturevalue(case)
     dt = 0.01
-    t_grid = np.arange(0.0, 100.0 + 1e-9, 5.0)
-    tr = ev.evolve(pair, u0, t_grid, dt=dt, shift=sp.flat_transverse_ground(m.x2))
+    # decay_run's step for checkpoints every 5 and the window [5, 100] is dt,
+    # its datum the mode datum of alpha 1 and its shift flat_transverse_ground
+    tr, _, _ = ev.decay_run(m, t_end=100.0, checkpoint_step=5.0)
     assert tr.times.tolist() == [k * dt for k in range(0, 10001, 500)]
     assert tr.times[1] == 5.0 and tr.times[-1] == 100.0
     e1 = transverse_energy(1, m.x2[-1])
@@ -221,12 +238,13 @@ def test_decay_run_rejects_bad_times_before_assembly(request, monkeypatch, case,
 
 
 def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypatch):
-    """A flat pair on x2 shifted off the axis is still a Kronecker sum, but its
+    """A flat strip on x2 shifted off the axis has a Kronecker-sum pair, but its
     sampled first mode is not the first sine vector, so the coefficient
-    remainder would be wrong there: the pair is stepped by banded solves."""
+    remainder would be wrong there: ``decay_run`` assembles the pair and
+    steps it by banded solves, the run of ``evolve`` on that pair."""
     m, _ = flat_small
-    pair = sp.assemble_hk(m, sp.make_grid(m.x1, m.x2 + 0.25))
-    assert core._kronecker_factors(pair) is None
+    off = dataclasses.replace(m, x2=m.x2 + 0.25)
+    assert core._sine_factors(off.x1, off.x2) is None
     calls = []
 
     def spy(A):
@@ -234,21 +252,22 @@ def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypa
         return sp.core.banded_cholesky(A)
 
     monkeypatch.setattr(ev, "banded_cholesky", spy)
-    shift = sp.flat_transverse_ground(m.x2)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
-    tr = ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=shift, keep_states=True)
+    tr, _, e1h = ev.decay_run(off, t_end=1.0, checkpoint_step=0.1, window=(0.0, 1.0), dt=0.01)
+    pair = sp.assemble_hk(off)
     assert calls == [(pair.n, pair.n)]
-    for st, (_, u_ref) in zip(tr.states, _splu_reference(pair, u0, [0.0, 0.2], 0.01, shift)):
-        assert np.abs(st.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
-    assert tr.mode1_fraction.tolist() == [
-        ev.project_mode1(st, pair) / st.norm_f for st in tr.states
-    ]
+    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    ref = _splu_reference(pair, u0, tr.times, 0.01, e1h)
+    for nf, (_, u_ref) in zip(tr.norm_f, ref):
+        nf_ref = math.sqrt(u_ref @ (pair.M @ u_ref))
+        assert abs(nf - nf_ref) <= 1e-11 * nf_ref
+    assert np.abs(tr.final.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
+    assert tr.mode1_fraction[-1] == ev.project_mode1(tr.final, pair) / tr.final.norm_f
 
 
 def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_states(
     flat_small, monkeypatch
 ):
-    m, pair = flat_small
+    m, _ = flat_small
 
     def no_elements(*args, **kwargs):
         raise AssertionError("a flat decay run built or checked a 2-D pair")
@@ -269,12 +288,6 @@ def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_state
     assert len(transforms) == 0
     assert tr.final is tr.final and tr.final.t == 20.0
     assert len(transforms) == 1
-    # with keep_states: one more per kept state after the start, which is the datum itself
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
-    transforms.clear()
-    tr = ev.evolve(pair, u0, [0.0, 0.1, 0.25, 0.6], dt=0.01, keep_states=True)
-    assert len(transforms) == 1 + 3
-    assert tr.final is tr.states[-1] and np.array_equal(tr.states[0].u, u0.u)
 
 
 @pytest.fixture(scope="module")
@@ -287,10 +300,9 @@ def flat_narrow():
 def test_flat_decay_run_matches_evolve_on_the_assembled_pair(request, case, alpha):
     """The flat decay run, which goes from the 1-D stencils straight to the
     sine basis, is the decay run of ``evolve`` on ``assemble_hk``'s pair,
-    which the matrices select for the same separable propagator."""
+    which takes the same steps by banded solves: an independent reference."""
     m, pair = request.getfixturevalue(case)
     tr, fit, e1h = ev.decay_run(m, alpha=alpha, t_end=20.0, dt=0.01)
-    assert core._kronecker_factors(pair) is not None
     u0 = ev.weighted_initial(pair, "mode", alpha=alpha)
     ref = ev.evolve(pair, u0, np.arange(0.0, 20.0 + 1e-9, 0.5), dt=0.01, shift=e1h)
     ref_fit = ev.fit_decay(ref, e1h, (5.0, 20.0))
@@ -309,7 +321,7 @@ def test_flat_decay_datum_coefficients_are_those_of_the_nodal_datum(
     request, monkeypatch, case, alpha
 ):
     """The flat decay run's datum coefficients, the outer product of two 1-D
-    sine transforms, are the 2-D transform of ``weighted_initial``'s datum."""
+    sine transforms, are the dense 2-D transform of ``weighted_initial``'s datum."""
     m, pair = request.getfixturevalue(case)
     starts = []
     propagator = ev._separable_propagator
@@ -318,8 +330,8 @@ def test_flat_decay_datum_coefficients_are_those_of_the_nodal_datum(
     )
     ev.decay_run(m, alpha=alpha, t_end=10.0, dt=0.01)
     (C0,) = starts
-    ref = ev._sine_coefficients(
-        core._kronecker_factors(pair), ev.weighted_initial(pair, "mode", alpha=alpha).u
+    ref = _sine_coefficients(
+        core._sine_factors(m.x1, m.x2)[1], ev.weighted_initial(pair, "mode", alpha=alpha).u
     )
     assert C0.shape == ref.shape
     assert np.abs(C0 - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -330,9 +342,9 @@ def test_flat_decay_datum_coefficients_are_those_of_the_nodal_datum(
 def test_the_step_power_is_r_to_the_gap_within_2_ulp_and_of_its_sign(flat_small, gap):
     """``_power`` takes |r|**gap and restores the sign by parity: the same
     number as r**gap up to rounding, on factors that are mostly negative."""
-    _, pair = flat_small
-    (l1, _, _), (l2, _, _) = core._kronecker_factors(pair)
-    lam = l1[:, None] + l2[None, :] - sp.flat_transverse_ground(pair.grid.x2)
+    m, _ = flat_small
+    (l1, _, _), (l2, _, _) = core._sine_factors(m.x1, m.x2)[1]
+    lam = l1[:, None] + l2[None, :] - sp.flat_transverse_ground(m.x2)
     dt = 0.1
     r = (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
     assert (r < 0).mean() > 0.8
@@ -362,8 +374,19 @@ def test_flat_decay_run_refuses_bad_input_before_propagating(flat_small, monkeyp
         ev.decay_run(flat_small[0], t_end=20.0, **bad)
 
 
-@pytest.mark.parametrize("case", ["flat_small", "curved_small"])
+@pytest.mark.parametrize("case", ["flat_small", "curved_small", "separable"])
 def test_a_non_finite_state_raises_on_both_propagators(request, case):
+    """``evolve``'s banded propagator checks the state at each checkpoint, the
+    separable one, which only a flat decay run takes, its coefficients."""
+    if case == "separable":
+        m, _ = request.getfixturevalue("flat_small")
+        factors = core._sine_factors(m.x1, m.x2)[1]
+        C0 = np.ones((factors[0][0].size, factors[1][0].size))
+        C0[3, 2] = math.nan
+        start = lambda: ev._separable_propagator(factors, C0, 0.01, 0.0)
+        with pytest.raises(LinearSolveFailure, match="non-finite values"):
+            ev._checkpoint_loop(start, 0.0, [0.0, 0.1], 0.01, 0.0, False)
+        return
     m, pair = request.getfixturevalue(case)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     u0.u[u0.u.size // 2] = math.nan
@@ -385,9 +408,9 @@ def test_kronecker_pair_is_the_flat_assembly_and_its_coefficients_hold_the_norms
 ):
     """The exact tensor factorisation on random uniform flat grids: the pair
     written from the 1-D stencils is the element assembly of the flat terms,
-    exactly symmetric and accepted as a Kronecker sum, and the norm and
-    mode-1 remainder read off the sine coefficients of a random state are
-    those of ``_norm_f`` and ``project_mode1``."""
+    exactly symmetric and passes the pair check, and the norm and mode-1
+    remainder read off the sine coefficients of a random state are those of
+    ``_norm_f`` and ``project_mode1``."""
     x1 = h1 * (np.arange(n1 + 1) - round(offset * n1))
     x2 = np.linspace(-a, a, n2 + 1)
     grid = sp.make_grid(x1, x2)
@@ -400,10 +423,9 @@ def test_kronecker_pair_is_the_flat_assembly_and_its_coefficients_hold_the_norms
         assert np.abs(A.data - B.data).max() <= 1e-12 * np.abs(B.data).max()
         assert (A != A.T).nnz == 0
     pair.check()
-    factors = core._kronecker_factors(pair)
-    assert factors is not None
+    factors = core._sine_factors(x1, x2)[1]
     u = np.random.default_rng(seed).standard_normal(pair.n)
-    norm, rem = ev._coefficient_norms(ev._sine_coefficients(factors, u))
+    norm, rem = ev._coefficient_norms(_sine_coefficients(factors, u))
     ref = ev._norm_f(pair, u)
     assert abs(norm - ref) <= 1e-12 * ref
     assert abs(rem - ev.project_mode1(ev.HeatState(u=u, t=0.0, norm_f=ref), pair)) <= 1e-12 * ref
@@ -546,7 +568,7 @@ def test_running_product_matches_per_k_powers(flat_small, t_grid):
     shift = sp.flat_transverse_ground(m.x2)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     u0.u = u0.u + 1e-3 * np.sin(3.0 * np.arange(u0.u.size))  # every mode present
-    tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
+    tr = _separable_evolve(pair.grid, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
     ref = _per_k_reference(pair, u0, t_grid, 0.01, shift)
     assert len(tr.states) == len(ref)
     for st, u_ref in zip(tr.states, ref):
@@ -671,13 +693,13 @@ def test_flat_norm_matches_closed_form_series():
     a = math.pi / 2
     geom = geo.StripGeometry(a=a, L=25.0, n1=625, n2=112)
     m = geo.solve_jacobi(geo.zero_profile(), geom)
-    pair = sp.assemble_hk(m)
-    x1g = pair.grid.restrict(m.x1[:, None])
-    x2g = pair.grid.restrict(m.x2)
+    grid = sp.make_grid(m.x1, m.x2)
+    x1g = grid.restrict(m.x1[:, None])
+    x2g = grid.restrict(m.x2)
     sig = 2.0
     u0v = np.exp(-(x1g**2) / (2 * sig**2)) * mode_function(1, a, x2g)
     u0 = ev.HeatState(u=u0v, t=0.0, norm_f=0.0)
-    tr = ev.evolve(pair, u0, [0.1, 1.0, 5.0, 10.0], dt=0.01)
+    tr = _separable_evolve(grid, u0, [0.1, 1.0, 5.0, 10.0], dt=0.01)
     for t, nf in zip(tr.times, tr.norm_f):
         exact = math.exp(-t) * math.sqrt(sig**2 * math.sqrt(math.pi / (sig**2 + 2 * t)))
         assert abs(nf - exact) / exact < 1e-3
@@ -735,23 +757,3 @@ def test_fit_decay_degenerate_window(flat_small):
     tr = ev.evolve(pair, u0, [0.0, 0.5, 1.0], dt=0.01)
     with pytest.raises(DegenerateFit):
         ev.fit_decay(tr, 1.0, (0.0, 1.0))
-
-
-def test_seminorm_prediction_flat_quarter():
-    pred = ev.seminorm_decay_bound([0.0, 2.0, 4.0, 8.0], [0.25, 0.25, 0.25, 0.25])
-    assert pred.average == pytest.approx(0.25, abs=1e-12)
-    assert pred.predicted_exponent == pytest.approx(0.25, abs=1e-12)
-
-
-def test_seminorm_prediction_single_point():
-    pred = ev.seminorm_decay_bound([3.0], [0.6])
-    assert pred.average == 0.6
-    assert pred.tail == 0.6
-
-
-def test_seminorm_prediction_negative_ramp():
-    s = np.array([0.0, 2.0, 4.0, 8.0])
-    nu = np.array([0.31, 0.54, 0.71, 0.745])
-    pred = ev.seminorm_decay_bound(s, nu)
-    assert pred.predicted_exponent == pytest.approx(0.745, abs=1e-12)
-    assert 0.3 < pred.average < 0.745

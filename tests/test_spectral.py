@@ -107,8 +107,8 @@ def test_flat_transverse_ground_is_exact_to_round_off(a, n2):
 
 
 def test_flat_transverse_ground_is_the_separable_propagators_lowest_level(flat_pair):
-    m, pair = flat_pair
-    _, (l2, _, _) = core._kronecker_factors(pair)
+    m, _ = flat_pair
+    _, (l2, _, _) = core._sine_factors(m.x1, m.x2)[1]
     assert l2[0] == l2.min()
     assert sp.flat_transverse_ground(m.x2) == l2[0]
 
