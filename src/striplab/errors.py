@@ -42,7 +42,8 @@ class ShiftInsideSpectrum(StripLabError):
 
 
 class GridMisaligned(StripLabError):
-    """No grid node at a required location (e.g. origin for the pinned problem)."""
+    """No grid node at a required location (e.g. origin for the pinned problem),
+    or a pair that does not sit on its grid's stencil structure."""
 
 
 class HypothesisFailed(StripLabError):

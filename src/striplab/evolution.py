@@ -8,9 +8,10 @@ e-foldings over the fit windows used here and would underflow.
 
 The implicit matrix M + dt/2 (S - shift M), symmetric positive definite for
 the shifts and steps used here, is factored once per run as a banded
-Cholesky, and every step is one banded solve. Its band is read off the
-matrix: nodes are numbered x1-major, so it spans one transverse column of
-kept nodes plus one.
+Cholesky, and every step is one banded solve. Its CSR data is formed on the
+pair's own stencil structure and written into the band through the layout
+cached with it (``spectral.core.banded_cholesky``): nodes are numbered
+x1-major, so the band spans one transverse column of kept nodes plus one.
 
 ``decay_run`` on a flat metric builds no 2-D pair and forms no 2-D nodal
 array. On a Dirichlet flat strip the step is diagonal in the product of the
@@ -209,8 +210,9 @@ def _separable_propagator(factors, C: np.ndarray, dt: float, shift: float):
             if gap != last_gap:
                 last_gap, r_gap = gap, _power(r, gap)
             C = C * r_gap
-        _require_finite(C)
-        return (*_coefficient_norms(C), lambda C=C: _sine_transform(d1[:, None] * C * d2).ravel())
+        norm, rem = _coefficient_norms(C)
+        _require_finite(norm)  # a NaN or inf anywhere in C makes its sum of squares one
+        return norm, rem, lambda C=C: _sine_transform(d1[:, None] * C * d2).ravel()
 
     return advance
 
@@ -221,12 +223,15 @@ def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: flo
     (``project_mode1``) and a function returning its nodal values."""
     from scipy.linalg import LinAlgError, cho_solve_banded
 
-    B = pair.S - shift * pair.M
+    # dt/2 (S - shift M) and M -+ it on the pair's structure, as scipy.sparse
+    # would form them
+    half_step = pair.shifted(shift)
+    half_step *= 0.5 * dt
     try:
-        factor = banded_cholesky(pair.M + 0.5 * dt * B)
+        factor = banded_cholesky(pair.M.data + half_step, pair.grid)
     except LinAlgError as exc:
         raise _not_positive_definite(exc) from exc
-    A_minus = (pair.M - 0.5 * dt * B).tocsr()
+    A_minus = pair.on_structure(np.subtract(pair.M.data, half_step, out=half_step))
     u = u0.copy()
 
     def advance(gap: int):
@@ -393,11 +398,11 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
     if dt is None:
         dt = min(0.01, (window[1] - window[0]) / 2000.0)
         dt = checkpoint_step / math.ceil(checkpoint_step / dt)
-    e1h = flat_transverse_ground(metric.x2)
     t_grid = np.arange(0.0, t_end + 1e-9, checkpoint_step)
     grid = make_grid(metric.x1, metric.x2)
     sine = _sine_factors(grid.x1, grid.x2) if metric.flat else None
     if sine is None:
+        e1h = flat_transverse_ground(metric.x2)
         pair = assemble_hk(metric)
         u0 = weighted_initial(pair, "mode", alpha=alpha)
         trajectory = evolve(pair, u0, t_grid, dt=dt, shift=e1h)
@@ -406,6 +411,7 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
         # and the lumped mass of M1 (x) M2 the outer product of the 1-D ones,
         # so its quadrature of a product w1(x1) w2(x2) is a product of 1-D sums
         ((_, m1), (_, m2)), factors = sine
+        e1h = float(factors[1][0][0])  # flat_transverse_ground(metric.x2), bit for bit
         x1, x2 = grid.x1[1:-1], grid.x2[1:-1]
         l1, l2 = _lumped_rows(m1, x1.size), _lumped_rows(m2, x2.size)
         g, j1, norm = _mode_datum(

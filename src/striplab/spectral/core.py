@@ -1,13 +1,19 @@
 """Element assembly engine for weighted quadratic forms on tensor grids.
 
 Everything is built from piecewise-(bi)linear elements with 3-point Gauss
-quadrature per direction, so stiffness and mass matrices are exactly
-symmetric and flat-metric assemblies factorize exactly into tensor products.
+quadrature per direction, so stiffness and mass matrices are symmetric (to
+round-off: on some cell sizes the 1-D value-value factor rounds its two
+off-diagonal entries differently) and flat-metric assemblies factorize
+into tensor products.
 
 The element matrices are summed into the three diagonals of a 1-D matrix or
 the 9-point stencil of a 2-D one, which is written straight onto the kept
 nodes through the CSR structure of the tensor grid and its mask (a 1-D grid
-is an n x 1 one), computed once per grid and mask.
+is an n x 1 one), computed once per grid and mask. Pairs are factored on
+that structure too: ``banded_cholesky`` checks a matrix's CSR data for
+symmetry through the structure's transpose permutation and writes it into
+LAPACK's band storage through the band layout cached with the structure,
+so no sparse matrix is converted or transposed to factor it.
 
 Only this module reads those diagonals and that layout, so the 1-D pencils
 live here too: the closed-form sine eigendata of the flat Toeplitz pencil,
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import LinearSolveFailure, SingularMass
+from ..errors import GridMisaligned, LinearSolveFailure, SingularMass
 
 __all__ = [
     "WeightedGrid",
@@ -125,38 +131,65 @@ def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None):
 
     Each term is (kind, coeff) with coeff shaped (n1_cells, n2_cells, 3, 3)
     holding the coefficient at the tensor Gauss points of every cell.
+    ``terms`` is iterated once, so a generator hands the coefficients over
+    one at a time and none outlives its own term.
 
-    A term's element matrices are linear in its 9 Gauss-point values, so they
-    are one matrix product: the (cells, 9) coefficients times the (9, 16)
-    kernel of the two direction factors. Terms are accumulated one by one.
-    The element matrices are then summed into the 9-point stencil of every
-    node, whose entries on kept nodes are the CSR data.
+    The element matrices of the terms (``_element_sum``) are summed into the
+    9-point stencil of every node (``_stencil_sum``), whose entries on kept
+    nodes are the CSR data; each stage's arrays are freed before the next
+    one's are formed.
     """
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
+    indptr, indices, coupled, _ = _csr_structure(x1.size, x2.size, keep)
+    stencil = _stencil_sum(_element_sum(x1, x2, terms))
+    data = stencil.reshape(9, -1).T[coupled]  # row by row, in column order
+    return _csr(data, indices, indptr)
+
+
+def _element_sum(x1: np.ndarray, x2: np.ndarray, terms) -> np.ndarray:
+    """Element matrices of the sum of ``terms`` on the tensor grid x1 (x) x2,
+    plane-major: block[r1, r2, c1, c2] is the (n1_cells, n2_cells) plane of
+    the entries coupling local node 2 r1 + r2 of each cell to its local node
+    2 c1 + c2.
+
+    A term's element matrices are linear in its 9 Gauss-point values, so they
+    are one matrix product: the transposed (9, 16) kernel of the two direction
+    factors times the (9, cells) coefficients. The first product is the sum,
+    which starts from +0.0; every later one is written into one reused
+    buffer and added to it, so no fresh array is touched per term.
+    """
     n1, n2 = x1.size - 1, x2.size - 1
     f1 = _direction_tensors(_uniform_spacing(x1))
     f2 = _direction_tensors(_uniform_spacing(x2))
-    local = np.zeros((n1 * n2, 16))
+    local = product = None
     for kind, coeff in terms:
         k1, k2 = _KIND_FACTORS[kind]
         kernel = np.einsum("aij,bkl->abikjl", f1[k1], f2[k2]).reshape(9, 16)
-        local += coeff.reshape(n1 * n2, 9) @ kernel
+        product = np.matmul(kernel.T, coeff.reshape(n1 * n2, 9).T, out=product)
+        del coeff  # before the next term's coefficients are formed
+        if local is None:
+            local, product = product, None
+            local += 0.0  # -0.0 entries become +0.0, as in a sum from +0.0
+        else:
+            local += product
+    return local.reshape(2, 2, 2, 2, n1, n2)
 
-    # Local node 2 r1 + r2 of a cell sits at offset (r1, r2), so
-    # block[r1, r2, c1, c2] couples it to local node 2 c1 + c2, and
-    # stencil[1 + di, 1 + dj, p1, p2] couples node (p1, p2) to its neighbour
-    # (p1 + di, p2 + dj). A node is local node 3, 2, 1, 0 of its cells in
-    # increasing cell order, so adding in that order sums every entry over
-    # its cells in increasing cell order. The sums start from -0.0 so that
-    # each equals the sum of its terms alone, signed zeros included.
-    block = local.reshape(n1, n2, 2, 2, 2, 2).transpose(2, 3, 4, 5, 0, 1)
+
+def _stencil_sum(block: np.ndarray) -> np.ndarray:
+    """The (3, 3, n1 + 1, n2 + 1) stencil of the element matrices ``block``
+    of ``_element_sum``: stencil[1 + di, 1 + dj, p1, p2] couples node
+    (p1, p2) to its neighbour (p1 + di, p2 + dj).
+
+    A node is local node 3, 2, 1, 0 of its cells in increasing cell order,
+    so adding the contiguous planes in that order sums every entry over its
+    cells in increasing cell order. The sums start from -0.0 so that each
+    equals the sum of its terms alone, signed zeros included."""
+    n1, n2 = block.shape[-2:]
     stencil = np.full((3, 3, n1 + 1, n2 + 1), -0.0)
     for r1, r2 in ((1, 1), (1, 0), (0, 1), (0, 0)):
         stencil[1 - r1:3 - r1, 1 - r2:3 - r2, r1:r1 + n1, r2:r2 + n2] += block[r1, r2]
-    indptr, indices, coupled, _ = _csr_structure(n1 + 1, n2 + 1, keep)
-    data = stencil.reshape(9, -1).T[coupled]  # row by row, in column order
-    return _csr(data, indices, indptr)
+    return stencil
 
 
 def _csr_structure(n1: int, n2: int, keep):
@@ -203,6 +236,30 @@ def _stencil_structure(n1: int, n2: int, keep_bytes: bytes):
     for a in (indptr, indices, coupled, transpose):
         a.flags.writeable = False
     return indptr, indices, coupled, transpose
+
+
+@functools.lru_cache(maxsize=4)
+def _band_layout(n1: int, n2: int, keep_bytes: bytes):
+    """LAPACK's upper band storage for ``_stencil_structure``'s structure
+    (same arguments): the bandwidth ``bw``, the largest col - row (one
+    transverse column of kept nodes plus one, as they are numbered x1-major),
+    and ``position``, where each entry goes in a buffer of (bw + 1) n + 1
+    floats: entry (row, col) of the upper triangle to row bw + row - col,
+    column col of the band, its first (bw + 1) n floats in Fortran order, and
+    every entry below the diagonal to the last float, left out of the band.
+    Computed once for the last four grids and masks asked for."""
+    indptr, indices, _, _ = _stencil_structure(n1, n2, keep_bytes)
+    n = indptr.size - 1
+    # col (bw + 1) + bw + row - col, formed in place from row - col
+    position = np.repeat(np.arange(n), np.diff(indptr))
+    position -= indices
+    below = position > 0
+    bw = int(-position.min())
+    position += indices * (bw + 1)
+    position += bw
+    position[below] = (bw + 1) * n
+    position.flags.writeable = False
+    return position, bw
 
 
 def _interior_stencils(x: np.ndarray):
@@ -344,8 +401,9 @@ def make_grid(x1, x2) -> WeightedGrid:
 class OperatorPair:
     """Symmetric stiffness/mass pair restricted to unmasked nodes.
 
-    A pair carries its matrices, both ``scipy.sparse.csr_matrix``, and, when
-    it is 2-D, its grid, whose ``keep`` mask picks its unknowns out of the
+    A pair carries its matrices, both ``scipy.sparse.csr_matrix`` on the
+    stencil structure of its grid's kept nodes (``structure``), and its grid
+    (n x 1 for a 1-D pair), whose ``keep`` mask picks its unknowns out of the
     grid's nodes; nothing else: the metric it was assembled from is the
     caller's, the discrete transverse reference energy is
     ``flat_transverse_ground(x2)``, the closed-form eigenvalue of the flat
@@ -361,22 +419,46 @@ class OperatorPair:
     def n(self) -> int:
         return self.S.shape[0]
 
+    def structure(self):
+        """The CSR structure (``_csr_structure``) of the grid's kept nodes, on
+        which S and M sit; ``GridMisaligned`` for a pair without a grid or off
+        its structure, whose data has no band layout to be factored on."""
+        grid = self.grid
+        if grid is None:
+            raise GridMisaligned("the pair has no grid, so no stencil structure to factor on")
+        structure = _csr_structure(*grid.shape, grid.keep)
+        indptr, indices, _, _ = structure
+        for A in (self.S, self.M):
+            if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
+                raise GridMisaligned("the pair does not have its grid's stencil structure")
+        return structure
+
+    def shifted(self, sigma: float) -> np.ndarray:
+        """CSR data of S - sigma M on the pair's structure (``structure``,
+        checked first), bit for bit as ``scipy.sparse`` forms it."""
+        self.structure()
+        out = self.M.data * sigma
+        return np.subtract(self.S.data, out, out=out)
+
+    def on_structure(self, data: np.ndarray):
+        """The ``scipy.sparse.csr_matrix`` of the CSR ``data``, such as a
+        combination of S.data and M.data, on the pair's ``structure``."""
+        indptr, indices, _, _ = self.structure()
+        return _csr(data, indices, indptr)
+
     def check(self) -> None:
         """``SingularMass`` for a lumped mass not positive and finite,
         ``ValueError`` for a pair not symmetric to round-off or holding
         non-finite entries: each entry is compared with its mirror through
-        the transpose permutation of the grid's structure."""
-        lumped = np.asarray(self.M.sum(axis=1)).ravel()
+        the transpose permutation of the grid's structure (``structure``,
+        which raises ``GridMisaligned`` for a pair off it)."""
+        indptr, _, _, transpose = self.structure()
+        lumped = np.add.reduceat(self.M.data, indptr[:-1])  # row sums
         bad = np.count_nonzero(~((lumped > 0.0) & (lumped < math.inf)))  # NaN included
         if bad:
             raise SingularMass(
                 f"{bad} retained nodes have non-positive or non-finite lumped mass"
             )
-        grid = self.grid
-        indptr, indices, _, transpose = _csr_structure(*grid.shape, grid.keep)
-        for A in (self.S, self.M):
-            if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):
-                raise ValueError("the pair does not have its grid's stencil structure")
         asym_s, asym_m = (_largest_difference(A.data, A.data[transpose]) for A in (self.S, self.M))
         scale = max(self.S.data.max(), -self.S.data.min(), 1.0)
         # the chained bound also fails for a NaN or an inf anywhere in S or M
@@ -384,33 +466,40 @@ class OperatorPair:
             raise ValueError("assembled pair lost symmetry or holds non-finite entries")
 
 
-def banded_cholesky(A) -> np.ndarray:
-    """Upper banded Cholesky factor of the sparse symmetric positive definite
-    matrix ``A``, in LAPACK's upper band storage (for ``cho_solve_banded``).
-
-    The bandwidth is the largest col - row over the stored upper-triangle
-    entries; tensor-grid nodes are numbered x1-major, so it is one transverse
-    column of kept nodes plus one. Only the upper triangle is factored, so
-    ``LinearSolveFailure`` is raised unless ``A`` is symmetric to round-off.
-    When ``A`` is not positive definite, scipy's ``LinAlgError`` propagates
-    for the caller to classify.
+def banded_cholesky(data: np.ndarray, grid: WeightedGrid) -> np.ndarray:
+    """Upper banded Cholesky factor, in LAPACK's upper band storage (for
+    ``cho_solve_banded``), of the symmetric positive definite matrix of CSR
+    data ``data`` on the stencil structure of ``grid``'s kept nodes, where
+    every pair's matrices sit; one indexed store through ``_band_layout``
+    writes the band. Only the upper triangle is factored, so
+    ``LinearSolveFailure`` is raised unless each entry equals its mirror
+    (the structure's transpose permutation) to round-off, as in
+    ``OperatorPair.check``, which NaN and inf entries fail. When the matrix
+    is not positive definite, scipy's ``LinAlgError`` propagates for the
+    caller to classify.
     """
-    scale = abs(A).max()
-    asym = abs(A - A.T).max()
-    if not asym <= 1e-12 * scale:  # also taken when A holds NaN
+    keep_bytes = np.asarray(grid.keep, bool).tobytes()
+    *_, transpose = _stencil_structure(*grid.shape, keep_bytes)
+    position, bw = _band_layout(*grid.shape, keep_bytes)
+    if data.shape != transpose.shape:
+        raise GridMisaligned(
+            f"{data.size} entries do not sit on the grid's stencil structure of {transpose.size}"
+        )
+    asym = _largest_difference(data, data[transpose])
+    scale = max(data.max(), -data.min())
+    if not asym <= 1e-12 * scale:  # also taken when the matrix holds NaN or inf
         raise LinearSolveFailure(
             f"matrix is not symmetric: |A - A^T| = {asym:.3e}, |A| = {scale:.3e}"
         )
     from scipy.linalg import cholesky_banded
 
-    coo = A.tocoo()
-    coo.sum_duplicates()
-    upper = coo.row <= coo.col
-    row, col = coo.row[upper], coo.col[upper]
-    bw = int((col - row).max())
-    ab = np.zeros((bw + 1, A.shape[0]))
-    ab[bw + row - col, col] = coo.data[upper]
-    return cholesky_banded(ab, overwrite_ab=True)
+    n = np.count_nonzero(grid.keep)
+    band = np.zeros((bw + 1) * n + 1)
+    band[position] = data
+    # Fortran order, so LAPACK factors the band in place; the symmetry check
+    # has refused every non-finite entry
+    ab = band[:-1].reshape(n, bw + 1).T
+    return cholesky_banded(ab, overwrite_ab=True, check_finite=False)
 
 
 @dataclass(eq=False)

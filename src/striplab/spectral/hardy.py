@@ -310,6 +310,6 @@ def perturbed_threshold(metric: MetricField, v_nodal: np.ndarray) -> float:
         raise ValueError("perturbation must be nonpositive")
     pair = assemble_hk(metric)
     M_v = assemble_potential(metric, pair.grid, v_nodal)
-    perturbed = OperatorPair(S=(pair.S + M_v).tocsr(), M=pair.M, grid=pair.grid)
+    perturbed = OperatorPair(S=pair.on_structure(pair.S.data + M_v.data), M=pair.M, grid=pair.grid)
     res = lowest_eigenpairs(perturbed, k=1)
     return float(res.eigenvalues[0])

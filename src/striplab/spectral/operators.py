@@ -232,21 +232,26 @@ def assemble_Ls(metric: MetricField, s: float, grid_y: WeightedGrid) -> Operator
     es = math.exp(s)
     e1h = flat_transverse_ground(metric.x2)
 
-    terms_S = [
-        ("d1d1", 1.0 / FS),
-        ("d2d2", es * FS),
-        ("mass", (-es * e1h - 0.25) * FS),
-        ("d1sym", -0.5 * Y * FS),
-        ("mass", (1.0 / 16.0) * Y**2 * (2.0 - FS**-2) * FS),
-    ]
-    return _checked_pair(grid_y, terms_S, FS)
+    def terms_S():  # one coefficient array alive at a time
+        yield "d1d1", 1.0 / FS
+        yield "d2d2", es * FS
+        yield "mass", (-es * e1h - 0.25) * FS
+        yield "d1sym", -0.5 * Y * FS
+        # (1/16) Y^2 (2 - FS^-2) FS, formed in one array
+        confining = FS**-2
+        np.subtract(2.0, confining, out=confining)
+        np.multiply((1.0 / 16.0) * Y**2, confining, out=confining)
+        yield "mass", np.multiply(confining, FS, out=confining)
+
+    return _checked_pair(grid_y, terms_S(), FS)
 
 
 def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> OperatorPair:
     """1D pair for -d^2/dy^2 + y^2/16 on the given grid, Dirichlet box ends.
 
     With the flag set, the node at the origin joins the Dirichlet mask,
-    which selects the odd spectral branch.
+    which selects the odd spectral branch. The pair's grid is n x 1, the
+    layout ``assemble_1d`` writes it on, with one transverse node at 0.
     """
     y = np.asarray(grid_y1, float)
     g = gauss_points_1d(y)
@@ -261,4 +266,5 @@ def harmonic_oscillator(dirichlet_at_zero: bool, grid_y1: np.ndarray) -> Operato
     return OperatorPair(
         S=assemble_1d(y, [("dd", np.ones_like(g)), ("mass", g**2 / 16.0)], keep),
         M=assemble_1d(y, [("mass", np.ones_like(g))], keep),
+        grid=WeightedGrid(x1=y, x2=np.zeros(1), keep=keep),
     )

@@ -2,9 +2,11 @@
 
 The shifted matrix S - sigma M is symmetric positive definite when the shift
 lies strictly below the spectrum, so it is factored once as a banded
-Cholesky whose band is read off the matrix: every caller numbers its nodes
-x1-major, so the band is one transverse column of kept nodes plus one. A
-shift inside the spectrum shows up as a failed factorization.
+Cholesky. Its CSR data is formed on the pair's own stencil structure,
+S.data - M.data sigma, and written into LAPACK's band storage through the
+band layout cached with that structure (``core.banded_cholesky``): nodes are
+numbered x1-major, so the band is one transverse column of kept nodes plus
+one. A shift inside the spectrum shows up as a failed factorization.
 
 ``scipy.linalg`` and ``scipy.sparse.linalg`` are imported by
 ``lowest_eigenpairs`` when it is called, not with this module, so that the
@@ -51,9 +53,11 @@ def lowest_eigenpairs(
     finite vector over the pair's unknowns, with a smaller Krylov dimension.
     A start close to the ground state, such as the previous frame's
     eigenvector in a sweep, saves most of the solves. S - sigma
-    M is factored once as a banded Cholesky (band read off the matrix) and
+    M is factored once as a banded Cholesky (``core.banded_cholesky``, on the
+    CSR data and band layout of the pair's structure) and
     every iteration solves with that factor; ``iterations`` counts the
-    solves. A pair that is not symmetric raises ``LinearSolveFailure``; a
+    solves. A pair that is not symmetric raises ``LinearSolveFailure``, and
+    one without a grid or off its grid's structure ``GridMisaligned``; a
     shifted matrix that is not positive definite, or a computed eigenvalue
     below the shift, raises ``ShiftInsideSpectrum``. Small problems fall back
     to a dense solve with the same contract, which ignores ``start``. ARPACK
@@ -84,7 +88,7 @@ def lowest_eigenpairs(
         else:
             v0, ncv = start, min(max(2 * k + 1, _WARM_NCV), n - 1)
         try:
-            factor = banded_cholesky(S - sigma * M)
+            factor = banded_cholesky(pair.shifted(sigma), pair.grid)
         except scipy.linalg.LinAlgError as exc:
             raise ShiftInsideSpectrum(
                 f"(S - sigma M) is not positive definite for sigma = {sigma}: {exc}"

@@ -163,18 +163,19 @@ def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
 @pytest.mark.parametrize("case", ["flat_small", "curved_small", "flat_open_ends"])
 def test_evolve_factors_one_banded_cholesky_on_every_pair(request, monkeypatch, case):
     """``evolve`` has one propagator: a flat pair is stepped by banded solves
-    like any other, from one n x n factorisation."""
+    like any other, from one factorisation of the n x n step matrix, whose
+    CSR data sits on the pair's structure."""
     m, pair = request.getfixturevalue(case)
     calls = []
 
-    def spy(A):
-        calls.append(A.shape)
-        return sp.core.banded_cholesky(A)
+    def spy(data, grid):
+        calls.append((data.size, np.count_nonzero(grid.keep)))
+        return sp.core.banded_cholesky(data, grid)
 
     monkeypatch.setattr(ev, "banded_cholesky", spy)
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=sp.flat_transverse_ground(m.x2))
-    assert calls == [(pair.n, pair.n)]
+    assert calls == [(pair.S.nnz, pair.n)]
 
 
 @pytest.mark.parametrize("case", ["flat_small", "curved_small"])
@@ -247,14 +248,14 @@ def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypa
     assert core._sine_factors(off.x1, off.x2) is None
     calls = []
 
-    def spy(A):
-        calls.append(A.shape)
-        return sp.core.banded_cholesky(A)
+    def spy(data, grid):
+        calls.append((data.size, np.count_nonzero(grid.keep)))
+        return sp.core.banded_cholesky(data, grid)
 
     monkeypatch.setattr(ev, "banded_cholesky", spy)
     tr, _, e1h = ev.decay_run(off, t_end=1.0, checkpoint_step=0.1, window=(0.0, 1.0), dt=0.01)
     pair = sp.assemble_hk(off)
-    assert calls == [(pair.n, pair.n)]
+    assert calls == [(pair.S.nnz, pair.n)]
     u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
     ref = _splu_reference(pair, u0, tr.times, 0.01, e1h)
     for nf, (_, u_ref) in zip(tr.norm_f, ref):

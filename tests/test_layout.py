@@ -1,7 +1,9 @@
 """Only ``spectral.core`` knows how the unknowns sit among a grid's nodes:
 everywhere else maps between nodal arrays and kept-node vectors through
-``WeightedGrid.restrict`` and ``WeightedGrid.extend``. And no module imports
-scipy when it is imported: each function that calls scipy imports it."""
+``WeightedGrid.restrict`` and ``WeightedGrid.extend``, and only it converts
+sparse matrices (``.tocoo()``, ``.tocsr()``): every other module works on the
+CSR data of a pair's own stencil structure. And no module imports scipy when
+it is imported: each function that calls scipy imports it."""
 import ast
 from pathlib import Path
 
@@ -50,6 +52,41 @@ def test_the_check_finds_every_form_of_mask_indexing():
 )
 def test_no_module_but_core_indexes_with_the_mask(path):
     assert _mask_subscripts(path.read_text()) == []
+
+
+_CONVERSIONS = ("tocoo", "tocsr")
+
+
+def _sparse_conversions(source: str) -> list:
+    """Line numbers of the calls of a ``.tocoo()`` or ``.tocsr()`` method."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _CONVERSIONS
+    ]
+
+
+def test_the_check_finds_every_sparse_conversion():
+    source = "\n".join([
+        "perturbed = (pair.S + M_v).tocsr()",
+        "coo = A.tocoo()",
+        "B = (M - 0.5 * dt * A).tocsr(copy=True)",
+        "convert = A.tocsr",
+        "C = A.tocsc()",
+        "D = tocsr(A)",
+    ])
+    assert _sparse_conversions(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in _SRC.rglob("*.py") if p != _OWNER),
+    ids=lambda p: str(p.relative_to(_SRC)),
+)
+def test_no_module_but_core_converts_sparse_matrices(path):
+    assert _sparse_conversions(path.read_text()) == []
 
 
 def _module_level_scipy_imports(source: str) -> list:

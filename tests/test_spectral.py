@@ -153,15 +153,14 @@ def test_oscillator_odd_functions_match_pinned():
 
 
 def test_domain_monotonicity_under_extra_mask(flat_pair):
+    """The middle unknown of the flat pair joins the Dirichlet mask: the
+    pair assembled on that masked grid has a lowest eigenvalue no lower."""
     m, pair = flat_pair
     base = sp.lowest_eigenpairs(pair, k=1).eigenvalues[0]
-    n = pair.S.shape[0]
-    keep = np.ones(n, dtype=bool)
-    keep[n // 2] = False
-    sub = sp.OperatorPair(
-        S=pair.S[keep][:, keep].tocsr(),
-        M=pair.M[keep][:, keep].tocsr(),
-    )
+    keep = pair.grid.keep.copy()
+    keep[np.flatnonzero(keep)[pair.n // 2]] = False
+    sub = sp.assemble_hk(m, sp.WeightedGrid(pair.grid.x1, pair.grid.x2, keep))
+    assert sub.n == pair.n - 1
     masked = sp.lowest_eigenpairs(sub, k=1).eigenvalues[0]
     assert masked >= base - 1e-12
 
@@ -755,6 +754,71 @@ def test_1d_assembly_is_bit_identical_to_coo(n, h, kinds, mask, first, gaps, see
     assert np.array_equal(np.signbit(new.data), np.signbit(ref.data))
 
 
+def _dense_band_factor(A):
+    """``cholesky_banded`` of the upper band read from ``A.toarray()``: row
+    bw - d of the band holds diagonal d, right-aligned, for bw the farthest
+    diagonal above the main one holding a nonzero."""
+    dense = A.toarray()
+    rows, cols = np.nonzero(np.triu(dense))
+    bw = int((cols - rows).max())
+    ab = np.zeros((bw + 1, dense.shape[0]))
+    for d in range(bw + 1):
+        ab[bw - d, d:] = np.diagonal(dense, d)
+    return scipy.linalg.cholesky_banded(ab)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=hst.sampled_from(["ruled", "bump"]),
+    a=hst.floats(0.3, 1.5),
+    strength=hst.floats(-1.0, 1.0),
+    width=hst.floats(0.3, 3.0),
+    support=hst.floats(1.0, 6.0),
+    plateau=hst.floats(0.0, 0.9),
+    n1=hst.integers(4, 20),
+    n2=hst.integers(4, 12),
+    holes=hst.lists(hst.integers(0, 10**6), max_size=4),
+)
+def test_assembled_pairs_hold_their_invariants_on_random_profiles_and_masks(
+    kind, a, strength, width, support, plateau, n1, n2, holes
+):
+    """On a random admissible ruled or bump profile, the pair of
+    ``make_grid`` and the pair with up to four more kept nodes in the
+    Dirichlet mask are symmetric through the transpose permutation and have
+    positive lumped mass; the masked pair's lowest eigenvalue is no lower;
+    and ``banded_cholesky`` of either pair's S + M, written from its CSR data
+    through the cached band layout, is bit for bit the factor of the band
+    read from the dense matrix.
+
+    Symmetry holds to round-off, 1e-12 of the largest entry as in
+    ``OperatorPair.check``, not exactly: the 1-D value-value factor of
+    ``core._direction_tensors`` rounds its two off-diagonal entries
+    differently on some cell sizes (a = 1, L = 2, n1 = 4, n2 = 5 here)."""
+    geom = geo.StripGeometry(a=a, L=support + 1.0, n1=n1, n2=n2)
+    if kind == "ruled":
+        m = geo.ruled_strip(geo.ruled_profile(abs(strength), support, plateau), geom)
+    else:
+        amplitude = 0.49 * strength / a**2  # sup|K| a^2 < 1/2
+        m = geo.solve_jacobi(geo.gaussian_bump(amplitude, width, support, 0.0, plateau), geom)
+    grid = sp.make_grid(m.x1, m.x2)
+    keep = grid.keep.copy()
+    kept = np.flatnonzero(keep)
+    keep[kept[np.unique(np.asarray(holes, int) % kept.size)[: kept.size - 1]]] = False
+    pairs = [sp.assemble_hk(m, grid), sp.assemble_hk(m, sp.WeightedGrid(grid.x1, grid.x2, keep))]
+    lowest = []
+    for pair in pairs:
+        *_, transpose = core._csr_structure(*pair.grid.shape, pair.grid.keep)
+        for A in (pair.S, pair.M):
+            assert np.abs(A.data - A.data[transpose]).max() <= 1e-12 * np.abs(A.data).max()
+        assert (np.asarray(pair.M.sum(axis=1)).ravel() > 0).all()
+        lowest.append(sp.lowest_eigenpairs(pair, k=1).eigenvalues[0])
+        factor = core.banded_cholesky(pair.shifted(-1.0), pair.grid)
+        ref = _dense_band_factor(pair.S + pair.M)
+        assert factor.shape == ref.shape
+        assert np.array_equal(factor.view(np.uint64), ref.view(np.uint64))
+    assert lowest[1] >= lowest[0] - 1e-10 * abs(lowest[0])
+
+
 @pytest.mark.parametrize("case", sorted(PAIRS))
 def test_banded_cholesky_eigenpairs_match_sparse_lu(case):
     pair = PAIRS[case]()()
@@ -842,12 +906,35 @@ def test_check_refuses_non_finite_entries(flat_pair, matrix, value, error):
 
 
 def test_asymmetric_pair_raises(flat_pair):
+    """Entry (0, 1) of the grid pair's S moves by 1e-3 of the largest entry,
+    and its mirror (1, 0) does not."""
     _, pair = flat_pair
-    S = pair.S.tolil()
-    S[0, 1] += 1e-3 * abs(pair.S).max()
-    bad = sp.OperatorPair(S=S.tocsr(), M=pair.M)
+    S = pair.S.copy()
+    entry = np.flatnonzero(S.indices[S.indptr[0]:S.indptr[1]] == 1)[0]
+    S.data[entry] += 1e-3 * abs(pair.S).max()
+    bad = dataclasses.replace(pair, S=S)
     assert bad.n > 400
     with pytest.raises(LinearSolveFailure, match="not symmetric"):
+        sp.lowest_eigenpairs(bad, k=1)
+
+
+@pytest.mark.parametrize("case", ["no-grid", "off-structure"])
+def test_a_pair_with_no_structure_to_factor_on_is_refused_before_factoring(
+    flat_pair, monkeypatch, case
+):
+    """``banded_cholesky`` factors CSR data on the pair grid's structure: a
+    pair without a grid, or whose grid masks one more node than its
+    matrices leave out, is refused before anything is factored."""
+    _, pair = flat_pair
+    if case == "no-grid":
+        bad = dataclasses.replace(pair, grid=None)
+    else:
+        keep = pair.grid.keep.copy()
+        keep[np.flatnonzero(keep)[0]] = False
+        bad = dataclasses.replace(pair, grid=sp.WeightedGrid(pair.grid.x1, pair.grid.x2, keep))
+    assert bad.n > 400  # the shift-invert path, not the dense one
+    monkeypatch.setattr(solve, "banded_cholesky", lambda *args: pytest.fail("factored"))
+    with pytest.raises(GridMisaligned, match="structure"):
         sp.lowest_eigenpairs(bad, k=1)
 
 
