@@ -18,6 +18,11 @@ the symmetric grid this is exactly the even subspace of the full-section
 problem, with the same eigenvalue up to round-off, on half the unknowns.
 The transverse grid therefore needs an even number of cells, which puts a
 node on the axis.
+
+Every metric the shipped configs and criteria build is also even in x1, and
+so is then the frame ground state in y1: on an even number of cells, the
+frame grid (``make_y_grid``) is the mirror half y1 in [0, W] of the box, by
+the same rule (``_odd_part``), with the natural condition at y1 = 0.
 """
 from __future__ import annotations
 
@@ -143,24 +148,33 @@ def flat_transverse_ground(x2: np.ndarray) -> float:
     return float(_sine_eigenpairs(*_interior_stencils(x2), x2.size - 2)[0][0])
 
 
-# largest odd part |f(x1, x2) - f(x1, -x2)| of a metric factor, relative to
-# its largest value, that the half cross-section accepts
+# largest odd part |f(x) - f(-x)| of a metric factor along one axis, relative
+# to its largest value, that a mirror-half problem accepts
 _EVEN_RTOL = 1e-12
+
+
+def _odd_part(f: np.ndarray, axis: int) -> float | None:
+    """The largest odd part |f(x) - f(-x)| of the nodal metric factor ``f``
+    along ``axis`` (0 for x1, 1 for x2), read by mirroring its symmetric node
+    set; ``None`` when it is at most ``_EVEN_RTOL`` of the largest |f|, so that
+    f counts as even along that axis. A NaN odd part is returned, not ``None``."""
+    odd = float(np.abs(f - np.flip(f, axis)).max())
+    return None if odd <= _EVEN_RTOL * np.abs(f).max() else odd
 
 
 def _half_nodes(metric: MetricField) -> np.ndarray:
     """The nodes x2 >= 0 of the metric's cross-section grid, the axis first:
     the grid of the half-section problems. ``GeometryInvalid`` is raised for
     an odd number of transverse cells, which leaves no node on the axis, and
-    for a metric factor that is not even in x2 to 1e-12 relative."""
+    for a metric factor that is not even in x2 (``_odd_part``)."""
     x2 = metric.x2
     n2 = x2.size - 1
     if n2 % 2:
         raise GeometryInvalid(
             f"the half cross-section needs an even number of transverse cells, not n2 = {n2}"
         )
-    odd = float(np.abs(metric.f - metric.f[:, ::-1]).max())
-    if not odd <= _EVEN_RTOL * np.abs(metric.f).max():  # NaN fails too
+    odd = _odd_part(metric.f, axis=1)
+    if odd is not None:
         raise GeometryInvalid(
             f"the metric factor is not even in x2: |f(x1, x2) - f(x1, -x2)| reaches {odd:.3e}"
         )
@@ -168,13 +182,16 @@ def _half_nodes(metric: MetricField) -> np.ndarray:
 
 
 def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> WeightedGrid:
-    """Frame grid for the self-similar family: longitudinal box
-    [-half_width, half_width], in ``n_cells`` cells, times the half
-    cross-section x2 in [0, a] (``_half_nodes``). Its kept nodes are those off
-    the box ends and off the wall x2 = a; the axis node is kept.
-    ``GeometryInvalid`` is raised for fewer than 2 cells, which leave no
-    interior column, for a half-width not positive and finite, and by
-    ``_half_nodes``."""
+    """Frame grid for the self-similar family: the longitudinal box
+    [-half_width, half_width] in ``n_cells`` cells, times the half
+    cross-section x2 in [0, a] (``_half_nodes``). When ``n_cells`` is even and
+    the metric factor is even in x1 (``_odd_part``), it is only the mirror
+    half y1 in [0, half_width] of the box, its nodes the box's own from the
+    middle one on. Its kept nodes are those off y1 = +-half_width and off the
+    wall x2 = a, so the node y1 = 0 of a mirror half is kept, with the natural
+    condition, as the axis node is. ``GeometryInvalid`` is raised for fewer
+    than 2 cells, which leave no interior column, for a half-width not
+    positive and finite, and by ``_half_nodes``."""
     if n_cells < 2:
         raise GeometryInvalid(f"the frame grid needs at least 2 cells, not n_cells = {n_cells}")
     if not 0 < half_width < math.inf:
@@ -183,6 +200,8 @@ def make_y_grid(metric: MetricField, half_width: float, n_cells: int) -> Weighte
     x2 = _half_nodes(metric)
     keep = np.zeros((y1.size, x2.size), dtype=bool)
     keep[1:-1, :-1] = True
+    if n_cells % 2 == 0 and _odd_part(metric.f, axis=0) is None:
+        y1, keep = y1[n_cells // 2:], keep[n_cells // 2:]
     return WeightedGrid(x1=y1, x2=x2, keep=keep.ravel())
 
 

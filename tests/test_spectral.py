@@ -14,6 +14,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from striplab import geometry as geo
 from striplab import spectral as sp
+from striplab.acceptance import _negative_reference_metric
 from striplab.errors import (
     GeometryInvalid,
     GridMisaligned,
@@ -224,13 +225,25 @@ def _full_section_frame_pair(metric, s, grid_y):
     return sp.assemble_Ls(metric, s, sp.make_grid(grid_y.x1, metric.x2))
 
 
+def _full_box_frame_grid(metric, half_width, n_cells):
+    """The frame grid on the whole box [-half_width, half_width], box ends
+    Dirichlet, times the half cross-section: the grid ``make_y_grid`` returns
+    for a metric not even in x1, built here for the frame levels odd in y1
+    that its mirror half y1 >= 0 does not hold."""
+    y1 = np.linspace(-half_width, half_width, n_cells + 1)
+    x2 = operators._half_nodes(metric)
+    keep = np.zeros((y1.size, x2.size), dtype=bool)
+    keep[1:-1, :-1] = True
+    return sp.WeightedGrid(x1=y1, x2=x2, keep=keep.ravel())
+
+
 @pytest.mark.parametrize("s", [0.0, 4.0, 8.0])
 def test_half_section_frame_eigenvalues_match_the_full_section(s, ruled_certified):
     """The two lowest frame eigenvalues are even in x2 on both sections. The
     reference runs ARPACK to 1e-13, so that what is compared is the
     reduction and not the 1e-8 stopping rule of either solve."""
     m = ruled_certified
-    gy = sp.make_y_grid(m, 14.0, 280)
+    gy = _full_box_frame_grid(m, 14.0, 280)
     assert gy.x2[0] == 0.0 and gy.x2[-1] == m.x2[-1]
     half = sp.assemble_Ls(m, s, gy)
     full = _full_section_frame_pair(m, s, gy)
@@ -238,6 +251,52 @@ def test_half_section_frame_eigenvalues_match_the_full_section(s, ruled_certifie
     nu = sp.lowest_eigenpairs(half, k=2).eigenvalues
     ref, _ = _splu_eigenvalues(full, k=2, tol=1e-13)
     assert np.abs(nu / ref - 1.0).max() <= 1e-10
+
+
+def test_mirror_half_frame_gives_the_full_box_eigenvalue(monkeypatch):
+    """Criterion 3's strip is even in x1, so ``make_y_grid`` keeps only the
+    mirror half y1 >= 0 of the frame box, on the box's own nodes, and its
+    sweep gives the full box's lowest eigenvalue. The frame operator cancels
+    e^s E1h, so the round-off between the two grows like e^s: the bound is
+    1e-10 relative up to s = 4 and 3e-9 at s = 8."""
+    m = _negative_reference_metric()
+    gy = sp.make_y_grid(m, 14.0, 280)
+    full = _full_box_frame_grid(m, 14.0, 280)
+    assert gy.x1.tobytes() == full.x1[140:].tobytes() and abs(gy.x1[0]) <= 1e-12
+    # one kept node y1 = 0 on each of the kept levels x2 < a
+    assert 2 * np.count_nonzero(gy.keep) - np.count_nonzero(full.keep) == gy.x2.size - 1
+    lattice = [0.0, 2.0, 4.0, 8.0]
+    mirror = sp.frame_sweep(m, lattice, 14.0, 280)
+    monkeypatch.setattr(operators, "make_y_grid", lambda *args: full)
+    whole = sp.frame_sweep(m, lattice, 14.0, 280)
+    for s, a, b in zip(lattice, mirror, whole):
+        bound = 1e-10 if s <= 4.0 else 3e-9
+        assert abs(a.eigenvalues[0] / b.eigenvalues[0] - 1.0) <= bound, s
+
+
+@pytest.mark.parametrize("case", ["off-centre-bump", "odd-cells"])
+def test_a_frame_box_without_a_mirror_is_the_full_box(case, monkeypatch):
+    """A bump off x1 = 0 is not even in x1, and an odd number of frame cells
+    leaves no node at y1 = 0: either way ``make_y_grid`` returns the full box,
+    and the sweep on it is, bit for bit, the sweep on the hand-built box."""
+    if case == "off-centre-bump":
+        prof = geo.gaussian_bump(amplitude=-0.6, width=1.5, support_radius=4.0, center=1.0)
+        m = geo.solve_jacobi(prof, geo.StripGeometry(a=0.5, L=8.0, n1=96, n2=24))
+        cells = 130
+    else:
+        m, cells = _negative_metric(), 131
+    gy = sp.make_y_grid(m, 13.0, cells)
+    full = _full_box_frame_grid(m, 13.0, cells)
+    assert gy.x1[0] == -13.0
+    for name in ("x1", "x2", "keep"):
+        assert getattr(gy, name).tobytes() == getattr(full, name).tobytes()
+    lattice = [0.0, 4.0]
+    sweep = sp.frame_sweep(m, lattice, 13.0, cells)
+    monkeypatch.setattr(operators, "make_y_grid", lambda *args: full)
+    for a, b in zip(sweep, sp.frame_sweep(m, lattice, 13.0, cells)):
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+        assert a.iterations == b.iterations
 
 
 _HALF_SECTION_USERS = {
@@ -287,7 +346,7 @@ def test_oscillator_eigenvalues_from_frame_pair():
     # longitudinal factor: check the first two frame levels at s = 0
     a = math.pi / 2
     m = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=a, L=8.0, n1=16, n2=24))
-    gy = sp.make_y_grid(m, 14.0, 480)
+    gy = _full_box_frame_grid(m, 14.0, 480)  # level 3/4 is odd in y1
     res = sp.lowest_eigenpairs(sp.assemble_Ls(m, 0.0, gy), k=2)
     assert res.eigenvalues[0] == pytest.approx(0.25, abs=2e-4)
     assert res.eigenvalues[1] == pytest.approx(0.75, abs=1e-3)
