@@ -17,8 +17,9 @@ so no sparse matrix is converted or transposed to factor it.
 
 Only this module reads those diagonals and that layout, so the 1-D pencils
 live here too: the closed-form sine eigendata of the flat Toeplitz pencil,
-the flat 2-D pair written as the Kronecker sum of its 1-D stencils, and the
-batched dense pencils.
+and the dense pencils of the transverse gaps and the Hardy slices, formed
+and solved a batch of bounded size at a time (``_lowest_eigenvalues``), so
+their memory does not grow with the number of pencils.
 
 scipy is imported where it is called, not with this module: ``scipy.sparse``
 by ``_csr``, which writes every assembled matrix, and ``scipy.linalg`` by
@@ -82,6 +83,10 @@ _KIND_FACTORS = {
 }
 
 _KIND_FACTORS_1D = {"mass": "v", "dd": "d"}
+
+# matrix entries in each dense array of a batch of 1-D pencils
+# (``_lowest_eigenvalues``): 256 KB of floats
+_PENCIL_BATCH_ENTRIES = 1 << 15
 
 
 def _uniform_spacing(nodes: np.ndarray) -> float:
@@ -283,33 +288,10 @@ def _sine_eigenpairs(k: np.ndarray, m: np.ndarray, n: int):
     return k / m, m, (0.5 * (n + 1) * m) ** -0.5
 
 
-def _stencil_data(structure, stencil) -> np.ndarray:
-    """CSR data, row by row, of the matrix of the CSR ``structure``
-    (``_csr_structure``) holding the (3, 3) ``stencil`` value at each entry's
-    offset (di, dj)."""
-    coupled = structure[2]
-    return np.broadcast_to(stencil.ravel(), coupled.shape)[coupled]
-
-
 def _largest_difference(a: np.ndarray, scratch: np.ndarray) -> float:
     """max |a - scratch|, computed in ``scratch``: every fresh array the size
     of a 2-D pair's data costs its first-touch page faults."""
     return float(np.abs(np.subtract(a, scratch, out=scratch), out=scratch).max())
-
-
-def _kronecker_pair(grid: WeightedGrid) -> OperatorPair:
-    """The flat pair S = K1 (x) M2 + M1 (x) K2, M = M1 (x) M2 of the interior
-    1-D pairs (K1, M1), (K2, M2) of unit weight (``_interior_stencils``),
-    written onto the CSR structure of ``grid``'s kept nodes, which must be its
-    interior ones: the element assembly of unit weight without the elements.
-    Each stencil's upper off-diagonal is mirrored below, so the pair is
-    exactly symmetric."""
-    (k1, m1), (k2, m2) = ([a[[2, 1, 2]] for a in _interior_stencils(x)] for x in (grid.x1, grid.x2))
-    structure = _csr_structure(*grid.shape, grid.keep)
-    indptr, indices, _, _ = structure
-    S, M = (_csr(_stencil_data(structure, st), indices, indptr)
-            for st in (np.outer(k1, m2) + np.outer(m1, k2), np.outer(m1, m2)))
-    return OperatorPair(S, M, grid=grid)
 
 
 def _sine_factors(x1: np.ndarray, x2: np.ndarray):
@@ -329,8 +311,9 @@ def _sine_factors(x1: np.ndarray, x2: np.ndarray):
 
 def _lumped_rows(stencil: np.ndarray, n: int) -> np.ndarray:
     """Row sums of the n x n tridiagonal Toeplitz matrix of ``stencil``
-    (a_1, a0, a1), its upper off-diagonal mirrored below as in
-    ``_kronecker_pair``: the lumped mass of an interior 1-D mass matrix."""
+    (a_1, a0, a1) with its upper off-diagonal a1 on both sides: the lumped
+    mass of an interior 1-D mass matrix (``_interior_stencils``), whose
+    a_1 equals a1 up to the assembly's round-off."""
     _, a0, a1 = stencil
     i = np.arange(n)
     return a0 + a1 * (i > 0) + a1 * (i < n - 1)
@@ -354,11 +337,23 @@ def _tridiagonal(local: np.ndarray, wall: bool) -> np.ndarray:
     return out
 
 
-def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each stacked dense pencil (S, M): with the
-    Cholesky factor M = L L^T it is that of the symmetric L^-1 S L^-T."""
-    Linv = np.linalg.inv(np.linalg.cholesky(M))
-    return np.linalg.eigvalsh(Linv @ S @ Linv.transpose(0, 2, 1))[:, 0]
+def _lowest_eigenvalues(S: np.ndarray, M: np.ndarray, wall: bool) -> np.ndarray:
+    """Lowest eigenvalue of each 1-D pencil (S, M) of the stacked element
+    matrices ``S`` and ``M``, shaped (pencils, n - 1, 2, 2) on n nodes, with
+    free ends or a Dirichlet ``wall`` at the last node (``_tridiagonal``):
+    with the Cholesky factor M = L L^T it is that of the symmetric
+    L^-1 S L^-T. The dense matrices are formed and solved a batch of pencils
+    at a time, each dense array holding at most ``_PENCIL_BATCH_ENTRIES``
+    entries (one pencil, if a single one holds more). numpy solves each
+    pencil of a stack on its own, so the batch size moves no bit."""
+    n = S.shape[-3] + (not wall)
+    batch = max(1, _PENCIL_BATCH_ENTRIES // n**2)
+    out = np.empty(S.shape[0])
+    for lo in range(0, out.size, batch):
+        Sb, Mb = (_tridiagonal(A[lo:lo + batch], wall) for A in (S, M))
+        Linv = np.linalg.inv(np.linalg.cholesky(Mb))
+        out[lo:lo + batch] = np.linalg.eigvalsh(Linv @ Sb @ Linv.transpose(0, 2, 1))[:, 0]
+    return out
 
 
 @dataclass(eq=False)

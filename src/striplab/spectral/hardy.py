@@ -19,7 +19,6 @@ from ..oracle import mode_function, transverse_energy
 from .core import (
     OperatorPair,
     _lowest_eigenvalues,
-    _tridiagonal,
     element_matrices_1d,
     gauss_points_1d,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "perturbed_threshold",
 ]
 
-_MU_BATCH_ENTRIES = 1 << 21
 # a transverse gap within this distance of zero counts as zero
 _MU_TOL = 1e-8
 # cells of the longitudinal grid on which the Hardy constants are computed
@@ -63,9 +61,10 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     Each column's ground state is even in x2, so its eigenvalue is that of
     the half cross-section (``_half_nodes``, which raises ``GeometryInvalid``
     for an odd n2 or a metric not even in x2), free on the axis and Dirichlet
-    at the wall. All columns are done together: the metric is sampled once
-    and the tridiagonal S and M of every column come from one batch of
-    element matrices (``core._tridiagonal``, ``core._lowest_eigenvalues``).
+    at the wall. The metric is sampled once for all columns and their
+    element matrices are formed in one stack; ``core._lowest_eigenvalues``
+    solves the dense pencils a batch of bounded size at a time, so a long
+    column list takes no more pencil memory than a short one.
     """
     x1 = np.atleast_1d(np.asarray(x1, float))
     x2 = _half_nodes(metric)
@@ -75,15 +74,9 @@ def transverse_mu_profile(metric: MetricField, x1) -> np.ndarray:
     e1h = flat_transverse_ground(metric.x2)
     f, _ = metric.sample(x1, g2.ravel())
     f = f.reshape(x1.size, *g2.shape)
-    out = np.empty(x1.size)
-    # batches of at most ~2M matrix entries keep long column lists small
-    batch = max(1, _MU_BATCH_ENTRIES // (x2.size - 1) ** 2)
-    for lo in range(0, x1.size, batch):
-        c = f[lo:lo + batch]
-        S = _tridiagonal(element_matrices_1d(x2, [("dd", c)]), wall=True)
-        M = _tridiagonal(element_matrices_1d(x2, [("mass", c)]), wall=True)
-        out[lo:lo + batch] = _lowest_eigenvalues(S, M) - e1h
-    return out
+    S = element_matrices_1d(x2, [("dd", f)])
+    M = element_matrices_1d(x2, [("mass", f)])
+    return _lowest_eigenvalues(S, M, wall=True) - e1h
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,9 @@ def hardy_constant(metric: MetricField, J: tuple):
     minimum over transverse slices (the form carries no transverse coupling).
     The metric is even in x2, so the slices at the levels x2 >= 0 of
     ``_half_nodes`` give that minimum; ``GeometryInvalid`` is raised for an
-    odd n2 or a metric not even in x2.
+    odd n2 or a metric not even in x2. The slices' dense pencils, like the
+    transverse gaps', are solved a batch of bounded size at a time
+    (``core._lowest_eigenvalues``).
     """
     return _hardy_constant(metric, J, None)
 
@@ -144,17 +139,15 @@ def _hardy_constant(metric, J, mu_global):
     C = (1.0 / 8.0 + 4.0 / (j1 - j0) ** 2) / (1.0 - (q / (1.0 - q)) ** 2)
 
     # lowest eigenvalue of the free-ends slice operator of every transverse
-    # level x2 >= 0, all levels at once: f is sampled once and each slice's
-    # S and M come from one batch of element matrices
+    # level x2 >= 0: f is sampled once and the element matrices of every
+    # slice are formed in one stack
     mu_g = mu_cols.reshape(gcols.shape)
     levels = _half_nodes(metric)
     f, _ = metric.sample(gcols.ravel(), levels)
     f = f.T.reshape(levels.size, *gcols.shape)
-    S = _tridiagonal(
-        element_matrices_1d(nodes, [("dd", 1.0 / f), ("mass", mu_g * f)]), wall=False
-    )
-    M = _tridiagonal(element_matrices_1d(nodes, [("mass", f)]), wall=False)
-    lam = float(_lowest_eigenvalues(S, M).min())
+    S = element_matrices_1d(nodes, [("dd", 1.0 / f), ("mass", mu_g * f)])
+    M = element_matrices_1d(nodes, [("mass", f)])
+    lam = float(_lowest_eigenvalues(S, M, wall=False).min())
     c_K = c * lam / (lam + C)
     return HardyConstants(c=float(c), C=float(C), lambda_J=lam, c_K=float(c_K), J=(j0, j1))
 

@@ -39,7 +39,6 @@ from .core import (
     OperatorPair,
     WeightedGrid,
     _interior_stencils,
-    _kronecker_pair,
     _sine_eigenpairs,
     assemble_1d,
     assemble_2d,
@@ -68,13 +67,10 @@ def _coeff_grid(metric: MetricField, x1: np.ndarray, x2: np.ndarray, scale=1.0):
     g1 = gauss_points_1d(x1)
     g2 = gauss_points_1d(x2)
     n1, n2 = g1.shape[0], g2.shape[0]
-    if metric.flat:
-        F = np.ones((n1, n2, 3, 3))
-    else:
-        f, _ = metric.sample(scale * g1.ravel(), g2.ravel())
-        # contiguous, so that no term's coefficient array is copied again
-        # when assembly flattens it
-        F = np.ascontiguousarray(f.reshape(n1, 3, n2, 3).transpose(0, 2, 1, 3))
+    f, _ = metric.sample(scale * g1.ravel(), g2.ravel())
+    # contiguous, so that no term's coefficient array is copied again
+    # when assembly flattens it
+    F = np.ascontiguousarray(f.reshape(n1, 3, n2, 3).transpose(0, 2, 1, 3))
     return g1, g2, F
 
 
@@ -82,18 +78,11 @@ def assemble_hk(metric: MetricField, grid: WeightedGrid | None = None) -> Operat
     """Stiffness/mass pair of the weighted Dirichlet form on the strip.
 
     S[u] = int( f^-1 |d1 u|^2 + f |d2 u|^2 ),  M[u] = int( f |u|^2 ),
-    assembled element-wise onto the nodes off the Dirichlet mask. On a flat
-    metric (f = 1) whose kept nodes are ``make_grid``'s interior ones, the
-    pair is the Kronecker sum of the interior 1-D pairs and is written from
-    their stencils instead (``core._kronecker_pair``), exactly symmetric and
-    equal to the element assembly to round-off. Either pair is checked.
+    assembled element-wise onto the nodes off the Dirichlet mask, on every
+    metric alike (a flat one samples f = 1 exactly), and checked.
     """
     if grid is None:
         grid = make_grid(metric.x1, metric.x2)
-    if metric.flat and np.array_equal(grid.keep, make_grid(grid.x1, grid.x2).keep):
-        pair = _kronecker_pair(grid)
-        pair.check()
-        return pair
     _, _, F = _coeff_grid(metric, grid.x1, grid.x2)
     return _checked_pair(grid, [("d1d1", 1.0 / F), ("d2d2", F)], F)
 

@@ -276,8 +276,6 @@ def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_state
     # the run goes from the 1-D stencils to the sine basis: no 2-D pair at all
     monkeypatch.setattr(sp.operators, "assemble_2d", no_elements)
     monkeypatch.setattr(ev, "assemble_hk", no_elements)
-    monkeypatch.setattr(sp.operators, "_kronecker_pair", no_elements)
-    monkeypatch.setattr(core, "_kronecker_pair", no_elements)
     monkeypatch.setattr(core.OperatorPair, "check", no_elements)
     transforms = []
     sine_transform = ev._sine_transform
@@ -407,24 +405,24 @@ def test_a_non_finite_state_raises_on_both_propagators(request, case):
 def test_kronecker_pair_is_the_flat_assembly_and_its_coefficients_hold_the_norms(
     n1, n2, h1, a, offset, seed
 ):
-    """The exact tensor factorisation on random uniform flat grids: the pair
-    written from the 1-D stencils is the element assembly of the flat terms,
-    exactly symmetric and passes the pair check, and the norm and mode-1
+    """The exact tensor factorisation on random uniform flat grids: the flat
+    pair of ``assemble_hk`` is the Kronecker sum S = K1 (x) M2 + M1 (x) K2,
+    M = M1 (x) M2 of the interior 1-D stencils, and the norm and mode-1
     remainder read off the sine coefficients of a random state are those of
     ``_norm_f`` and ``project_mode1``."""
     x1 = h1 * (np.arange(n1 + 1) - round(offset * n1))
     x2 = np.linspace(-a, a, n2 + 1)
     grid = sp.make_grid(x1, x2)
-    pair = core._kronecker_pair(grid)
-    ones = np.ones((n1, n2, 3, 3))
-    S = sp.assemble_2d(x1, x2, [("d1d1", ones), ("d2d2", ones)], grid.keep)
-    M = sp.assemble_2d(x1, x2, [("mass", ones)], grid.keep)
-    for A, B in ((pair.S, S), (pair.M, M)):
-        assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
-        assert np.abs(A.data - B.data).max() <= 1e-12 * np.abs(B.data).max()
-        assert (A != A.T).nnz == 0
-    pair.check()
-    factors = core._sine_factors(x1, x2)[1]
+    # a flat metric samples f = 1 at any point, so the grid alone sets the pair
+    flat = geo.solve_jacobi(geo.zero_profile(), geo.StripGeometry(a=a, L=2.0, n1=4, n2=4))
+    pair = sp.assemble_hk(flat, grid)
+    stencils, factors = core._sine_factors(x1, x2)
+    (K1, M1), (K2, M2) = (
+        [sps.diags(st, [-1, 0, 1], shape=(x.size - 2, x.size - 2)) for st in pair_st]
+        for pair_st, x in zip(stencils, (x1, x2))
+    )
+    for A, B in ((pair.S, sps.kron(K1, M2) + sps.kron(M1, K2)), (pair.M, sps.kron(M1, M2))):
+        assert abs(A - B).max() <= 1e-12 * abs(B).max()
     u = np.random.default_rng(seed).standard_normal(pair.n)
     norm, rem = ev._coefficient_norms(_sine_coefficients(factors, u))
     ref = ev._norm_f(pair, u)

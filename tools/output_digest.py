@@ -8,21 +8,29 @@ one). Prints one `sha256  relative/path` line per CSV or JSON output and one
 `number passed detail` line per criterion, without its seconds. Criterion 10
 prints `perturbed_threshold` only to five digits, so the `repr` of one value
 of it on each of the flat and the ruled certified strips of
-`tests/test_spectral.py` follows the configs. Last come the lines
-that `strip-lab oracle` prints for a fixed set of `survival` (with and
-without a box), `kernel`, `p0` and `modes` queries, run through
-`cli.main`, and one `sha256` of `kill_time.tobytes() + positions.tobytes()`
-for each of criterion 8's two Monte Carlo ensembles (its negative and its
-flat strip, with its `dt`, lattice and seed) at 65 636 paths, so that two
-chunks and their streams are covered; criterion 8's aggregates alone would
-not show a moved path. These two lines add about 1 s to the run (0.8 s for
-the negative strip, 0.15 s for the flat one, on one core of an AMD EPYC
-virtual machine). So
+`tests/test_spectral.py` follows the configs. The CSVs keep 12 digits, so
+for the pencils of the Hardy certificate and the transverse gap two lines
+give every bit: the `repr` of `lambda_J` and `c_K` that
+`pick_hardy_interval` finds on criterion 10's strip, and one `sha256` of
+`transverse_mu_profile(m, m.x1).tobytes()` for the metric of
+`configs/negative_box_mu.ini`. Last come the lines that `strip-lab oracle`
+prints for a fixed set of `survival` (with and without a box), `kernel`,
+`p0` and `modes` queries, run through `cli.main`, and one `sha256` of
+`kill_time.tobytes() + positions.tobytes()` for each of criterion 8's two
+Monte Carlo ensembles (its negative and its flat strip, with its `dt`,
+lattice and seed) at 65 636 paths, so that two chunks and their streams are
+covered; criterion 8's aggregates alone would not show a moved path. The
+two Monte Carlo lines add about 1 s to the run (0.8 s for the negative
+strip, 0.15 s for the flat one, on one core of an AMD EPYC virtual
+machine). So
 
     python tools/output_digest.py > after.txt
 
 run on two checkouts gives no `diff` when their outputs agree. The
-striplab imported is the one under this checkout's `src/`.
+striplab imported is the one under this checkout's `src/`. The nu-sweep's
+CSV depends on the number of BLAS threads, so the digest runs on one
+(`OPENBLAS_NUM_THREADS=1`, set before numpy loads) unless the environment
+already sets it.
 """
 from __future__ import annotations
 
@@ -30,10 +38,12 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -43,7 +53,7 @@ from striplab import cli  # noqa: E402
 from striplab import geometry as geo  # noqa: E402
 from striplab import spectral as sp  # noqa: E402
 from striplab import stochastic as st  # noqa: E402
-from striplab.acceptance import run_criterion  # noqa: E402
+from striplab.acceptance import _negative_reference_metric, run_criterion  # noqa: E402
 
 CRITERIA = (1, 2, 3, 4, 5, 6, 7, 9, 10)
 ORACLE_QUERIES = (
@@ -74,6 +84,16 @@ def _threshold_lines():
     for name, m, depth in (("flat", flat, 0.1), ("ruled-certified", ruled, 0.002)):
         V = -depth * np.exp(-m.x1[:, None] ** 2 / 2.0) * np.ones(m.x2.size)[None, :]
         yield f"perturbed-threshold/{name} {sp.perturbed_threshold(m, V)!r}"
+
+
+def _pencil_lines():
+    """Criterion 10's Hardy certificate and the transverse gap of the
+    shipped mu config, to the last bit."""
+    cert = sp.pick_hardy_interval(_negative_reference_metric(L=12.0, n1=192, n2=40))
+    yield f"hardy/criterion-10 lambda_J={cert.lambda_J!r} c_K={cert.c_K!r}"
+    m = cli.load_config(ROOT / "configs/negative_box_mu.ini").build_metric()
+    digest = hashlib.sha256(sp.transverse_mu_profile(m, m.x1).tobytes()).hexdigest()
+    yield f"{digest}  mu/negative_box_mu"
 
 
 def _oracle_lines():
@@ -118,6 +138,8 @@ def main() -> int:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.relative_to(out)}", flush=True)
     for line in _threshold_lines():
+        print(line, flush=True)
+    for line in _pencil_lines():
         print(line, flush=True)
     for number in CRITERIA:
         r = run_criterion(number)
