@@ -123,7 +123,7 @@ def _c6_positive_gap():
     pairing = float(np.sum(w1[:, None] * w2[None, :] * K * m.f * j1[None, :] ** 2))
     lam = sp.lowest_eigenpairs(pair, k=1).eigenvalues[0]
     gap = e1 - lam
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     t_grid = np.arange(0.0, 50.0 + 1e-9, 0.5)
     tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=lam)
     sel = (tr.times >= 5.0) & (tr.times <= 50.0)

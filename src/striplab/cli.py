@@ -3,8 +3,8 @@
 Config files are plain text with named blocks of key = value pairs
 (geometry, curvature, experiment, output). Runs write fixed-schema CSV
 files plus a manifest; reruns of an identical config reproduce identical
-CSV bytes. Exit codes: 0 success, 2 invalid config, 3 numerical failure,
-4 acceptance failure (report mode).
+CSV bytes at a fixed BLAS thread count. Exit codes: 0 success, 2 invalid
+config, 3 numerical failure, 4 acceptance failure (report mode).
 """
 from __future__ import annotations
 
@@ -232,7 +232,7 @@ def _exp_mu(cfg, outdir):
     _write_csv(
         p,
         ["x1[len]", "mu[1/time]", "thin_bound[1/time]"],
-        zip(metric.x1, mu, bound.values),
+        zip(metric.x1, mu, bound),
     )
     return [p.name]
 
@@ -522,6 +522,8 @@ def main(argv=None) -> int:
                 cfg.controls["include_slow"] = not args.skip_slow
                 cfg.kind = "report"
                 run(cfg)
+            elif args.out is not None:
+                raise ConfigInvalid("report --out needs a config: without one the report is only printed")
             else:
                 _report(not args.skip_slow, None)
         elif args.command == "oracle":

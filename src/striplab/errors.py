@@ -30,11 +30,7 @@ class SingularMass(StripLabError):
 
 
 class NoConvergence(StripLabError):
-    """Eigensolver did not converge; carries the best residual achieved."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Eigensolver did not converge; the message gives the best residual achieved."""
 
 
 class ShiftInsideSpectrum(StripLabError):

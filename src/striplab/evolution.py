@@ -44,7 +44,6 @@ from .spectral.core import (
     _lumped_rows,
     _sine_factors,
     banded_cholesky,
-    make_grid,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "evolve",
     "fit_decay",
     "decay_run",
-    "project_mode1",
 ]
 
 
@@ -89,35 +87,20 @@ def _norm_f(pair: OperatorPair, u: np.ndarray) -> float:
     return float(math.sqrt(max(u @ (pair.M @ u), 0.0)))
 
 
-def weighted_initial(pair: OperatorPair, kind: str, alpha: float = 1.0, box=None) -> HeatState:
-    """Initial datum at t = 0 on the pair's kept nodes.
-
-    kind 'mode': w^-alpha times the first transverse mode, divided once by
-    its Gaussian-weighted norm (requires alpha > 1/2, else
-    ``NotInWeightedSpace``); 'indicator': nodal indicator of the rectangle
-    ``box`` = ((x1_lo, x1_hi), (x2_lo, x2_hi)). Any other kind, 'indicator'
-    without a box, and a box with a low edge not at or below its high edge
-    (NaN included), raise ``ValueError``. The state carries the plain norm of
-    the datum.
+def weighted_initial(pair: OperatorPair, alpha: float = 1.0) -> HeatState:
+    """Mode datum at t = 0 on the pair's kept nodes: w^-alpha times the first
+    transverse mode, divided once by its Gaussian-weighted norm (requires
+    alpha > 1/2, else ``NotInWeightedSpace``). The state carries the plain
+    norm of the datum.
     """
     grid = pair.grid
     x1g = grid.restrict(grid.x1[:, None])
     x2g = grid.restrict(grid.x2)
-    if kind == "mode":
-        lumped = np.asarray(pair.M.sum(axis=1)).ravel()
-        g, j1, norm = _mode_datum(
-            alpha, float(grid.x2[-1]), x1g, x2g, lambda w1, w2: lumped @ (w1 * w2)
-        )
-        u = g * j1 / norm
-    elif kind == "indicator":
-        if box is None:
-            raise ValueError("'indicator' initial data needs a box")
-        (bx0, bx1), (by0, by1) = box
-        if not (bx0 <= bx1 and by0 <= by1):  # NaN included
-            raise ValueError(f"box {box} has a low edge above its high edge")
-        u = ((x1g >= bx0) & (x1g <= bx1) & (x2g >= by0) & (x2g <= by1)).astype(float)
-    else:
-        raise ValueError(f"unknown initial kind {kind!r}")
+    lumped = np.asarray(pair.M.sum(axis=1)).ravel()
+    g, j1, norm = _mode_datum(
+        alpha, float(grid.x2[-1]), x1g, x2g, lambda w1, w2: lumped @ (w1 * w2)
+    )
+    u = g * j1 / norm
     return HeatState(u=u, t=0.0, norm_f=_norm_f(pair, u))
 
 
@@ -171,9 +154,9 @@ def _product_coefficients(factors, g: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _coefficient_norms(C: np.ndarray):
     """The M-norm of the state of coefficients C, its Frobenius norm since P is
-    M-orthonormal, and ``project_mode1``'s remainder: on a cross-section
-    symmetric about the axis the sampled first mode is the first transverse
-    sine vector, so the remainder drops the first column of C."""
+    M-orthonormal, and its mode-1 remainder (``_mode1_remainder``): on an
+    axis-symmetric cross-section the sampled first mode is the first
+    transverse sine vector, so the remainder drops the first column of C."""
     rem2 = float(np.einsum("ij,ij->", C[:, 1:], C[:, 1:]))
     return math.sqrt(float(C[:, 0] @ C[:, 0]) + rem2), math.sqrt(rem2)
 
@@ -220,7 +203,7 @@ def _separable_propagator(factors, C: np.ndarray, dt: float, shift: float):
 def _banded_propagator(pair: OperatorPair, u0: np.ndarray, dt: float, shift: float):
     """Map taking the trapezoidal scheme ``gap`` steps further by banded
     Cholesky solves, to the new state's norm, its mode-1 remainder
-    (``project_mode1``) and a function returning its nodal values."""
+    (``_mode1_remainder``) and a function returning its nodal values."""
     from scipy.linalg import LinAlgError, cho_solve_banded
 
     # dt/2 (S - shift M) and M -+ it on the pair's structure, as scipy.sparse
@@ -399,12 +382,11 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
         dt = min(0.01, (window[1] - window[0]) / 2000.0)
         dt = checkpoint_step / math.ceil(checkpoint_step / dt)
     t_grid = np.arange(0.0, t_end + 1e-9, checkpoint_step)
-    grid = make_grid(metric.x1, metric.x2)
-    sine = _sine_factors(grid.x1, grid.x2) if metric.flat else None
+    sine = _sine_factors(metric.x1, metric.x2) if metric.flat else None
     if sine is None:
         e1h = flat_transverse_ground(metric.x2)
         pair = assemble_hk(metric)
-        u0 = weighted_initial(pair, "mode", alpha=alpha)
+        u0 = weighted_initial(pair, alpha)
         trajectory = evolve(pair, u0, t_grid, dt=dt, shift=e1h)
     else:
         # the flat pair's interior nodes are a full (n1 - 1) x (n2 - 1) block,
@@ -412,10 +394,10 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
         # so its quadrature of a product w1(x1) w2(x2) is a product of 1-D sums
         ((_, m1), (_, m2)), factors = sine
         e1h = float(factors[1][0][0])  # flat_transverse_ground(metric.x2), bit for bit
-        x1, x2 = grid.x1[1:-1], grid.x2[1:-1]
+        x1, x2 = metric.x1[1:-1], metric.x2[1:-1]
         l1, l2 = _lumped_rows(m1, x1.size), _lumped_rows(m2, x2.size)
         g, j1, norm = _mode_datum(
-            alpha, float(grid.x2[-1]), x1, x2, lambda w1, w2: (l1 @ w1) * (l2 @ w2)
+            alpha, float(metric.x2[-1]), x1, x2, lambda w1, w2: (l1 @ w1) * (l2 @ w2)
         )
         C0 = _product_coefficients(factors, g, j1) / norm
         trajectory = _checkpoint_loop(
@@ -424,13 +406,9 @@ def decay_run(metric, alpha=1.0, t_end=100.0, checkpoint_step=0.5, window=None, 
     return trajectory, fit_decay(trajectory, e1h, window), e1h
 
 
-def project_mode1(state: HeatState, pair: OperatorPair) -> float:
-    """Weighted norm of the state minus its transverse-mode-1 projection,
-    column by column."""
-    return _mode1_remainder(pair, state.u)
-
-
 def _mode1_remainder(pair: OperatorPair, u: np.ndarray) -> float:
+    """Weighted norm of the kept-node state ``u`` minus its transverse-mode-1
+    projection, column by column."""
     x2 = pair.grid.x2
     h2 = x2[1] - x2[0]
     j1 = mode_function(1, float(x2[-1]), x2)

@@ -40,10 +40,6 @@ def mode_function(n: int, a: float, x2):
 class TransverseMode:
     index: int
     energy: float
-    a: float
-
-    def __call__(self, x2):
-        return mode_function(self.index, self.a, x2)
 
 
 def transverse_modes(a: float, n_max: int) -> list[TransverseMode]:
@@ -51,7 +47,7 @@ def transverse_modes(a: float, n_max: int) -> list[TransverseMode]:
         raise ValueError(f"the half-width a must be positive and finite, not {a}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return [TransverseMode(n, transverse_energy(n, a), a) for n in range(1, n_max + 1)]
+    return [TransverseMode(n, transverse_energy(n, a)) for n in range(1, n_max + 1)]
 
 
 def gauss_kernel(x1, x1p, t):

@@ -11,7 +11,6 @@ from .core import (
 )
 from .hardy import (
     HardyConstants,
-    ThinStripBound,
     hardy_constant,
     hardy_verify,
     hardy_weight,
@@ -49,7 +48,6 @@ __all__ = [
     "make_y_grid",
     "lowest_eigenpairs",
     "HardyConstants",
-    "ThinStripBound",
     "hardy_constant",
     "hardy_verify",
     "hardy_weight",

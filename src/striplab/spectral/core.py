@@ -116,10 +116,10 @@ def _diagonals(local: np.ndarray):
     return local[..., 1, 0], diag, local[..., 0, 1]
 
 
-def assemble_1d(nodes: np.ndarray, terms, keep=None):
+def assemble_1d(nodes: np.ndarray, terms, keep):
     """Assemble sum of 1D terms on the nodes where the boolean mask ``keep``
-    is set, or on every node when it is None; each term is (kind, coeff) with
-    coeff of shape (n_cells, 3) holding the coefficient at the Gauss points.
+    is set; each term is (kind, coeff) with coeff of shape (n_cells, 3)
+    holding the coefficient at the Gauss points.
     Offsets 1, 4 and 7 of the n x 1 grid's structure are the three diagonals.
     """
     nodes = np.asarray(nodes, float)
@@ -129,10 +129,10 @@ def assemble_1d(nodes: np.ndarray, terms, keep=None):
     return _csr(stencil[coupled[:, 1::3]], indices, indptr)
 
 
-def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep=None):
+def assemble_2d(x1: np.ndarray, x2: np.ndarray, terms, keep):
     """Assemble sum of bilinear-element terms on the tensor grid x1 (x) x2,
     on the nodes where the boolean mask ``keep`` (over all nodes, x1-major)
-    is set, or on every node when it is None.
+    is set.
 
     Each term is (kind, coeff) with coeff shaped (n1_cells, n2_cells, 3, 3)
     holding the coefficient at the tensor Gauss points of every cell.
@@ -198,10 +198,8 @@ def _stencil_sum(block: np.ndarray) -> np.ndarray:
 
 
 def _csr_structure(n1: int, n2: int, keep):
-    """``_stencil_structure`` of the n1 x n2 node grid and its mask (None:
-    every node)."""
-    keep = np.ones(n1 * n2, bool) if keep is None else np.asarray(keep, bool).ravel()
-    return _stencil_structure(n1, n2, keep.tobytes())
+    """``_stencil_structure`` of the n1 x n2 node grid and its mask."""
+    return _stencil_structure(n1, n2, np.asarray(keep, bool).ravel().tobytes())
 
 
 def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
@@ -408,7 +406,7 @@ class OperatorPair:
 
     S: object
     M: object
-    grid: WeightedGrid = None
+    grid: WeightedGrid
 
     @property
     def n(self) -> int:
@@ -416,12 +414,9 @@ class OperatorPair:
 
     def structure(self):
         """The CSR structure (``_csr_structure``) of the grid's kept nodes, on
-        which S and M sit; ``GridMisaligned`` for a pair without a grid or off
-        its structure, whose data has no band layout to be factored on."""
-        grid = self.grid
-        if grid is None:
-            raise GridMisaligned("the pair has no grid, so no stencil structure to factor on")
-        structure = _csr_structure(*grid.shape, grid.keep)
+        which S and M sit; ``GridMisaligned`` for a pair off it, whose data
+        has no band layout to be factored on."""
+        structure = _csr_structure(*self.grid.shape, self.grid.keep)
         indptr, indices, _, _ = structure
         for A in (self.S, self.M):
             if not (np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)):

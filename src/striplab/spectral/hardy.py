@@ -36,7 +36,6 @@ __all__ = [
     "HardyConstants",
     "hardy_constant",
     "pick_hardy_interval",
-    "ThinStripBound",
     "thin_strip_bound",
     "thin_strip_constant",
     "hardy_weight",
@@ -88,8 +87,9 @@ class HardyConstants:
     J: tuple
 
 
-def hardy_constant(metric: MetricField, J: tuple):
-    """Explicit Hardy constants (c, C, lambda_J, c_K) for the interval J.
+def hardy_constant(metric: MetricField, J: tuple, mu_global: np.ndarray):
+    """Explicit Hardy constants (c, C, lambda_J, c_K) for the interval J, given
+    the caller's ``mu_global`` = transverse_mu_profile(metric, metric.x1).
 
     c and C come from the classical strip inequality rewritten with the
     metric bounds; lambda_J is the lowest eigenvalue of the free-ends
@@ -101,12 +101,6 @@ def hardy_constant(metric: MetricField, J: tuple):
     transverse gaps', are solved a batch of bounded size at a time
     (``core._lowest_eigenvalues``).
     """
-    return _hardy_constant(metric, J, None)
-
-
-def _hardy_constant(metric, J, mu_global):
-    """hardy_constant, reusing ``mu_global`` = transverse_mu_profile(metric,
-    metric.x1) when the caller has it (None computes it)."""
     j0, j1 = float(J[0]), float(J[1])
     if not j1 > j0:
         raise ValueError("J must be a nondegenerate interval")
@@ -128,8 +122,6 @@ def _hardy_constant(metric, J, mu_global):
     if mu_cols.max() <= _MU_TOL:
         raise HypothesisFailed("transverse gap is trivial on J")
     # global nonnegativity on the computed grid (the operator bound is global)
-    if mu_global is None:
-        mu_global = transverse_mu_profile(metric, metric.x1)
     if mu_global.min() < -_MU_TOL:
         raise HypothesisFailed(
             f"transverse gap negative ({mu_global.min():.3e}) outside J"
@@ -170,7 +162,7 @@ def pick_hardy_interval(metric: MetricField):
             continue
         J = (float(metric.x1[s]), float(metric.x1[e]))
         try:
-            hc = _hardy_constant(metric, J, mu)
+            hc = hardy_constant(metric, J, mu)
         except HypothesisFailed:
             continue
         if best is None or hc.lambda_J > best.lambda_J:
@@ -178,14 +170,6 @@ def pick_hardy_interval(metric: MetricField):
     if best is None:
         raise HypothesisFailed("no usable positivity island")
     return best
-
-
-@dataclass(frozen=True)
-class ThinStripBound:
-    x1: np.ndarray
-    values: np.ndarray
-    constant: float
-    applicable: bool  # nonnegative and nontrivial on the sampled columns
 
 
 def thin_strip_constant(xi: float) -> float:
@@ -201,27 +185,18 @@ def thin_strip_constant(xi: float) -> float:
     return 0.25 * xi**2 * (1.0 + r) ** 2 / (1.0 - r) ** 2
 
 
-def thin_strip_bound(profile, a: float, x1) -> ThinStripBound:
+def thin_strip_bound(profile, a: float, x1) -> np.ndarray:
     """Pointwise lower-bound field -k/2 - C(xi) 1_[-R,R] for the transverse gap
     at the columns ``x1``, with xi = sup|K| a^2.
-
-    The field always dips by -C(xi) where the axis curvature tapers out, so
-    the small-width regime is flagged when the width correction is dominated
-    by the curvature part (it can then be absorbed into the Hardy weight).
     """
     x1 = np.asarray(x1, float)
     xi = profile.sup_norm * a**2
     cxi = thin_strip_constant(xi)
-    k = profile.axis_infimum(x1)
-    values = -0.5 * k
     if math.isfinite(profile.support_radius):
         inside = np.abs(x1) <= profile.support_radius
     else:
         inside = np.ones_like(x1, dtype=bool)
-    values = values - cxi * inside
-    peak = float(values.max())
-    applicable = bool(peak > 1e-12 and cxi < 0.25 * peak)
-    return ThinStripBound(x1=x1, values=values, constant=cxi, applicable=applicable)
+    return -0.5 * profile.axis_infimum(x1) - cxi * inside
 
 
 def _trial_vectors(grid, a: float, trials: int, seed: int):

@@ -57,7 +57,7 @@ def lowest_eigenpairs(
     CSR data and band layout of the pair's structure) and
     every iteration solves with that factor; ``iterations`` counts the
     solves. A pair that is not symmetric raises ``LinearSolveFailure``, and
-    one without a grid or off its grid's structure ``GridMisaligned``; a
+    one off its grid's structure ``GridMisaligned``; a
     shifted matrix that is not positive definite, or a computed eigenvalue
     below the shift, raises ``ShiftInsideSpectrum``. Small problems fall back
     to a dense solve with the same contract, which ignores ``start``. ARPACK
@@ -114,16 +114,13 @@ def lowest_eigenpairs(
                 OPinv=op_inv,
             )
         except spla.ArpackNoConvergence as exc:
-            best = None
+            best = "none, no eigenvalue converged"
             if len(exc.eigenvalues):
-                v = exc.eigenvectors[:, 0]
-                lam = exc.eigenvalues[0]
-                best = float(
-                    np.linalg.norm(S @ v - lam * (M @ v)) / np.linalg.norm(M @ v)
-                )
+                v, lam = exc.eigenvectors[:, 0], exc.eigenvalues[0]
+                best = f"{np.linalg.norm(S @ v - lam * (M @ v)) / np.linalg.norm(M @ v):.3e}"
             raise NoConvergence(
-                f"eigensolver did not converge within {_MAXITER} iterations",
-                best_residual=best,
+                f"eigensolver did not converge within {_MAXITER} iterations "
+                f"(best residual: {best})"
             )
 
     order = np.argsort(vals)
@@ -149,8 +146,8 @@ def lowest_eigenpairs(
     scale = max(abs(vals).max(), 1.0)
     if np.any(residuals > _TOL * scale * 100):
         raise NoConvergence(
-            "converged pair exceeds the residual tolerance",
-            best_residual=float(residuals.max()),
+            f"converged pair exceeds the residual tolerance (largest residual "
+            f"{residuals.max():.3e}, tolerance {_TOL * scale * 100:.3e})"
         )
     return EigenResult(
         eigenvalues=vals, eigenvectors=vecs, residuals=residuals, iterations=solves

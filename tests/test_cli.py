@@ -751,3 +751,15 @@ def test_report_prints_the_same_lines_with_and_without_a_config(tmp_path, monkey
     assert cli.main(["report", str(good)]) == 0
     assert capsys.readouterr().out == plain
     assert (tmp_path / "out" / "report" / "report.txt").read_text() == plain
+
+
+def test_report_out_without_a_config_is_refused(tmp_path, monkeypatch, capsys):
+    """Without a config the report writes no file, so ``--out`` would be
+    ignored: it is refused before any criterion runs."""
+    import striplab.acceptance as acc
+
+    monkeypatch.setattr(acc, "run_all", lambda include_slow=True: pytest.fail("report ran"))
+    assert cli.main(["report", "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--out" in err
+    assert not (tmp_path / "rep").exists()

@@ -79,7 +79,7 @@ def _separable_evolve(grid, u0, t_grid, dt, shift=0.0, keep_states=False):
 
 def _mode1_fraction_reference(pair, u):
     """The inline remainder fraction ``evolve`` used to compute before it
-    called ``project_mode1``."""
+    called ``_mode1_remainder``."""
     x2 = pair.grid.x2
     h2 = x2[1] - x2[0]
     j1 = mode_function(1, float(x2[-1]), x2)
@@ -149,7 +149,7 @@ def test_banded_cholesky_matches_sparse_lu(request, case, t_grid, shift):
     m, pair = request.getfixturevalue(case)
     if shift == "e1":
         shift = sp.flat_transverse_ground(m.x2)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     tr = ev.evolve(pair, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
     ref = _splu_reference(pair, u0, t_grid, dt=0.01, shift=shift)
     assert len(tr.states) == len(ref) == len(t_grid)
@@ -173,7 +173,7 @@ def test_evolve_factors_one_banded_cholesky_on_every_pair(request, monkeypatch, 
         return sp.core.banded_cholesky(data, grid)
 
     monkeypatch.setattr(ev, "banded_cholesky", spy)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     ev.evolve(pair, u0, [0.0, 0.2], dt=0.01, shift=sp.flat_transverse_ground(m.x2))
     assert calls == [(pair.S.nnz, pair.n)]
 
@@ -256,13 +256,13 @@ def test_a_cross_section_off_the_axis_takes_the_banded_path(flat_small, monkeypa
     tr, _, e1h = ev.decay_run(off, t_end=1.0, checkpoint_step=0.1, window=(0.0, 1.0), dt=0.01)
     pair = sp.assemble_hk(off)
     assert calls == [(pair.S.nnz, pair.n)]
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     ref = _splu_reference(pair, u0, tr.times, 0.01, e1h)
     for nf, (_, u_ref) in zip(tr.norm_f, ref):
         nf_ref = math.sqrt(u_ref @ (pair.M @ u_ref))
         assert abs(nf - nf_ref) <= 1e-11 * nf_ref
     assert np.abs(tr.final.u - u_ref).max() <= 1e-11 * np.abs(u_ref).max()
-    assert tr.mode1_fraction[-1] == ev.project_mode1(tr.final, pair) / tr.final.norm_f
+    assert tr.mode1_fraction[-1] == ev._mode1_remainder(pair, tr.final.u) / tr.final.norm_f
 
 
 def test_flat_decay_run_assembles_no_elements_and_transforms_only_returned_states(
@@ -302,7 +302,7 @@ def test_flat_decay_run_matches_evolve_on_the_assembled_pair(request, case, alph
     which takes the same steps by banded solves: an independent reference."""
     m, pair = request.getfixturevalue(case)
     tr, fit, e1h = ev.decay_run(m, alpha=alpha, t_end=20.0, dt=0.01)
-    u0 = ev.weighted_initial(pair, "mode", alpha=alpha)
+    u0 = ev.weighted_initial(pair, alpha=alpha)
     ref = ev.evolve(pair, u0, np.arange(0.0, 20.0 + 1e-9, 0.5), dt=0.01, shift=e1h)
     ref_fit = ev.fit_decay(ref, e1h, (5.0, 20.0))
     assert tr.times.tolist() == ref.times.tolist() and tr.shift == ref.shift
@@ -330,7 +330,7 @@ def test_flat_decay_datum_coefficients_are_those_of_the_nodal_datum(
     ev.decay_run(m, alpha=alpha, t_end=10.0, dt=0.01)
     (C0,) = starts
     ref = _sine_coefficients(
-        core._sine_factors(m.x1, m.x2)[1], ev.weighted_initial(pair, "mode", alpha=alpha).u
+        core._sine_factors(m.x1, m.x2)[1], ev.weighted_initial(pair, alpha=alpha).u
     )
     assert C0.shape == ref.shape
     assert np.abs(C0 - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -387,7 +387,7 @@ def test_a_non_finite_state_raises_on_both_propagators(request, case):
             ev._checkpoint_loop(start, 0.0, [0.0, 0.1], 0.01, 0.0, False)
         return
     m, pair = request.getfixturevalue(case)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     u0.u[u0.u.size // 2] = math.nan
     with pytest.raises(LinearSolveFailure, match="non-finite values"):
         ev.evolve(pair, u0, [0.0, 0.1], dt=0.01)
@@ -409,7 +409,7 @@ def test_kronecker_pair_is_the_flat_assembly_and_its_coefficients_hold_the_norms
     pair of ``assemble_hk`` is the Kronecker sum S = K1 (x) M2 + M1 (x) K2,
     M = M1 (x) M2 of the interior 1-D stencils, and the norm and mode-1
     remainder read off the sine coefficients of a random state are those of
-    ``_norm_f`` and ``project_mode1``."""
+    ``_norm_f`` and ``_mode1_remainder``."""
     x1 = h1 * (np.arange(n1 + 1) - round(offset * n1))
     x2 = np.linspace(-a, a, n2 + 1)
     grid = sp.make_grid(x1, x2)
@@ -427,12 +427,12 @@ def test_kronecker_pair_is_the_flat_assembly_and_its_coefficients_hold_the_norms
     norm, rem = ev._coefficient_norms(_sine_coefficients(factors, u))
     ref = ev._norm_f(pair, u)
     assert abs(norm - ref) <= 1e-12 * ref
-    assert abs(rem - ev.project_mode1(ev.HeatState(u=u, t=0.0, norm_f=ref), pair)) <= 1e-12 * ref
+    assert abs(rem - ev._mode1_remainder(pair, u)) <= 1e-12 * ref
 
 
 def test_mode1_fraction_matches_inline_projection(curved_small):
     m, pair = curved_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     u0.u = u0.u + 0.1 * np.sin(3.0 * np.arange(u0.u.size))
     tr = ev.evolve(pair, u0, [0.0, 0.05, 0.2], dt=0.01, keep_states=True)
     expected = [_mode1_fraction_reference(pair, st.u) for st in tr.states]
@@ -442,7 +442,7 @@ def test_mode1_fraction_matches_inline_projection(curved_small):
 
 def test_indefinite_step_matrix_raises(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     dt = 0.01
     with pytest.raises(LinearSolveFailure, match="positive definite"):
         ev.evolve(pair, u0, [0.1], dt=dt, shift=10.0 / dt)
@@ -453,14 +453,14 @@ def test_asymmetric_pair_raises(flat_small):
     n = pair.n
     skew = sps.csr_matrix(([1e-3], ([0], [1])), shape=(n, n))
     bad = dataclasses.replace(pair, S=pair.S + skew)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     with pytest.raises(LinearSolveFailure, match="not symmetric"):
         ev.evolve(bad, u0, [0.1], dt=0.01)
 
 
 def test_checkpoints_that_repeat_a_sample_are_rejected(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     with pytest.raises(BadCheckpoint, match="same step"):
         ev.evolve(pair, u0, [0.0, 0.004, 0.1], dt=0.01)
     later = ev.evolve(pair, u0, [0.3], dt=0.01, keep_states=True).final
@@ -478,7 +478,7 @@ def test_non_finite_checkpoints_are_rejected(request, case, bad):
     path returned a checkpoint at t = -9.2e16 holding the t = 0.5 state; a
     step count past int64 wraps the same way."""
     m, pair = request.getfixturevalue(case)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     with pytest.raises(BadCheckpoint, match="within 2\\*\\*53 steps"):
         ev.evolve(pair, u0, [0.5, bad], dt=0.01)
 
@@ -486,7 +486,7 @@ def test_non_finite_checkpoints_are_rejected(request, case, bad):
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.01])
 def test_non_positive_or_non_finite_dt_is_rejected(flat_small, dt):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     with pytest.raises(ValueError, match="positive and finite"):
         ev.evolve(pair, u0, [0.5], dt=dt)
 
@@ -565,7 +565,7 @@ def _per_k_reference(pair, u0, t_grid, dt, shift):
 def test_running_product_matches_per_k_powers(flat_small, t_grid):
     m, pair = flat_small
     shift = sp.flat_transverse_ground(m.x2)
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     u0.u = u0.u + 1e-3 * np.sin(3.0 * np.arange(u0.u.size))  # every mode present
     tr = _separable_evolve(pair.grid, u0, t_grid, dt=0.01, shift=shift, keep_states=True)
     ref = _per_k_reference(pair, u0, t_grid, 0.01, shift)
@@ -576,7 +576,7 @@ def test_running_product_matches_per_k_powers(flat_small, t_grid):
 
 def test_weighted_initial_mode_normalized(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     lw = np.asarray(pair.M.sum(axis=1)).ravel()
     x1 = np.repeat(pair.grid.x1, pair.grid.x2.size)[pair.grid.keep]
     assert math.sqrt(lw @ (np.exp(x1**2 / 4.0) * u0.u**2)) == pytest.approx(1.0, rel=1e-10)
@@ -591,62 +591,15 @@ def test_weighted_initial_ignores_later_assemblies_on_its_grid():
     )
     gy = sp.make_y_grid(m, 14.0, 112)
     p0 = sp.assemble_Ls(m, 0.0, gy)
-    before = ev.weighted_initial(p0, "mode").u
+    before = ev.weighted_initial(p0).u
     sp.assemble_Ls(m, 8.0, gy)
-    assert np.array_equal(ev.weighted_initial(p0, "mode").u, before)
+    assert np.array_equal(ev.weighted_initial(p0).u, before)
 
 
 def test_weighted_initial_rejects_shallow_decay(flat_small):
     m, pair = flat_small
     with pytest.raises(NotInWeightedSpace):
-        ev.weighted_initial(pair, "mode", alpha=0.4)
-
-
-@pytest.mark.parametrize(
-    "box",
-    [((math.nan, 1.0), (0.0, 1.0)), ((5.0, -5.0), (0.0, 1.0)),
-     ((-1.0, 1.0), (0.0, math.nan)), ((-1.0, 1.0), (0.5, -0.5))],
-    ids=["nan-x1", "reversed-x1", "nan-x2", "reversed-x2"],
-)
-def test_weighted_initial_refuses_a_nan_or_reversed_box(flat_small, box):
-    """Such a box used to give an all-zero datum of norm 0 and no error."""
-    m, pair = flat_small
-    with pytest.raises(ValueError, match=re.escape(f"box {box} has a low edge above its high edge")):
-        ev.weighted_initial(pair, "indicator", box=box)
-
-
-def test_weighted_initial_indicator_quadrature_identity(flat_small):
-    m, pair = flat_small
-    box = ((-2.0, 2.0), (-1.0, 1.0))
-    u0 = ev.weighted_initial(pair, "indicator", box=box)
-    # independent quadrature of the same nodal interpolant
-    full = np.zeros(pair.grid.x1.size * pair.grid.x2.size)
-    full[pair.grid.keep] = u0.u
-    U = full.reshape(pair.grid.shape)
-    g1 = sp.gauss_points_1d(pair.grid.x1)
-    g2 = sp.gauss_points_1d(pair.grid.x2)
-    w3 = np.array([5.0, 8.0, 5.0]) / 18.0
-    h1 = pair.grid.x1[1] - pair.grid.x1[0]
-    h2 = pair.grid.x2[1] - pair.grid.x2[0]
-    total = 0.0
-    n1c, n2c = g1.shape[0], g2.shape[0]
-    fr = np.linspace(0, 1, 3)
-    xi = (g1 - pair.grid.x1[:-1, None]) / h1
-    eta = (g2 - pair.grid.x2[:-1, None]) / h2
-    for e1 in range(n1c):
-        for e2 in range(n2c):
-            loc = U[e1 : e1 + 2, e2 : e2 + 2]
-            for ia in range(3):
-                for ib in range(3):
-                    s_, t_ = xi[e1, ia], eta[e2, ib]
-                    val = (
-                        loc[0, 0] * (1 - s_) * (1 - t_)
-                        + loc[1, 0] * s_ * (1 - t_)
-                        + loc[0, 1] * (1 - s_) * t_
-                        + loc[1, 1] * s_ * t_
-                    )
-                    total += w3[ia] * w3[ib] * h1 * h2 * val**2
-    assert u0.norm_f**2 == pytest.approx(total, rel=1e-10)
+        ev.weighted_initial(pair, alpha=0.4)
 
 
 def test_eigenvector_decays_at_its_eigenvalue(flat_small):
@@ -661,7 +614,7 @@ def test_eigenvector_decays_at_its_eigenvalue(flat_small):
 
 def test_trajectory_starts_exactly_at_initial_state(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     tr = ev.evolve(pair, u0, [0.0, 0.1], dt=0.01, keep_states=True)
     assert tr.times[0] == 0.0
     assert np.array_equal(tr.states[0].u, u0.u)
@@ -669,7 +622,7 @@ def test_trajectory_starts_exactly_at_initial_state(flat_small):
 
 def test_semigroup_composition(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     two_leg = ev.evolve(pair, u0, [0.3], dt=0.01, keep_states=True)
     second = ev.evolve(pair, two_leg.states[-1], [0.8], dt=0.01, keep_states=True)
     direct = ev.evolve(pair, u0, [0.8], dt=0.01, keep_states=True)
@@ -683,7 +636,7 @@ def test_semigroup_composition(flat_small):
 
 def test_norm_monotone_nonincreasing(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     tr = ev.evolve(pair, u0, np.linspace(0.0, 2.0, 11), dt=0.01)
     assert np.all(np.diff(tr.norm_f) <= 1e-14)
 
@@ -711,11 +664,11 @@ def test_project_mode1_pure_and_orthogonal(flat_small):
     x2g = pair.grid.restrict(m.x2)
     g = np.exp(-(x1g**2) / 4.0)
     u1 = ev.HeatState(u=g * mode_function(1, a, x2g), t=0.0, norm_f=1.0)
-    assert ev.project_mode1(u1, pair) < 2e-3
+    assert ev._mode1_remainder(pair, u1.u) < 2e-3
 
     u2 = ev.HeatState(u=g * mode_function(2, a, x2g), t=0.0, norm_f=1.0)
     nrm = math.sqrt(u2.u @ (pair.M @ u2.u))
-    assert ev.project_mode1(u2, pair) == pytest.approx(nrm, rel=1e-2)
+    assert ev._mode1_remainder(pair, u2.u) == pytest.approx(nrm, rel=1e-2)
 
 
 def test_mode1_dominance_rate(flat_small):
@@ -752,7 +705,7 @@ def test_fit_decay_recovers_synthetic_law():
 
 def test_fit_decay_degenerate_window(flat_small):
     m, pair = flat_small
-    u0 = ev.weighted_initial(pair, "mode", alpha=1.0)
+    u0 = ev.weighted_initial(pair, alpha=1.0)
     tr = ev.evolve(pair, u0, [0.0, 0.5, 1.0], dt=0.01)
     with pytest.raises(DegenerateFit):
         ev.fit_decay(tr, 1.0, (0.0, 1.0))

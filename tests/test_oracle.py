@@ -26,9 +26,12 @@ def test_mode_orthonormality_by_quadrature():
     w = a * weights
     modes = oracle.transverse_modes(a, 4)
     for m in modes:
-        assert abs(np.sum(w * m(x) ** 2) - 1.0) < 1e-10
-        assert abs(m(np.array(a))) < 1e-12 and abs(m(np.array(-a))) < 1e-12
-    assert abs(np.sum(w * modes[0](x) * modes[1](x))) < 1e-10
+        assert abs(np.sum(w * oracle.mode_function(m.index, a, x) ** 2) - 1.0) < 1e-10
+        assert abs(oracle.mode_function(m.index, a, np.array(a))) < 1e-12
+        assert abs(oracle.mode_function(m.index, a, np.array(-a))) < 1e-12
+    assert abs(np.sum(
+        w * oracle.mode_function(modes[0].index, a, x) * oracle.mode_function(modes[1].index, a, x)
+    )) < 1e-10
 
 
 def test_gauss_kernel_value():

@@ -20,6 +20,7 @@ from striplab.errors import (
     GridMisaligned,
     HypothesisFailed,
     LinearSolveFailure,
+    NoConvergence,
     ShiftInsideSpectrum,
     SingularMass,
     TruncationWarning,
@@ -62,8 +63,9 @@ def test_tensor_decomposition(flat_pair):
     m, pair = flat_pair
     res = sp.lowest_eigenpairs(pair, k=3)
     g1 = sp.gauss_points_1d(m.x1)
-    S1 = sp.assemble_1d(m.x1, [("dd", np.ones_like(g1))])
-    M1 = sp.assemble_1d(m.x1, [("mass", np.ones_like(g1))])
+    every = np.ones(m.x1.size, bool)
+    S1 = sp.assemble_1d(m.x1, [("dd", np.ones_like(g1))], every)
+    M1 = sp.assemble_1d(m.x1, [("mass", np.ones_like(g1))], every)
     keep = np.arange(1, m.x1.size - 1)
     xi = scipy.linalg.eigh(
         S1[keep][:, keep].toarray(),
@@ -80,7 +82,10 @@ def _flat_interior_pair(x):
     ones = np.ones((x.size - 1, 3))
     interior = np.ones(x.size, bool)
     interior[[0, -1]] = False
-    return sp.OperatorPair(*(sp.assemble_1d(x, [(k, ones)], interior) for k in ("dd", "mass")))
+    return sp.OperatorPair(
+        *(sp.assemble_1d(x, [(k, ones)], interior) for k in ("dd", "mass")),
+        grid=sp.WeightedGrid(x, np.zeros(1), interior),
+    )
 
 
 def test_transverse_1d_levels():
@@ -212,6 +217,7 @@ def test_frame_operator_flat_matches_direct_assembly():
             ("d2d2", es * ones),
             ("mass", -es * e1h * ones + Y**2 / 16.0),
         ],
+        np.ones(gy.x1.size * gy.x2.size, bool),
     )
     kept = np.flatnonzero(gy.keep)
     S_direct = S_direct[kept][:, kept]
@@ -302,7 +308,8 @@ def test_a_frame_box_without_a_mirror_is_the_full_box(case, monkeypatch):
 _HALF_SECTION_USERS = {
     "make_y_grid": lambda m: sp.make_y_grid(m, 14.0, 56),
     "transverse_mu_profile": lambda m: sp.transverse_mu_profile(m, [0.0, 1.0]),
-    "hardy_constant": lambda m: sp.hardy_constant(m, (-2.0, 2.0)),
+    # the half section is refused before the global gap is read
+    "hardy_constant": lambda m: sp.hardy_constant(m, (-2.0, 2.0), np.zeros(m.x1.size)),
 }
 
 
@@ -356,7 +363,7 @@ def test_hardy_constants_formula_values():
     # sup|K| a^2 = 0.2 and |J| = 2 give c = 0.05 and C = 1.2
     prof = geo.gaussian_bump(amplitude=-0.2, width=1.2, support_radius=3.0)
     m = geo.solve_jacobi(prof, geo.StripGeometry(a=1.0, L=6.0, n1=96, n2=32))
-    hc = sp.hardy_constant(m, (-1.0, 1.0))
+    hc = sp.hardy_constant(m, (-1.0, 1.0), sp.transverse_mu_profile(m, m.x1))
     assert hc.c == pytest.approx(0.05, abs=1e-12)
     assert hc.C == pytest.approx(1.2, abs=1e-12)
     assert hc.lambda_J > 0
@@ -368,14 +375,14 @@ def test_hardy_flat_hypothesis_fails():
         geo.zero_profile(), geo.StripGeometry(a=math.pi / 2, L=8.0, n1=32, n2=24)
     )
     with pytest.raises(HypothesisFailed):
-        sp.hardy_constant(m, (-2.0, 2.0))
+        sp.hardy_constant(m, (-2.0, 2.0), sp.transverse_mu_profile(m, m.x1))
 
 
 def test_hardy_positive_curvature_hypothesis_fails():
     prof = geo.gaussian_bump(amplitude=0.3, width=1.5, support_radius=4.0)
     m = geo.solve_jacobi(prof, geo.StripGeometry(a=1.0, L=8.0, n1=64, n2=24))
     with pytest.raises(HypothesisFailed):
-        sp.hardy_constant(m, (-2.0, 2.0))
+        sp.hardy_constant(m, (-2.0, 2.0), sp.transverse_mu_profile(m, m.x1))
 
 
 def test_pick_hardy_interval(ruled_certified):
@@ -398,8 +405,8 @@ def test_pick_hardy_interval_computes_the_global_gap_once(ruled_certified, monke
     monkeypatch.setattr(hardy, "transverse_mu_profile", counting)
     hc = sp.pick_hardy_interval(m)
     assert calls.count(m.x1.size) == 1
-    # the public entry point recomputes the profile and gives the same constants
-    assert sp.hardy_constant(m, hc.J) == hc
+    # given the global gap, the public entry point gives the same constants
+    assert sp.hardy_constant(m, hc.J, hardy.transverse_mu_profile(m, m.x1)) == hc
     assert calls.count(m.x1.size) == 2
 
 
@@ -422,17 +429,17 @@ def test_thin_strip_constant_refuses_xi_squared_from_one_half(xi):
 
 def test_thin_strip_bound_negative_bump_applicable():
     prof = geo.gaussian_bump(amplitude=-0.3, width=1.5, support_radius=4.0)
-    b = sp.thin_strip_bound(prof, a=0.2, x1=np.linspace(-6.0, 6.0, 601))
-    assert b.applicable
-    inside = np.abs(b.x1) < 1.0
-    assert np.all(b.values[inside] > 0)
+    x1 = np.linspace(-6.0, 6.0, 601)
+    b = sp.thin_strip_bound(prof, a=0.2, x1=x1)
+    inside = np.abs(x1) < 1.0
+    assert np.all(b[inside] > 0)
 
 
 def test_thin_strip_bound_zero_width_limit():
     prof = geo.gaussian_bump(amplitude=-0.3, width=1.5, support_radius=4.0)
     b0 = sp.thin_strip_bound(prof, a=1e-9, x1=np.array([0.0]))
-    assert b0.values[0] == pytest.approx(0.15, rel=1e-6)
-    assert b0.constant < 1e-12
+    assert b0[0] == pytest.approx(0.15, rel=1e-6)
+    assert sp.thin_strip_constant(prof.sup_norm * 1e-18) < 1e-12
 
 
 def test_hardy_verify_zero_weight_nonnegative(flat_pair):
@@ -500,6 +507,22 @@ def test_shift_inside_spectrum_detected(flat_pair):
     m, pair = flat_pair
     with pytest.raises(ShiftInsideSpectrum):
         sp.lowest_eigenpairs(pair, k=2, sigma=1.005)
+
+
+@pytest.mark.parametrize("converged", [1, 0])
+def test_arpack_non_convergence_names_the_best_residual(flat_pair, monkeypatch, converged):
+    """The error's message, which the CLI prints, carries the residual of the
+    lowest pair ARPACK returned, or says that none converged."""
+    m, pair = flat_pair
+    vecs = np.ones((pair.n, converged))
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("stub", np.ones(converged), vecs)
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    best = r"\d\.\d{3}e[+-]\d\d" if converged else "none, no eigenvalue converged"
+    with pytest.raises(NoConvergence, match=rf"within 4000 iterations \(best residual: {best}\)"):
+        sp.lowest_eigenpairs(pair, k=1)
 
 
 def _poisoned(v, value):
@@ -653,8 +676,9 @@ def _eigh_mu_profile(metric, x1):
     out = np.empty(x1.size)
     for i in range(x1.size):
         c = f[i].reshape(g2.shape)
-        S = sp.assemble_1d(x2, [("dd", c)])[interior][:, interior]
-        M = sp.assemble_1d(x2, [("mass", c)])[interior][:, interior]
+        every = np.ones(x2.size, bool)
+        S = sp.assemble_1d(x2, [("dd", c)], every)[interior][:, interior]
+        M = sp.assemble_1d(x2, [("mass", c)], every)[interior][:, interior]
         out[i] = scipy.linalg.eigh(
             S.toarray(), M.toarray(), subset_by_index=[0, 0], eigvals_only=True
         )[0] - e1h
@@ -734,14 +758,14 @@ _KINDS = sorted(core._KIND_FACTORS)
 def test_stencil_assembly_is_bit_identical_to_coo(n1, n2, h, kinds, mask, extra, seed):
     """Same CSR structure and the same bits as the COO assembly restricted to
     the kept nodes: walls Dirichlet, with or without the x1 ends, plus up to
-    three more masked nodes, or no mask at all."""
+    three more masked nodes, or every node kept."""
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(-5.0, 5.0) + h[0] * np.arange(n1 + 1)
     x2 = h[1] * np.arange(n2 + 1)
     terms = [(kind, rng.standard_normal((n1, n2, 3, 3))) for kind in kinds]
     ref = _coo_assemble_2d(x1, x2, terms)
     if mask == "none":
-        keep = None
+        keep = np.ones(x1.size * x2.size, bool)
     else:
         keep = np.ones((x1.size, x2.size), bool)
         keep[:, [0, -1]] = False
@@ -779,14 +803,14 @@ def test_stencil_assembly_is_bit_identical_to_coo(n1, n2, h, kinds, mask, extra,
 )
 def test_1d_assembly_is_bit_identical_to_coo(n, h, kinds, mask, first, gaps, seed):
     """Same CSR structure and the same bits as the COO assembly restricted to
-    the kept nodes: no mask, both ends masked, or the ends and up to three
+    the kept nodes: every node kept, both ends masked, or the ends and up to three
     interior holes, spaced 1 to 3 nodes apart so adjacent holes occur."""
     rng = np.random.default_rng(seed)
     nodes = rng.uniform(-5.0, 5.0) + h * np.arange(n + 1)
     terms = [(kind, rng.standard_normal((n, 3))) for kind in kinds]
     ref = _coo_assemble_1d(nodes, terms)
     if mask == "none":
-        keep = None
+        keep = np.ones(n + 1, bool)
     else:
         keep = np.ones(n + 1, bool)
         keep[[0, -1]] = False
@@ -965,20 +989,17 @@ def test_asymmetric_pair_raises(flat_pair):
         sp.lowest_eigenpairs(bad, k=1)
 
 
-@pytest.mark.parametrize("case", ["no-grid", "off-structure"])
+@pytest.mark.parametrize("case", ["off-structure"])
 def test_a_pair_with_no_structure_to_factor_on_is_refused_before_factoring(
     flat_pair, monkeypatch, case
 ):
     """``banded_cholesky`` factors CSR data on the pair grid's structure: a
-    pair without a grid, or whose grid masks one more node than its
-    matrices leave out, is refused before anything is factored."""
+    pair whose grid masks one more node than its matrices leave out is
+    refused before anything is factored."""
     _, pair = flat_pair
-    if case == "no-grid":
-        bad = dataclasses.replace(pair, grid=None)
-    else:
-        keep = pair.grid.keep.copy()
-        keep[np.flatnonzero(keep)[0]] = False
-        bad = dataclasses.replace(pair, grid=sp.WeightedGrid(pair.grid.x1, pair.grid.x2, keep))
+    keep = pair.grid.keep.copy()
+    keep[np.flatnonzero(keep)[0]] = False
+    bad = dataclasses.replace(pair, grid=sp.WeightedGrid(pair.grid.x1, pair.grid.x2, keep))
     assert bad.n > 400  # the shift-invert path, not the dense one
     monkeypatch.setattr(solve, "banded_cholesky", lambda *args: pytest.fail("factored"))
     with pytest.raises(GridMisaligned, match="structure"):
@@ -1002,11 +1023,11 @@ def test_batched_mu_profile_splits_long_column_lists(ruled_certified, monkeypatc
     m = ruled_certified
     whole = sp.transverse_mu_profile(m, m.x1)
     J = sp.pick_hardy_interval(m).J
-    hc = sp.hardy_constant(m, J)
+    hc = sp.hardy_constant(m, J, whole)
     monkeypatch.setattr(core, "_PENCIL_BATCH_ENTRIES", 5 * 20**2)  # 5 half-section pencils
     assert np.array_equal(sp.transverse_mu_profile(m, m.x1), whole)
     monkeypatch.setattr(core, "_PENCIL_BATCH_ENTRIES", 1)  # one pencil per batch
-    assert sp.hardy_constant(m, J) == hc
+    assert sp.hardy_constant(m, J, whole) == hc
 
 
 def test_hardy_interval_pencil_memory_is_bounded(ruled_certified):
@@ -1032,8 +1053,9 @@ def _per_slice_lambda_J(metric, J, n_cells=96):
     for x2v in metric.x2:
         f, _ = metric.sample(gcols.ravel(), np.array([x2v]))
         f_g = f[:, 0].reshape(gcols.shape)
-        S = sp.assemble_1d(nodes, [("dd", 1.0 / f_g), ("mass", mu_g * f_g)])
-        M = sp.assemble_1d(nodes, [("mass", f_g)])
+        every = np.ones(nodes.size, bool)
+        S = sp.assemble_1d(nodes, [("dd", 1.0 / f_g), ("mass", mu_g * f_g)], every)
+        M = sp.assemble_1d(nodes, [("mass", f_g)], every)
         lam = min(lam, scipy.linalg.eigh(
             S.toarray(), M.toarray(), subset_by_index=[0, 0], eigvals_only=True
         )[0])
