@@ -3,8 +3,8 @@
 Config files are plain text with named blocks of key = value pairs
 (geometry, curvature, experiment, output). Runs write fixed-schema CSV
 files plus a manifest; reruns of an identical config reproduce identical
-CSV bytes at a fixed BLAS thread count. Exit codes: 0 success, 2 invalid
-config, 3 numerical failure, 4 acceptance failure (report mode).
+CSV bytes. Exit codes: 0 success, 2 invalid config, 3 numerical failure,
+4 acceptance failure (report mode).
 """
 from __future__ import annotations
 
@@ -354,11 +354,11 @@ def _exp_report(cfg, outdir):
     return [p.name]
 
 
-# scipy's modules that the eigensolves, assembly and banded solves import
-# where they call them; the spectral kinds and the report also preload
-# numpy's lazily loaded random module, which cold eigensolves, Hardy trials
-# and the report's Monte Carlo draw from
-_SCIPY = ("scipy.linalg", "scipy.sparse.linalg")
+# scipy's modules that the banded factors and solves, and the assembly's
+# sparse matrices, import where they call them; the spectral kinds and the
+# report also preload numpy's lazily loaded random module, which cold
+# eigensolves, Hardy trials and the report's Monte Carlo draw from
+_SCIPY = ("scipy.linalg", "scipy.sparse")
 _SPECTRAL = ("striplab.spectral", "numpy.random", *_SCIPY)
 
 

@@ -30,7 +30,7 @@ class SingularMass(StripLabError):
 
 
 class NoConvergence(StripLabError):
-    """Eigensolver did not converge; the message gives the best residual achieved."""
+    """Eigensolver did not converge; the message gives the largest residual and the tolerance."""
 
 
 class ShiftInsideSpectrum(StripLabError):

@@ -388,9 +388,28 @@ def test_load_config_of_a_report_loads_the_scipy_solvers(tmp_path):
     code = (
         "import sys; from striplab import cli; "
         f"cli.load_config({str(report)!r}); "
-        "print(sorted({'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)))"
+        "print(sorted({'scipy.linalg', 'scipy.sparse'} & set(sys.modules)))"
     )
-    assert _fresh_python(code) == "['scipy.linalg', 'scipy.sparse.linalg']"
+    assert _fresh_python(code) == "['scipy.linalg', 'scipy.sparse']"
+
+
+def test_the_shipped_nu_sweep_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """The frame eigensolves sum over the unknowns without BLAS, so the
+    shipped sweep's CSV does not depend on the BLAS thread count. OpenBLAS
+    reads the count once, when numpy loads, so each run is a new interpreter
+    whose environment sets it, in place of the one thread of conftest.py."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "negative_nu_sweep.ini"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["run", str(config), "--out", str(out)]
+        code = f"from striplab import cli; raise SystemExit(cli.main({argv!r}))"
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        written.append((out / "nu-sweep" / "nu_sweep.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 # a small config of each kind that `strip-lab run` runs on its own

@@ -27,10 +27,12 @@ machine). So
     python tools/output_digest.py > after.txt
 
 run on two checkouts gives no `diff` when their outputs agree. The
-striplab imported is the one under this checkout's `src/`. The nu-sweep's
-CSV depends on the number of BLAS threads, so the digest runs on one
-(`OPENBLAS_NUM_THREADS=1`, set before numpy loads) unless the environment
-already sets it.
+striplab imported is the one under this checkout's `src/`. Its output is
+the same under `OPENBLAS_NUM_THREADS=1` and 2 (checked line for line on a
+2-vCPU machine). It runs on one BLAS thread (`OPENBLAS_NUM_THREADS=1`, set
+before numpy loads) unless the environment already sets it, as the test
+suite does, because the banded factorisations stall for seconds under
+several threads when other processes share the CPUs.
 """
 from __future__ import annotations
 
