@@ -509,18 +509,20 @@ def test_shift_inside_spectrum_detected(flat_pair):
         sp.lowest_eigenpairs(pair, k=2, sigma=1.005)
 
 
-def test_a_full_lanczos_basis_names_the_largest_residual(flat_pair, monkeypatch):
-    """A basis of three vectors holds no converged pair of the flat pair: the
-    error's message, which the CLI prints, carries the largest residual and
-    the tolerance."""
+@pytest.mark.parametrize("extra_pairs", [0, 1])
+def test_arpack_non_convergence_names_the_best_residual(flat_pair, monkeypatch, extra_pairs):
+    """A basis of three vectors holds no converged pair of the flat pair, for
+    one pair or for two: the error's message, which the CLI prints, carries
+    the largest residual and the tolerance."""
     _, pair = flat_pair
     monkeypatch.setattr(solve, "_MAX_BASIS", 3)
+    scale = ("1", "7")[extra_pairs]  # 1e-6 max(|lambda|, 1) of the highest pair
     with pytest.raises(
         NoConvergence,
         match=r"with 3 Lanczos vectors \(largest residual \d\.\d{3}e[+-]\d\d, "
-        r"tolerance 1\.\d{3}e-06\)",
+        rf"tolerance {scale}\.\d{{3}}e-0{6 - extra_pairs}\)",
     ):
-        sp.lowest_eigenpairs(pair, k=1)
+        sp.lowest_eigenpairs(pair, k=1 + extra_pairs)
 
 
 def _poisoned(v, value):
